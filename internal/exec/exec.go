@@ -120,8 +120,9 @@ type BackendStats struct {
 	// Fallbacks counts batch dispatches that wanted the lane engine but
 	// ran scalar (non-uniform protocol, observer, per-node, forced).
 	Fallbacks int64 `json:"fallbacks"`
-	// PoolHits/PoolMisses count pooled-engine checkouts served from the
-	// per-graph pool vs. built fresh.
+	// PoolHits/PoolMisses count engine checkouts served from the
+	// per-graph pool vs. built fresh; a lane batch checks out one engine
+	// per worker.
 	PoolHits   int64 `json:"pool_hits"`
 	PoolMisses int64 `json:"pool_misses"`
 }
@@ -154,21 +155,24 @@ func (c *counters) snapshot() BackendStats {
 // engine must not run on a different graph than it was built for, even
 // a bit-identical rebuild, so a rebuilt graph always misses.
 type poolEntry struct {
-	g    *graph.Graph
-	idle []*radio.Engine
+	g         *graph.Graph
+	idle      []*radio.Engine
+	idleLanes []*lanes.Engine // any sources and plan; Retarget re-aims them
 }
 
-// Executor classifies requests onto backends, pools scalar engines per
-// graph, and counts every dispatch. The zero value is not ready; use
-// New (isolated, e.g. for tests) or Default (the process-wide instance
-// every layer shares).
+// Executor classifies requests onto backends, pools scalar and lane
+// engines per graph, and counts every dispatch. The zero value is not
+// ready; use New (isolated, e.g. for tests) or Default (the
+// process-wide instance every layer shares).
 type Executor struct {
-	graphCap  int // max graphs with pooled engines (LRU beyond)
-	engineCap int // max idle engines kept per graph
+	graphCap   int   // max graphs with pooled engines (LRU beyond)
+	engineCap  int   // max idle scalar engines kept per graph
+	laneBudget int64 // max bytes of idle lane engines, over all graphs
 
-	mu      sync.Mutex
-	entries map[*graph.Graph]*list.Element
-	order   *list.List // front = most recently used
+	mu        sync.Mutex
+	entries   map[*graph.Graph]*list.Element
+	order     *list.List // front = most recently used
+	laneBytes int64      // Footprint sum of every idle lane engine
 
 	c [numBackends]counters
 }
@@ -176,15 +180,24 @@ type Executor struct {
 const (
 	defaultGraphCap  = 64
 	defaultEngineCap = 16
+
+	// laneBudget bounds idle lane-engine memory. A warm lane engine holds
+	// about 330 bytes per node (33 MB at n=1e5) and keeps its graph
+	// alive, so an unbounded pool would keep every graph a process ever
+	// batched on. 256 MiB holds a few worker sets at n=1e5; an engine
+	// larger than the whole budget (a warm one beyond n of about 8e5) is
+	// never pooled.
+	laneBudget = 256 << 20
 )
 
 // New returns an isolated executor with default pool bounds.
 func New() *Executor {
 	return &Executor{
-		graphCap:  defaultGraphCap,
-		engineCap: defaultEngineCap,
-		entries:   make(map[*graph.Graph]*list.Element),
-		order:     list.New(),
+		graphCap:   defaultGraphCap,
+		engineCap:  defaultEngineCap,
+		laneBudget: laneBudget,
+		entries:    make(map[*graph.Graph]*list.Element),
+		order:      list.New(),
 	}
 }
 
@@ -214,13 +227,10 @@ func ClassifyBatch(req *Request) Backend {
 	if req.Schedule != nil {
 		return BackendSchedule
 	}
-	if req.ForceScalar || req.PerNode || req.Observer != nil || req.Engine != nil {
-		return BackendScalar
+	if _, ok := batchPlan(req); ok {
+		return BackendLanes
 	}
-	if _, ok := lanes.NewPlan(req.Protocol, req.MaxRounds); !ok {
-		return BackendScalar
-	}
-	return BackendLanes
+	return BackendScalar
 }
 
 // Run executes one trial of req and returns the full Result. Schedules
@@ -262,11 +272,12 @@ func (x *Executor) Time(ctx context.Context, req *Request, rng *xrand.Rand) (int
 
 // RunSeeds executes one trial per seed, out[i] receiving seed i's
 // completion round, and reports the backend that ran. Lane-classified
-// batches run lanes.RunBlocks (block-sharded across a worker pool);
-// everything else falls back to per-seed scalar trials on a private
-// worker pool, one engine per worker. Either way trial i is a pure
-// function of seeds[i]: results are bitwise independent of worker
-// count, sharding and GOMAXPROCS. On cancellation the error wraps
+// batches run lane blocks across a worker pool; everything else falls
+// back to per-seed scalar trials on a private worker pool. Either way
+// each worker checks one engine out of the per-graph pool and back in
+// when the batch returns. Trial i is a pure function of seeds[i]:
+// results are bitwise independent of worker count, sharding, GOMAXPROCS
+// and which pooled engine ran it. On cancellation the error wraps
 // radio.ErrCanceled and out's unfinished entries are unspecified.
 func (x *Executor) RunSeeds(ctx context.Context, req *Request, seeds []uint64, out []int) (Backend, error) {
 	if req.Schedule != nil {
@@ -278,10 +289,10 @@ func (x *Executor) RunSeeds(ctx context.Context, req *Request, seeds []uint64, o
 	if len(seeds) == 0 {
 		return ClassifyBatch(req), nil
 	}
-	if plan, ok := x.batchPlan(req); ok {
+	if plan, ok := batchPlan(req); ok {
 		x.c[BackendLanes].runs.Add(1)
 		x.c[BackendLanes].trials.Add(int64(len(seeds)))
-		return BackendLanes, lanes.RunBlocks(ctx, req.Graph, req.Sources, plan, seeds, 0, 0, out)
+		return BackendLanes, x.runSeedsLanes(ctx, req, plan, seeds, out)
 	}
 	x.c[BackendScalar].runs.Add(1)
 	x.c[BackendScalar].trials.Add(int64(len(seeds)))
@@ -289,32 +300,42 @@ func (x *Executor) RunSeeds(ctx context.Context, req *Request, seeds []uint64, o
 	return BackendScalar, x.runSeedsScalar(ctx, req, seeds, out)
 }
 
-// batchPlan returns the lane plan for a batch of req, if lanes are the
-// classified backend.
-func (x *Executor) batchPlan(req *Request) (*lanes.Plan, bool) {
+// batchPlan returns the lane plan for a batch of req when lanes are the
+// classified backend: the protocol plans as fully uniform over the round
+// budget and nothing scalar-only (observer, per-node sampling, a caller
+// engine, ForceScalar) is requested.
+func batchPlan(req *Request) (*lanes.Plan, bool) {
 	if req.ForceScalar || req.PerNode || req.Observer != nil || req.Engine != nil {
 		return nil, false
 	}
 	return lanes.NewPlan(req.Protocol, req.MaxRounds)
 }
 
+// runSeedsLanes is RunSeeds' lane path: Width-seed blocks on
+// min(GOMAXPROCS, blocks) pooled lane engines. The engines go back to
+// the pool even when the batch was canceled: every block starts by
+// clearing whatever a canceled one left behind.
+func (x *Executor) runSeedsLanes(ctx context.Context, req *Request, plan *lanes.Plan, seeds []uint64, out []int) error {
+	blocks := (len(seeds) + Width - 1) / Width
+	engines := x.acquireLanes(req, plan, min(runtime.GOMAXPROCS(0), blocks))
+	err := lanes.RunBlocksOn(ctx, engines, seeds, out)
+	x.releaseLanes(req.Graph, engines)
+	return err
+}
+
 // runSeedsScalar is RunSeeds' scalar fallback: per-seed trials fanned
-// out to min(GOMAXPROCS, len(seeds)) workers, one engine per worker.
+// out to min(GOMAXPROCS, len(seeds)) workers, one pooled engine per
+// worker.
 func (x *Executor) runSeedsScalar(ctx context.Context, req *Request, seeds []uint64, out []int) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(seeds))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := radio.NewEngineMulti(req.Graph, req.Sources, radio.StrictInformed)
+			e := x.AcquireEngine(req.Graph)
+			e.SetSources(req.Sources)
 			e.SetPerNodeSampling(req.PerNode)
 			for i := range next {
 				// A canceled trial leaves out[i] at the engine's partial
@@ -322,6 +343,7 @@ func (x *Executor) runSeedsScalar(ctx context.Context, req *Request, seeds []uin
 				r, _ := radio.BroadcastTimeOnContext(ctx, e, req.Protocol, req.MaxRounds, xrand.New(seeds[i]))
 				out[i] = r
 			}
+			x.ReleaseEngine(e)
 		}()
 	}
 dispatch:
@@ -399,37 +421,122 @@ func (x *Executor) AcquireEngine(g *graph.Graph) *radio.Engine {
 // graph's engines beyond the executor's graph bound. Engines beyond the
 // per-graph bound are dropped for the GC.
 func (x *Executor) ReleaseEngine(e *radio.Engine) {
-	g := e.Graph()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	el, ok := x.entries[g]
-	if !ok {
-		el = x.order.PushFront(&poolEntry{g: g})
-		x.entries[g] = el
-		for x.order.Len() > x.graphCap {
-			oldest := x.order.Back()
-			x.order.Remove(oldest)
-			delete(x.entries, oldest.Value.(*poolEntry).g)
-		}
-	} else {
-		x.order.MoveToFront(el)
-	}
-	ent := el.Value.(*poolEntry)
+	ent := x.entry(e.Graph())
 	if len(ent.idle) < x.engineCap {
 		ent.idle = append(ent.idle, e)
 	}
 }
 
-// Forget drops every engine pooled for g — the eviction hook for graph
-// caches, keeping engine memory from outliving the graphs it serves.
-// (Correctness never depends on it: a rebuilt graph is a new pointer
-// and misses regardless.)
+// acquireLanes checks k lane engines for req.Graph out of the per-graph
+// pool, re-aimed at req's sources and plan, and builds fresh ones for
+// the rest. Each engine counts as one lane pool hit or miss.
+func (x *Executor) acquireLanes(req *Request, plan *lanes.Plan, k int) []*lanes.Engine {
+	engines := make([]*lanes.Engine, 0, k)
+	x.mu.Lock()
+	if el, ok := x.entries[req.Graph]; ok {
+		x.order.MoveToFront(el)
+		ent := el.Value.(*poolEntry)
+		for len(engines) < k && len(ent.idleLanes) > 0 {
+			e := ent.popLane()
+			x.laneBytes -= e.Footprint()
+			engines = append(engines, e)
+		}
+	}
+	x.mu.Unlock()
+	x.c[BackendLanes].poolHits.Add(int64(len(engines)))
+	x.c[BackendLanes].poolMisses.Add(int64(k - len(engines)))
+	for _, e := range engines {
+		e.Retarget(req.Sources, plan)
+	}
+	for len(engines) < k {
+		engines = append(engines, lanes.NewEngine(req.Graph, req.Sources, plan))
+	}
+	return engines
+}
+
+// releaseLanes checks lane engines back into g's pool, at most
+// GOMAXPROCS per graph, then evicts idle lane engines from the
+// least-recently-used graphs until their bytes fit the lane budget. An
+// engine larger than the whole budget is never pooled.
+func (x *Executor) releaseLanes(g *graph.Graph, engines []*lanes.Engine) {
+	perGraph := runtime.GOMAXPROCS(0)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	var ent *poolEntry
+	for _, e := range engines {
+		fp := e.Footprint()
+		if fp > x.laneBudget {
+			continue
+		}
+		if ent == nil {
+			ent = x.entry(g)
+		}
+		if len(ent.idleLanes) >= perGraph {
+			break
+		}
+		ent.idleLanes = append(ent.idleLanes, e)
+		x.laneBytes += fp
+	}
+	for el := x.order.Back(); el != nil && x.laneBytes > x.laneBudget; {
+		prev := el.Prev()
+		ent := el.Value.(*poolEntry)
+		for len(ent.idleLanes) > 0 && x.laneBytes > x.laneBudget {
+			x.laneBytes -= ent.popLane().Footprint()
+		}
+		if len(ent.idle) == 0 && len(ent.idleLanes) == 0 {
+			x.remove(el)
+		}
+		el = prev
+	}
+}
+
+// popLane removes and returns the entry's most recently pooled lane
+// engine.
+func (ent *poolEntry) popLane() *lanes.Engine {
+	n := len(ent.idleLanes)
+	e := ent.idleLanes[n-1]
+	ent.idleLanes[n-1] = nil
+	ent.idleLanes = ent.idleLanes[:n-1]
+	return e
+}
+
+// entry returns g's pool entry as the most recently used, creating it
+// and evicting the least-recently-used graph's entry beyond the graph
+// bound. x.mu must be held.
+func (x *Executor) entry(g *graph.Graph) *poolEntry {
+	if el, ok := x.entries[g]; ok {
+		x.order.MoveToFront(el)
+		return el.Value.(*poolEntry)
+	}
+	ent := &poolEntry{g: g}
+	x.entries[g] = x.order.PushFront(ent)
+	for x.order.Len() > x.graphCap {
+		x.remove(x.order.Back())
+	}
+	return ent
+}
+
+// remove drops a pool entry and every engine it holds. x.mu must be
+// held.
+func (x *Executor) remove(el *list.Element) {
+	ent := x.order.Remove(el).(*poolEntry)
+	delete(x.entries, ent.g)
+	for _, e := range ent.idleLanes {
+		x.laneBytes -= e.Footprint()
+	}
+}
+
+// Forget drops every scalar and lane engine pooled for g — the eviction
+// hook for graph caches, keeping engine memory from outliving the graphs
+// it serves. (Correctness never depends on it: a rebuilt graph is a new
+// pointer and misses regardless.)
 func (x *Executor) Forget(g *graph.Graph) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if el, ok := x.entries[g]; ok {
-		x.order.Remove(el)
-		delete(x.entries, g)
+		x.remove(el)
 	}
 }
 
@@ -466,7 +573,7 @@ func (x *Executor) Open(req *Request) *Session {
 	s.req.Sources = append([]int32(nil), req.Sources...)
 	s.req.Pool = false // session engines are owned, never pooled
 	if s.req.Schedule == nil {
-		s.plan, _ = x.batchPlan(&s.req)
+		s.plan, _ = batchPlan(&s.req)
 	}
 	return s
 }

@@ -3,6 +3,8 @@ package exec_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -174,7 +176,9 @@ func TestRunSeedsLanes(t *testing.T) {
 
 // TestRunSeedsFallback: a non-uniform protocol batch falls back to
 // per-seed scalar trials — bit-identical to running each seed on a
-// fresh engine — and records the fallback.
+// fresh engine — and records the fallback. The workers' engines come
+// from the per-graph pool, so a second batch hits it once per worker
+// and still matches.
 func TestRunSeedsFallback(t *testing.T) {
 	x := exec.New()
 	g := testGraph(t, 5)
@@ -182,24 +186,206 @@ func TestRunSeedsFallback(t *testing.T) {
 	req.Protocol = &protocols.RoundRobin{N: g.N()}
 	req.MaxRounds = 4 * g.N()
 	seeds := sweep.Seeds(9, 13)
+	workers := int64(min(runtime.GOMAXPROCS(0), len(seeds)))
 
-	got := make([]int, len(seeds))
-	backend, err := x.RunSeeds(context.Background(), req, seeds, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backend != exec.BackendScalar {
-		t.Fatalf("backend = %v, want scalar fallback", backend)
-	}
 	e := radio.NewEngineMulti(g, []int32{0}, radio.StrictInformed)
-	for i, seed := range seeds {
-		if want := radio.BroadcastTimeOn(e, req.Protocol, req.MaxRounds, xrand.New(seed)); got[i] != want {
-			t.Fatalf("trial %d: exec %d vs direct scalar %d", i, got[i], want)
+	for call := 1; call <= 2; call++ {
+		got := make([]int, len(seeds))
+		backend, err := x.RunSeeds(context.Background(), req, seeds, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if backend != exec.BackendScalar {
+			t.Fatalf("backend = %v, want scalar fallback", backend)
+		}
+		for i, seed := range seeds {
+			if want := radio.BroadcastTimeOn(e, req.Protocol, req.MaxRounds, xrand.New(seed)); got[i] != want {
+				t.Fatalf("call %d trial %d: exec %d vs direct scalar %d", call, i, got[i], want)
+			}
 		}
 	}
 	st := x.Snapshot()
-	if st.Scalar.Fallbacks != 1 || st.Scalar.Trials != int64(len(seeds)) {
-		t.Errorf("scalar counters = %+v, want fallbacks=1 trials=%d", st.Scalar, len(seeds))
+	if st.Scalar.Fallbacks != 2 || st.Scalar.Trials != int64(2*len(seeds)) {
+		t.Errorf("scalar counters = %+v, want fallbacks=2 trials=%d", st.Scalar, 2*len(seeds))
+	}
+	if st.Scalar.PoolMisses != workers || st.Scalar.PoolHits != workers {
+		t.Errorf("scalar pool misses/hits = %d/%d, want %d/%d (one checkout per worker per call)",
+			st.Scalar.PoolMisses, st.Scalar.PoolHits, workers, workers)
+	}
+}
+
+// TestLanePoolCounters: a lane batch checks one engine per worker out of
+// the per-graph pool, so the first 128-seed call misses once per worker
+// and the second hits as often, with identical results. Forget drops
+// the lane engines too.
+func TestLanePoolCounters(t *testing.T) {
+	x := exec.New()
+	g := testGraph(t, 12)
+	req := protoReq(g)
+	seeds := sweep.Seeds(2*exec.Width, 3)
+	workers := int64(min(runtime.GOMAXPROCS(0), 2))
+
+	var first []int
+	for call := 1; call <= 2; call++ {
+		got := make([]int, len(seeds))
+		if _, err := x.RunSeeds(context.Background(), req, seeds, got); err != nil {
+			t.Fatal(err)
+		}
+		st := x.Snapshot().Lanes
+		if st.PoolMisses != workers || st.PoolHits != workers*int64(call-1) {
+			t.Fatalf("after call %d: lane pool misses/hits = %d/%d, want %d/%d",
+				call, st.PoolMisses, st.PoolHits, workers, workers*int64(call-1))
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		for i := range got {
+			if got[i] != first[i] {
+				t.Fatalf("trial %d: pooled engines gave %d, fresh ones %d", i, got[i], first[i])
+			}
+		}
+	}
+
+	x.Forget(g)
+	if _, ok := x.IdleLanes(g); ok || x.LaneBytes() != 0 {
+		t.Fatalf("Forget left g pooled (lane bytes %d)", x.LaneBytes())
+	}
+	if _, err := x.RunSeeds(context.Background(), req, seeds, make([]int, len(seeds))); err != nil {
+		t.Fatal(err)
+	}
+	if st := x.Snapshot().Lanes; st.PoolMisses != 2*workers {
+		t.Errorf("after Forget: lane pool misses = %d, want %d", st.PoolMisses, 2*workers)
+	}
+}
+
+// TestLanePoolConcurrent: concurrent batches on one graph each get their
+// own engines (the race detector and the bit-identical results catch any
+// sharing), and the pool keeps at most GOMAXPROCS distinct engines.
+func TestLanePoolConcurrent(t *testing.T) {
+	x := exec.New()
+	g := testGraph(t, 13)
+	req := protoReq(g)
+	seeds := sweep.Seeds(2*exec.Width, 29)
+	plan, _ := lanes.NewPlan(req.Protocol, req.MaxRounds)
+	want := make([]int, len(seeds))
+	if err := lanes.RunBlocks(context.Background(), g, []int32{0}, plan, seeds, 0, 0, want); err != nil {
+		t.Fatal(err)
+	}
+
+	const callers, calls = 4, 3
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < calls; k++ {
+				got := make([]int, len(seeds))
+				if _, err := x.RunSeeds(context.Background(), req, seeds, got); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("trial %d: concurrent batch %d, direct lanes %d", i, got[i], want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	idle, _ := x.IdleLanes(g)
+	if len(idle) == 0 || len(idle) > runtime.GOMAXPROCS(0) {
+		t.Errorf("%d idle lane engines for one graph, want 1..GOMAXPROCS", len(idle))
+	}
+	seen := make(map[*lanes.Engine]bool)
+	for _, e := range idle {
+		if seen[e] {
+			t.Fatal("the pool holds one lane engine twice")
+		}
+		seen[e] = true
+	}
+	st := x.Snapshot().Lanes
+	if want := int64(callers * calls * min(runtime.GOMAXPROCS(0), 2)); st.PoolHits+st.PoolMisses != want {
+		t.Errorf("lane checkouts = %d, want %d", st.PoolHits+st.PoolMisses, want)
+	}
+}
+
+// TestLanePoolBudget: the idle lane engines of all graphs share one byte
+// budget. Going over it evicts the least-recently-used graph's engines
+// and drops its entry; an engine bigger than the whole budget is never
+// pooled. One 64-seed block runs on a single engine, so footprints
+// repeat exactly on a structurally identical graph.
+func TestLanePoolBudget(t *testing.T) {
+	seeds := sweep.Seeds(exec.Width, 41)
+	run := func(x *exec.Executor, g *graph.Graph) {
+		t.Helper()
+		if _, err := x.RunSeeds(context.Background(), protoReq(g), seeds, make([]int, len(seeds))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	x := exec.New()
+	g1, g2 := testGraph(t, 20), testGraph(t, 21)
+	run(x, g1)
+	fp1 := x.LaneBytes()
+	run(x, g2)
+	budget := x.LaneBytes()
+	x.SetLaneBudget(budget) // exactly full
+	g3 := testGraph(t, 20)  // g1's twin: the same footprint, another pointer
+	run(x, g3)
+	if _, ok := x.IdleLanes(g1); ok {
+		t.Error("the least-recently-used graph kept its pool entry over budget")
+	}
+	for _, g := range []*graph.Graph{g2, g3} {
+		if idle, _ := x.IdleLanes(g); len(idle) != 1 {
+			t.Errorf("graph kept %d idle lane engines, want 1", len(idle))
+		}
+	}
+	if got := x.LaneBytes(); got > budget {
+		t.Errorf("idle lane bytes %d exceed the budget %d", got, budget)
+	}
+
+	small := exec.New()
+	small.SetLaneBudget(fp1 - 1)
+	run(small, g1)
+	run(small, g1)
+	if _, ok := small.IdleLanes(g1); ok || small.LaneBytes() != 0 {
+		t.Errorf("an engine over the whole budget was pooled (%d bytes idle)", small.LaneBytes())
+	}
+	if st := small.Snapshot().Lanes; st.PoolHits != 0 || st.PoolMisses != 2 {
+		t.Errorf("lane pool hits/misses = %d/%d, want 0/2", st.PoolHits, st.PoolMisses)
+	}
+}
+
+// TestLaneRunSeedsAllocs gates the exec layer's allocation: a warm lane
+// RunSeeds re-aims a pooled engine instead of building one, so a
+// 64-seed call at n=300 allocates a few hundred bytes. A fresh engine
+// there costs about 300 KiB.
+func TestLaneRunSeedsAllocs(t *testing.T) {
+	const calls, limit = 10, 64 << 10
+	x := exec.New()
+	g := testGraph(t, 14)
+	req := protoReq(g)
+	seeds := sweep.Seeds(exec.Width, 5)
+	out := make([]int, len(seeds))
+	for i := 0; i < 2; i++ { // warm: build, then settle buffer growth
+		if _, err := x.RunSeeds(context.Background(), req, seeds, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := x.RunSeeds(context.Background(), req, seeds, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > limit {
+		t.Errorf("warm lane RunSeeds allocates %d B per call, limit %d", perCall, limit)
 	}
 }
 

@@ -212,36 +212,71 @@ type Engine struct {
 // schedule. The engine is reusable: each Run resets all per-trial state.
 func NewEngine(g *graph.Graph, sources []int32, plan *Plan) *Engine {
 	n := g.N()
+	e := &Engine{
+		g:           g,
+		informed:    make([]uint64, n),
+		hits:        make([]uint64, 2*n),
+		txMask:      make([]uint64, n),
+		done:        make([]uint8, n),
+		live:        make([]int32, 0, n),
+		rngs:        make([]xrand.Rand, Width),
+		elig:        make([][]int32, Width),
+		informedCnt: make([]int32, Width),
+		doneRound:   make([]int32, Width),
+	}
+	e.Retarget(sources, plan)
+	return e
+}
+
+// Retarget re-aims the engine at a new source set and plan on the same
+// graph, keeping every O(n) buffer and every grown per-lane list: the
+// next Run is bit-identical to one on NewEngine(g, sources, plan).
+// Cohort planes are added or dropped to match the plan's cutoff count.
+// Sources are checked as NewEngine checks them.
+func (e *Engine) Retarget(sources []int32, plan *Plan) {
+	n := e.g.N()
 	if len(sources) == 0 {
-		panic("lanes: NewEngine needs at least one source")
+		panic("lanes: an engine needs at least one source")
 	}
 	for _, s := range sources {
 		if s < 0 || int(s) >= n {
 			panic(fmt.Sprintf("lanes: source %d out of range [0,%d)", s, n))
 		}
 	}
-	e := &Engine{
-		g:           g,
-		sources:     append([]int32(nil), sources...),
-		plan:        plan,
-		informed:    make([]uint64, n),
-		hits:        make([]uint64, 2*n),
-		txMask:      make([]uint64, n),
-		done:        make([]uint8, n),
-		live:        make([]int32, 0, n),
-		cohortPlane: make([][]uint64, len(plan.cutoffs)),
-		cohortUnion: make([][]int32, len(plan.cutoffs)),
-		rngs:        make([]xrand.Rand, Width),
-		elig:        make([][]int32, Width),
-		eligCohort:  make([][][]int32, len(plan.cutoffs)),
-		informedCnt: make([]int32, Width),
-		doneRound:   make([]int32, Width),
+	e.sources = append(e.sources[:0], sources...)
+	e.plan = plan
+	k := len(plan.cutoffs)
+	for len(e.cohortPlane) < k {
+		e.cohortPlane = append(e.cohortPlane, make([]uint64, n))
+		e.cohortUnion = append(e.cohortUnion, nil)
+		e.eligCohort = append(e.eligCohort, make([][]int32, Width))
+	}
+	// Nil the dropped planes so the GC reclaims them and Footprint
+	// stops counting them.
+	clear(e.cohortPlane[k:])
+	clear(e.cohortUnion[k:])
+	clear(e.eligCohort[k:])
+	e.cohortPlane = e.cohortPlane[:k]
+	e.cohortUnion = e.cohortUnion[:k]
+	e.eligCohort = e.eligCohort[:k]
+}
+
+// Footprint returns the bytes the engine's buffers hold. It grows with
+// use, as the per-lane eligible lists fill towards n entries each: a
+// warm engine holds about 330 bytes per node, nine times a fresh one.
+func (e *Engine) Footprint() int64 {
+	b := 8*(cap(e.informed)+cap(e.hits)+cap(e.txMask)) + cap(e.done) +
+		4*(cap(e.sources)+cap(e.touched)+cap(e.txUnion)+cap(e.live)+cap(e.unionInformed))
+	for _, el := range e.elig {
+		b += 4 * cap(el)
 	}
 	for k := range e.cohortPlane {
-		e.cohortPlane[k] = make([]uint64, n)
-		e.eligCohort[k] = make([][]int32, Width)
+		b += 8*cap(e.cohortPlane[k]) + 4*cap(e.cohortUnion[k])
+		for _, el := range e.eligCohort[k] {
+			b += 4 * cap(el)
+		}
 	}
-	return e
+	return int64(b)
 }
 
 // SetTrace attaches (or, with nil, detaches) a Trace that subsequent Runs
@@ -638,36 +673,55 @@ func (e *Engine) traceHits(w int32, recv, twice uint64) {
 
 // RunBlocks shards len(seeds) trials into lane blocks of the given width
 // (0 or out-of-range means Width) and runs them on a bounded worker pool
-// (workers <= 0 means GOMAXPROCS), one reused Engine per worker. out[i]
+// (workers <= 0 means GOMAXPROCS), one new Engine per worker. out[i]
 // receives trial i's completion round, plan.MaxRounds()+1 if unfinished.
 // Workers write disjoint ranges of out, and lane purity makes each trial
 // a pure function of its seed, so out is bitwise independent of width,
 // worker count and GOMAXPROCS. On cancellation the first error (wrapping
 // radio.ErrCanceled) is returned and out is meaningless.
 func RunBlocks(ctx context.Context, g *graph.Graph, sources []int32, plan *Plan, seeds []uint64, width, workers int, out []int) error {
-	if len(out) != len(seeds) {
-		panic("lanes: RunBlocks needs len(out) == len(seeds)")
-	}
 	if width <= 0 || width > Width {
 		width = Width
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	engines := make([]*Engine, min(workers, (len(seeds)+width-1)/width))
+	for w := range engines {
+		engines[w] = NewEngine(g, sources, plan)
+	}
+	return runBlocks(ctx, engines, seeds, width, out)
+}
+
+// RunBlocksOn is RunBlocks on caller-supplied engines, in blocks of Width
+// seeds with one worker per engine (engines beyond the block count stay
+// idle). The engines must be distinct and already aimed at the sources
+// and plan to run; they stay the caller's, reusable after the call
+// whether or not it was canceled.
+func RunBlocksOn(ctx context.Context, engines []*Engine, seeds []uint64, out []int) error {
+	return runBlocks(ctx, engines, seeds, Width, out)
+}
+
+// runBlocks is the block scheduler behind RunBlocks and RunBlocksOn.
+func runBlocks(ctx context.Context, engines []*Engine, seeds []uint64, width int, out []int) error {
+	if len(out) != len(seeds) {
+		panic("lanes: RunBlocks needs len(out) == len(seeds)")
 	}
 	blocks := (len(seeds) + width - 1) / width
 	if blocks == 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if len(engines) == 0 {
+		panic("lanes: RunBlocksOn needs at least one engine")
 	}
-	if workers > blocks {
-		workers = blocks
-	}
+	workers := min(len(engines), blocks)
 	runBlock := func(e *Engine, b int) error {
 		lo := b * width
 		hi := min(lo+width, len(seeds))
 		return e.RunContext(ctx, seeds[lo:hi], out[lo:hi])
 	}
-	if workers <= 1 {
-		e := NewEngine(g, sources, plan)
+	if workers == 1 {
+		e := engines[0]
 		for b := 0; b < blocks; b++ {
 			if err := runBlock(e, b); err != nil {
 				return err
@@ -681,11 +735,10 @@ func RunBlocks(ctx context.Context, g *graph.Graph, sources []int32, plan *Plan,
 		firstErr error
 	)
 	ch := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, e := range engines[:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := NewEngine(g, sources, plan)
 			for b := range ch {
 				if err := runBlock(e, b); err != nil {
 					errOnce.Do(func() { firstErr = err })

@@ -265,6 +265,74 @@ func TestLaneEngineReuse(t *testing.T) {
 	}
 }
 
+// TestRetarget: one engine re-aimed across plans with 0 and 1 cohort
+// cutoffs, across source sets and after a canceled block, runs exactly
+// what a fresh engine does — the executor's lane pool relies on it.
+func TestRetarget(t *testing.T) {
+	const n, d = 150, 7
+	g := testGraph(t, n, d, 31)
+	maxRounds := core.MaxRoundsFor(n)
+	distributed := mustPlan(t, core.NewDistributedProtocol(n, d), maxRounds)
+	restricted := mustPlan(t, core.NewRestrictedPoolProtocol(n, d), maxRounds)
+	decay := mustPlan(t, protocols.NewDecay(n), maxRounds)
+	steps := []struct {
+		name     string
+		plan     *lanes.Plan
+		cutoffs  int // cohort planes the plan needs
+		sources  []int32
+		canceled bool // cancel a block mid-run before the compared one
+	}{
+		{"distributed", distributed, 0, []int32{0}, false},
+		{"restricted-pool", restricted, 1, []int32{0}, false},
+		{"restricted-pool/sources", restricted, 1, []int32{7, 90, 7}, false},
+		{"decay", decay, 0, []int32{3}, false},
+		{"decay/canceled", decay, 0, []int32{3}, true},
+		{"restricted-pool/canceled", restricted, 1, []int32{42}, true},
+	}
+	e := lanes.NewEngine(g, []int32{0}, distributed)
+	cutoffs := 0
+	for si, st := range steps {
+		// A cohort plane is 8 bytes per node: Retarget adds or drops one.
+		before := e.Footprint()
+		e.Retarget(st.sources, st.plan)
+		grew := e.Footprint() - before
+		if (st.cutoffs > cutoffs && grew < 8*n) || (st.cutoffs < cutoffs && grew > -8*n) {
+			t.Errorf("%s: footprint moved by %d bytes going from %d to %d cohort planes", st.name, grew, cutoffs, st.cutoffs)
+		}
+		cutoffs = st.cutoffs
+		seeds := sweep.Seeds(lanes.Width, 600+uint64(si))
+		got := make([]int, len(seeds))
+		if st.canceled {
+			if err := e.RunContext(&cancelAfter{Context: context.Background(), rounds: 3}, seeds, got); !errors.Is(err, radio.ErrCanceled) {
+				t.Fatalf("%s: canceled block returned %v, want ErrCanceled", st.name, err)
+			}
+		}
+		e.Run(seeds, got)
+		want := make([]int, len(seeds))
+		lanes.NewEngine(g, st.sources, st.plan).Run(seeds, want)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: trial %d: retargeted %d, fresh %d", st.name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its given
+// number of Err calls on; RunContext checks once per round.
+type cancelAfter struct {
+	context.Context
+	rounds int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.rounds <= 0 {
+		return context.Canceled
+	}
+	c.rounds--
+	return nil
+}
+
 // TestNonUniformProtocolHasNoPlan: protocols without the capability (or
 // with any non-uniform round) must be declined so callers fall back.
 func TestNonUniformProtocolHasNoPlan(t *testing.T) {
