@@ -211,17 +211,28 @@ func BenchmarkBroadcastReusePerNode(b *testing.B) {
 // BENCH_3.json. Seeds rotate per iteration so the measurement averages
 // over trial outcomes like the scalar benchmark's advancing rng does.
 func BenchmarkLaneBroadcast(b *testing.B) {
-	benchLaneBroadcast(b, 100000, 25.0)
+	benchLaneBroadcast(b, 100000, 25.0, false)
 }
 
 // BenchmarkLaneBroadcastSmall is BenchmarkLaneBroadcast at n=10k — the
 // second row of the EXPERIMENTS.md throughput table, where the working
 // set fits in cache and the lane advantage is at its largest.
 func BenchmarkLaneBroadcastSmall(b *testing.B) {
-	benchLaneBroadcast(b, 10000, 25.0)
+	benchLaneBroadcast(b, 10000, 25.0, false)
 }
 
-func benchLaneBroadcast(b *testing.B, n int, d float64) {
+// BenchmarkLaneBroadcastObserved is BenchmarkLaneBroadcast with one
+// Counters observer per lane — the lane twin of
+// BenchmarkBroadcastReuseObserved. Its ns/trial over
+// BenchmarkLaneBroadcast's is the cost of observing a lane block (the
+// bit-sliced counting, and the saturated-listener skip it turns off);
+// BenchmarkBroadcastReuseObserved ns/op over it is the lane speedup when
+// both engines are observed.
+func BenchmarkLaneBroadcastObserved(b *testing.B) {
+	benchLaneBroadcast(b, 100000, 25.0, true)
+}
+
+func benchLaneBroadcast(b *testing.B, n int, d float64, observed bool) {
 	rng := NewRand(13)
 	g, ok := ConnectedGnpDegree(n, d, rng)
 	if !ok {
@@ -234,6 +245,14 @@ func benchLaneBroadcast(b *testing.B, n int, d float64) {
 		b.Fatal("distributed protocol must be lane-uniform")
 	}
 	e := lanes.NewEngine(g, []int32{0}, plan)
+	var counters [lanes.Width]Counters
+	if observed {
+		obs := make([]Observer, lanes.Width)
+		for i := range obs {
+			obs[i] = &counters[i]
+		}
+		e.Observe(obs)
+	}
 	parent := NewRand(1)
 	seeds := make([]uint64, lanes.Width)
 	out := make([]int, lanes.Width)
@@ -248,6 +267,7 @@ func benchLaneBroadcast(b *testing.B, n int, d float64) {
 	// Its seeds lie outside the timed iterations' range.
 	fill(1 << 40)
 	e.Run(seeds, out)
+	counters = [lanes.Width]Counters{}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -260,6 +280,9 @@ func benchLaneBroadcast(b *testing.B, n int, d float64) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*lanes.Width), "ns/trial")
+	if observed && (counters[0].Runs != b.N || counters[0].Informed != n) {
+		b.Fatalf("lane 0 observer missed runs: %+v", counters[0])
+	}
 }
 
 // BenchmarkFacadeRunBatch is the executor-path guard: the exact

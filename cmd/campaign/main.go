@@ -132,7 +132,8 @@ func cmdSpec(args []string) error {
 		fs.PrintDefaults()
 		fmt.Fprintln(os.Stderr, `
 Lane fast path: points whose trial sets "fixed_graph": true with kind
-"distributed", "decay" or "aloha" dispatch in bit-parallel lane blocks
+"distributed", "decay", "aloha" or "collision-rate" dispatch in
+bit-parallel lane blocks
 under 'campaign run -lanes' (0 = auto, 1 = force scalar). Every other
 kind — and every fresh-graph point — runs on the scalar per-trial
 engine regardless of -lanes. The 'lane-smoke' preset is an all-lane
@@ -159,7 +160,7 @@ func cmdRun(args []string, resume bool) error {
 	specPath := fs.String("spec", "", "campaign spec JSON ('-' for stdin; resume reads it from the checkpoint)")
 	out := fs.String("out", "", "checkpoint directory (required)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); the report does not depend on it")
-	lanesN := fs.Int("lanes", 0, "lane-block size for fixed-graph distributed/decay/aloha points (0 = auto, 1 = force scalar); the report is identical for every value >= 2 and 0")
+	lanesN := fs.Int("lanes", 0, "lane-block size for fixed-graph distributed/decay/aloha/collision-rate points (0 = auto, 1 = force scalar); the report is identical for every value >= 2 and 0")
 	resumeFlag := fs.Bool("resume", false, "resume from the checkpoint in -out, running only missing trials")
 	haltAfter := fs.Int("halt-after", 0, "halt after N new samples (deterministic interruption for smoke tests)")
 	points := fs.String("points", "", "restrict to grid points LO:HI (half-open) for cross-machine sharding")

@@ -36,13 +36,19 @@ func TestFixedGraphTrialAllocs(t *testing.T) {
 }
 
 func TestLaneBatchSteadyStateAllocs(t *testing.T) {
-	runner, err := newRunner(fixedPoint("distributed"), 7)
+	for _, kind := range []string{"distributed", "collision-rate"} {
+		t.Run(kind, func(t *testing.T) { testLaneBatchSteadyStateAllocs(t, kind) })
+	}
+}
+
+func testLaneBatchSteadyStateAllocs(t *testing.T, kind string) {
+	runner, err := newRunner(fixedPoint(kind), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	br, ok := runner.(BatchRunner)
 	if !ok {
-		t.Fatal("fixed-graph distributed runner must be a BatchRunner")
+		t.Fatalf("fixed-graph %s runner must be a BatchRunner", kind)
 	}
 	const trials = 16
 	seeds := make([]uint64, trials)
@@ -72,7 +78,8 @@ func TestLaneBatchSteadyStateAllocs(t *testing.T) {
 		t.Errorf("lane batch allocates %.1f objects/block in steady state, want 0", allocs)
 	}
 	for i, v := range values {
-		if !oks[i] || v < 1 {
+		// A completion round is at least 1; a collision rate lies in (0, 1).
+		if !oks[i] || (kind == "distributed") != (v >= 1) || v <= 0 {
 			t.Fatalf("trial %d: implausible value %v (ok=%v)", i, v, oks[i])
 		}
 	}

@@ -61,6 +61,41 @@ func TestLaneWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestCollisionRateLaneInvariance: a fixed-graph collision-rate point
+// runs on observed lane blocks, so its spec is lane-sensitive, and its
+// report is byte-identical for every lane setting that picks the lane
+// engine and every worker count — and differs from the scalar stream.
+func TestCollisionRateLaneInvariance(t *testing.T) {
+	spec := &Spec{Name: "collision-rate-fixed", Seed: 2006, Trials: 70, Points: []PointSpec{
+		{ID: "cr-n300", X: 300, Trial: TrialSpec{Kind: "collision-rate", N: 300, D: 10, FixedGraph: true}},
+	}}
+	if tag := engineTag(spec, 64); tag != EngineLanes {
+		t.Fatalf("engine tag %q, want %q", tag, EngineLanes)
+	}
+	var base string
+	for _, lanesN := range []int{0, 2, 64} {
+		for _, workers := range []int{1, 4} {
+			r, err := Run(spec, Options{Lanes: lanesN, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, _ := renderings(t, r)
+			if base == "" {
+				base = j
+			} else if j != base {
+				t.Errorf("report with Lanes=%d Workers=%d differs from Lanes=0 Workers=1", lanesN, workers)
+			}
+		}
+	}
+	scalar, err := Run(spec, Options{Lanes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := renderings(t, scalar); j == base {
+		t.Error("the scalar engine reproduced the lane report: the lane path did not run")
+	}
+}
+
 // TestScalarFallbackIgnoresLanes: a spec with no fixed-graph point never
 // touches the lane engine, so every Lanes setting — including the scalar
 // 1 — yields the same bytes, and its checkpoints carry the scalar tag.

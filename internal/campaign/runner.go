@@ -63,9 +63,10 @@ type Options struct {
 	// checkpoint directory.
 	Sink func(*Sample)
 	// Lanes picks the trial engine for lane-capable points (FixedGraph
-	// distributed/decay/aloha): 0 means auto (exec.Width-wide blocks on
-	// the bit-parallel engine), >= 2 dispatches blocks of that many
-	// trials, and 1 (or negative) forces the scalar per-trial engine.
+	// distributed/decay/aloha/collision-rate): 0 means auto
+	// (exec.Width-wide blocks on the bit-parallel engine), >= 2
+	// dispatches blocks of that many trials, and 1 (or negative) forces
+	// the scalar per-trial engine.
 	// Lane purity makes reports byte-identical across every setting >= 2
 	// and 0; scalar runs draw a different (distributionally identical)
 	// stream, so checkpoints record the engine and refuse to resume a

@@ -59,8 +59,9 @@ type BatchRunner interface {
 }
 
 // batchKinds are the built-in trial kinds the lane engine accelerates:
-// randomized uniform-schedule protocols measured on a fixed graph.
-var batchKinds = map[string]bool{"distributed": true, "decay": true, "aloha": true}
+// randomized uniform-schedule protocols measured on a fixed graph,
+// observed per lane for collision-rate.
+var batchKinds = map[string]bool{"distributed": true, "decay": true, "aloha": true, "collision-rate": true}
 
 // batchablePoint reports whether a point's trials may be dispatched in
 // lane blocks: the kind must be lane-capable and the graph fixed (a
@@ -309,13 +310,18 @@ func (r *centralizedRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
 // collisionRateRunner measures the fraction of listener-rounds lost to
 // collisions during one distributed broadcast (the E23-style aggregate):
 // value = collisions / (successes + collisions + silent), ok reports
-// completion. A per-runner trace.Counters observer is reset each trial.
+// completion. A per-runner trace.Counters observer is reset each trial;
+// a lane block observes each trial through its own entry of batch.
 type collisionRateRunner struct {
 	spec      TrialSpec
 	maxRounds int
 	proto     radio.Protocol // hoisted: one construction per runner, not per trial
 	counters  trace.Counters
 	sess      *exec.Session // non-nil iff FixedGraph; engine observed by counters
+
+	batch    [exec.Width]trace.Counters
+	batchObs [exec.Width]trace.Observer // batchObs[i] = &batch[i]
+	batchOut [exec.Width]int
 }
 
 func newCollisionRateRunner(p PointSpec, pointSeed uint64) (Runner, error) {
@@ -323,6 +329,9 @@ func newCollisionRateRunner(p PointSpec, pointSeed uint64) (Runner, error) {
 		spec:      p.Trial,
 		maxRounds: p.Trial.maxRounds(),
 		proto:     core.NewDistributedProtocol(p.Trial.N, p.Trial.D),
+	}
+	for i := range r.batch {
+		r.batchObs[i] = &r.batch[i]
 	}
 	if p.Trial.FixedGraph {
 		g := sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
@@ -332,6 +341,37 @@ func newCollisionRateRunner(p PointSpec, pointSeed uint64) (Runner, error) {
 		})
 	}
 	return r, nil
+}
+
+// collisionRate is the measured value of one observed trial.
+func collisionRate(c *trace.Counters) float64 {
+	listens := c.Successes + c.Collisions + c.Silent
+	if listens == 0 {
+		return 0
+	}
+	return float64(c.Collisions) / float64(listens)
+}
+
+// RunTrialBatch implements BatchRunner: the session runs the block on
+// the lane engine with one Counters observer per lane. Without a fixed
+// graph there is nothing to share, and the trials run one by one.
+func (r *collisionRateRunner) RunTrialBatch(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	if r.sess == nil {
+		for i, seed := range seeds {
+			values[i], oks[i] = r.RunTrial(xrand.New(seed))
+		}
+		return nil
+	}
+	k := len(seeds)
+	clear(r.batch[:k])
+	if err := r.sess.RunSeedsObserved(ctx, seeds, r.batchObs[:k], r.batchOut[:k]); err != nil {
+		return err
+	}
+	for i, rounds := range r.batchOut[:k] {
+		values[i] = collisionRate(&r.batch[i])
+		oks[i] = rounds <= r.maxRounds
+	}
+	return nil
 }
 
 func (r *collisionRateRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
@@ -349,10 +389,5 @@ func (r *collisionRateRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
 			MaxRounds: r.maxRounds, Observer: &r.counters,
 		}, rng)
 	}
-	completed := rounds <= r.maxRounds
-	listens := r.counters.Successes + r.counters.Collisions + r.counters.Silent
-	if listens == 0 {
-		return 0, completed
-	}
-	return float64(r.counters.Collisions) / float64(listens), completed
+	return collisionRate(&r.counters), rounds <= r.maxRounds
 }

@@ -10,13 +10,17 @@
 // Classification:
 //
 //	schedule replay            → BackendSchedule (deterministic, no rng)
-//	single trial / observer /
-//	per-node / non-uniform     → BackendScalar (sampled fast path unless
+//	single trial / per-node /
+//	non-uniform                → BackendScalar (sampled fast path unless
 //	                             PerNode; the engine decides per round)
 //	trial batch of a protocol
 //	with a fully uniform
-//	schedule                   → BackendLanes (64 trials per word), with
+//	schedule, observed or not  → BackendLanes (64 trials per word), with
 //	                             scalar fallback otherwise
+//
+// A single trial is observed through Request.Observer; a batch takes one
+// observer per trial next to its seeds (RunSeedsObserved), on either
+// backend.
 //
 // The PR 3 stream policy is preserved exactly: single trials run the
 // scalar engine's sampled stream, batches run the lane engine's stream
@@ -28,6 +32,7 @@ package exec
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -88,9 +93,9 @@ type Request struct {
 	// notion: it forces the scalar backend for batches.
 	PerNode bool
 
-	// Observer receives round-level trace callbacks. Observers are
-	// scalar per-trial notions: a non-nil observer forces the scalar
-	// backend for batches.
+	// Observer receives the round-level trace callbacks of a single
+	// trial. Batches take one observer per trial instead
+	// (RunSeedsObserved) and refuse a request that sets this one.
 	Observer trace.Observer
 
 	// Engine, when non-nil, runs the request on this caller-owned engine
@@ -118,7 +123,7 @@ type BackendStats struct {
 	Runs   int64 `json:"runs"`
 	Trials int64 `json:"trials"`
 	// Fallbacks counts batch dispatches that wanted the lane engine but
-	// ran scalar (non-uniform protocol, observer, per-node, forced).
+	// ran scalar (non-uniform protocol, per-node, caller engine, forced).
 	Fallbacks int64 `json:"fallbacks"`
 	// PoolHits/PoolMisses count engine checkouts served from the
 	// per-graph pool vs. built fresh; a lane batch checks out one engine
@@ -221,8 +226,8 @@ func Classify(req *Request) Backend {
 
 // ClassifyBatch reports the backend a trial batch of req executes on:
 // the lane engine when the protocol declares a fully uniform schedule
-// over the round budget and nothing scalar-only (observer, per-node,
-// ForceScalar) is requested; the scalar engine otherwise.
+// over the round budget and nothing scalar-only (per-node, a caller
+// engine, ForceScalar) is requested; the scalar engine otherwise.
 func ClassifyBatch(req *Request) Backend {
 	if req.Schedule != nil {
 		return BackendSchedule
@@ -280,11 +285,24 @@ func (x *Executor) Time(ctx context.Context, req *Request, rng *xrand.Rand) (int
 // and which pooled engine ran it. On cancellation the error wraps
 // radio.ErrCanceled and out's unfinished entries are unspecified.
 func (x *Executor) RunSeeds(ctx context.Context, req *Request, seeds []uint64, out []int) (Backend, error) {
-	if req.Schedule != nil {
+	return x.RunSeedsObserved(ctx, req, seeds, nil, out)
+}
+
+// RunSeedsObserved is RunSeeds with obs[i] observing trial i (a nil
+// entry leaves that trial unobserved, nil obs every trial) on whichever
+// backend runs the batch: a lane block reports each lane to its trial's
+// observer, the scalar fallback attaches it for the trial. Observing
+// changes no completion round. A batch whose request sets
+// Request.Observer is refused: that observer belongs to a single trial.
+func (x *Executor) RunSeedsObserved(ctx context.Context, req *Request, seeds []uint64, obs []trace.Observer, out []int) (Backend, error) {
+	switch {
+	case req.Schedule != nil:
 		return BackendSchedule, fmt.Errorf("exec: schedule replay is single-trial; RunSeeds takes protocols")
+	case req.Observer != nil:
+		return ClassifyBatch(req), errBatchObserver
 	}
-	if len(seeds) != len(out) {
-		return BackendScalar, fmt.Errorf("exec: %d seeds but %d result slots", len(seeds), len(out))
+	if err := checkSlots(seeds, obs, out); err != nil {
+		return ClassifyBatch(req), err
 	}
 	if len(seeds) == 0 {
 		return ClassifyBatch(req), nil
@@ -292,20 +310,36 @@ func (x *Executor) RunSeeds(ctx context.Context, req *Request, seeds []uint64, o
 	if plan, ok := batchPlan(req); ok {
 		x.c[BackendLanes].runs.Add(1)
 		x.c[BackendLanes].trials.Add(int64(len(seeds)))
-		return BackendLanes, x.runSeedsLanes(ctx, req, plan, seeds, out)
+		return BackendLanes, x.runSeedsLanes(ctx, req, plan, seeds, obs, out)
 	}
 	x.c[BackendScalar].runs.Add(1)
 	x.c[BackendScalar].trials.Add(int64(len(seeds)))
 	x.c[BackendScalar].fallbacks.Add(1)
-	return BackendScalar, x.runSeedsScalar(ctx, req, seeds, out)
+	return BackendScalar, x.runSeedsScalar(ctx, req, seeds, obs, out)
+}
+
+// errBatchObserver refuses a batch observed through Request.Observer,
+// which belongs to a single trial.
+var errBatchObserver = errors.New("exec: a batch takes one observer per trial, not Request.Observer")
+
+// checkSlots checks that a batch has one result slot, and when observed
+// one observer, per seed.
+func checkSlots(seeds []uint64, obs []trace.Observer, out []int) error {
+	switch {
+	case len(seeds) != len(out):
+		return fmt.Errorf("exec: %d seeds but %d result slots", len(seeds), len(out))
+	case obs != nil && len(obs) != len(seeds):
+		return fmt.Errorf("exec: %d seeds but %d observers", len(seeds), len(obs))
+	}
+	return nil
 }
 
 // batchPlan returns the lane plan for a batch of req when lanes are the
 // classified backend: the protocol plans as fully uniform over the round
-// budget and nothing scalar-only (observer, per-node sampling, a caller
-// engine, ForceScalar) is requested.
+// budget and nothing scalar-only (per-node sampling, a caller engine,
+// ForceScalar) is requested.
 func batchPlan(req *Request) (*lanes.Plan, bool) {
-	if req.ForceScalar || req.PerNode || req.Observer != nil || req.Engine != nil {
+	if req.ForceScalar || req.PerNode || req.Engine != nil {
 		return nil, false
 	}
 	return lanes.NewPlan(req.Protocol, req.MaxRounds)
@@ -315,18 +349,26 @@ func batchPlan(req *Request) (*lanes.Plan, bool) {
 // min(GOMAXPROCS, blocks) pooled lane engines. The engines go back to
 // the pool even when the batch was canceled: every block starts by
 // clearing whatever a canceled one left behind.
-func (x *Executor) runSeedsLanes(ctx context.Context, req *Request, plan *lanes.Plan, seeds []uint64, out []int) error {
+func (x *Executor) runSeedsLanes(ctx context.Context, req *Request, plan *lanes.Plan, seeds []uint64, obs []trace.Observer, out []int) error {
 	blocks := (len(seeds) + Width - 1) / Width
 	engines := x.acquireLanes(req, plan, min(runtime.GOMAXPROCS(0), blocks))
-	err := lanes.RunBlocksOn(ctx, engines, seeds, out)
+	err := lanes.RunBlocksOn(ctx, engines, seeds, obs, out)
 	x.releaseLanes(req.Graph, engines)
 	return err
 }
 
+// observer returns trial i's observer of a possibly unobserved batch.
+func observer(obs []trace.Observer, i int) trace.Observer {
+	if obs == nil {
+		return nil
+	}
+	return obs[i]
+}
+
 // runSeedsScalar is RunSeeds' scalar fallback: per-seed trials fanned
 // out to min(GOMAXPROCS, len(seeds)) workers, one pooled engine per
-// worker.
-func (x *Executor) runSeedsScalar(ctx context.Context, req *Request, seeds []uint64, out []int) error {
+// worker, with trial i's observer attached for trial i.
+func (x *Executor) runSeedsScalar(ctx context.Context, req *Request, seeds []uint64, obs []trace.Observer, out []int) error {
 	workers := min(runtime.GOMAXPROCS(0), len(seeds))
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -340,10 +382,11 @@ func (x *Executor) runSeedsScalar(ctx context.Context, req *Request, seeds []uin
 			for i := range next {
 				// A canceled trial leaves out[i] at the engine's partial
 				// count; the ctx.Err() check below reports the batch failed.
+				e.Attach(observer(obs, i))
 				r, _ := radio.BroadcastTimeOnContext(ctx, e, req.Protocol, req.MaxRounds, xrand.New(seeds[i]))
 				out[i] = r
 			}
-			x.ReleaseEngine(e)
+			x.release(e)
 		}()
 	}
 dispatch:
@@ -466,6 +509,7 @@ func (x *Executor) releaseLanes(g *graph.Graph, engines []*lanes.Engine) {
 	defer x.mu.Unlock()
 	var ent *poolEntry
 	for _, e := range engines {
+		e.Observe(nil) // idle engines hold no caller observer
 		fp := e.Footprint()
 		if fp > x.laneBudget {
 			continue
@@ -622,15 +666,28 @@ func (s *Session) Time(ctx context.Context, rng *xrand.Rand) (int, error) {
 // dispatching each seed through Time. out[i] receives seed i's
 // completion round.
 func (s *Session) RunSeeds(ctx context.Context, seeds []uint64, out []int) error {
-	if len(seeds) != len(out) {
-		return fmt.Errorf("exec: %d seeds but %d result slots", len(seeds), len(out))
+	return s.RunSeedsObserved(ctx, seeds, nil, out)
+}
+
+// RunSeedsObserved is RunSeeds with obs[i] observing trial i, as
+// Executor.RunSeedsObserved. The session's Request.Observer stays the
+// observer of its single trials (Time) only: a batch with nil obs on a
+// session that has one is refused.
+func (s *Session) RunSeedsObserved(ctx context.Context, seeds []uint64, obs []trace.Observer, out []int) error {
+	if obs == nil && s.req.Observer != nil {
+		return errBatchObserver
+	}
+	if err := checkSlots(seeds, obs, out); err != nil {
+		return err
 	}
 	if s.plan == nil {
 		s.x.c[BackendScalar].runs.Add(1)
 		s.x.c[BackendScalar].trials.Add(int64(len(seeds)))
 		s.x.c[BackendScalar].fallbacks.Add(1)
 		e := s.scalar()
+		defer e.Attach(s.req.Observer)
 		for i, seed := range seeds {
+			e.Attach(observer(obs, i))
 			r, err := radio.BroadcastTimeOnContext(ctx, e, s.req.Protocol, s.req.MaxRounds, xrand.New(seed))
 			if err != nil {
 				return err
@@ -644,15 +701,16 @@ func (s *Session) RunSeeds(ctx context.Context, seeds []uint64, out []int) error
 	if s.lane == nil {
 		s.lane = lanes.NewEngine(s.req.Graph, s.req.Sources, s.plan)
 	}
-	for len(seeds) > 0 {
-		n := len(seeds)
-		if n > Width {
-			n = Width
+	for lo := 0; lo < len(seeds); lo += Width {
+		hi := min(lo+Width, len(seeds))
+		var blockObs []trace.Observer
+		if obs != nil {
+			blockObs = obs[lo:hi]
 		}
-		if err := s.lane.RunContext(ctx, seeds[:n], out[:n]); err != nil {
+		s.lane.Observe(blockObs)
+		if err := s.lane.RunContext(ctx, seeds[lo:hi], out[lo:hi]); err != nil {
 			return err
 		}
-		seeds, out = seeds[n:], out[n:]
 	}
 	return nil
 }

@@ -78,10 +78,15 @@ func TestClassify(t *testing.T) {
 		t.Errorf("non-uniform batch classified %v, want scalar", got)
 	}
 
+	observed := protoReq(g)
+	observed.Observer = &trace.Counters{}
+	if got := exec.ClassifyBatch(observed); got != exec.BackendLanes {
+		t.Errorf("observed batch classified %v, want lanes (lane blocks observe per lane)", got)
+	}
+
 	for name, mutate := range map[string]func(*exec.Request){
 		"force-scalar": func(r *exec.Request) { r.ForceScalar = true },
 		"per-node":     func(r *exec.Request) { r.PerNode = true },
-		"observer":     func(r *exec.Request) { r.Observer = &trace.Counters{} },
 		"engine":       func(r *exec.Request) { r.Engine = radio.NewEngine(g, 0, radio.StrictInformed) },
 	} {
 		req := protoReq(g)
@@ -211,6 +216,114 @@ func TestRunSeedsFallback(t *testing.T) {
 	if st.Scalar.PoolMisses != workers || st.Scalar.PoolHits != workers {
 		t.Errorf("scalar pool misses/hits = %d/%d, want %d/%d (one checkout per worker per call)",
 			st.Scalar.PoolMisses, st.Scalar.PoolHits, workers, workers)
+	}
+}
+
+// countersFor returns one fresh Counters observer per trial.
+func countersFor(trials int) ([]trace.Counters, []trace.Observer) {
+	c := make([]trace.Counters, trials)
+	obs := make([]trace.Observer, trials)
+	for i := range c {
+		obs[i] = &c[i]
+	}
+	return c, obs
+}
+
+// TestRunSeedsObserved: each trial of an observed batch reports to its
+// own observer, on both backends and through both the executor and a
+// session, with completion rounds equal to the unobserved batch. Lane
+// counts must equal a directly observed lane engine's; scalar-fallback
+// counts must equal a scalar engine run per seed with the observer
+// attached.
+func TestRunSeedsObserved(t *testing.T) {
+	g := testGraph(t, 15)
+	seeds := sweep.Seeds(exec.Width+9, 31) // two lane blocks
+	lane := protoReq(g)
+	scalar := protoReq(g)
+	scalar.Protocol = &protocols.RoundRobin{N: g.N()}
+	scalar.MaxRounds = 4 * g.N()
+
+	plan, _ := lanes.NewPlan(lane.Protocol, lane.MaxRounds)
+	le := lanes.NewEngine(g, lane.Sources, plan)
+	laneWant, laneObs := countersFor(len(seeds))
+	laneRounds := make([]int, len(seeds))
+	if err := lanes.RunBlocksOn(context.Background(), []*lanes.Engine{le}, seeds, laneObs, laneRounds); err != nil {
+		t.Fatal(err)
+	}
+	scalarWant := make([]trace.Counters, len(seeds))
+	scalarRounds := make([]int, len(seeds))
+	se := radio.NewEngineMulti(g, scalar.Sources, radio.StrictInformed)
+	for i, seed := range seeds {
+		se.Attach(&scalarWant[i])
+		scalarRounds[i] = radio.BroadcastTimeOn(se, scalar.Protocol, scalar.MaxRounds, xrand.New(seed))
+	}
+
+	for _, tc := range []struct {
+		name    string
+		req     *exec.Request
+		backend exec.Backend
+		rounds  []int
+		want    []trace.Counters
+	}{
+		{"lanes", lane, exec.BackendLanes, laneRounds, laneWant},
+		{"scalar", scalar, exec.BackendScalar, scalarRounds, scalarWant},
+	} {
+		plain := make([]int, len(seeds))
+		if _, err := exec.New().RunSeeds(context.Background(), tc.req, seeds, plain); err != nil {
+			t.Fatal(err)
+		}
+		x := exec.New()
+		runs := map[string]func(obs []trace.Observer, out []int) error{
+			"executor": func(obs []trace.Observer, out []int) error {
+				backend, err := x.RunSeedsObserved(context.Background(), tc.req, seeds, obs, out)
+				if backend != tc.backend {
+					t.Errorf("%s: backend %v, want %v", tc.name, backend, tc.backend)
+				}
+				return err
+			},
+			"session": func(obs []trace.Observer, out []int) error {
+				return x.Open(tc.req).RunSeedsObserved(context.Background(), seeds, obs, out)
+			},
+		}
+		for via, run := range runs {
+			got, obs := countersFor(len(seeds))
+			out := make([]int, len(seeds))
+			if err := run(obs, out); err != nil {
+				t.Fatalf("%s via %s: %v", tc.name, via, err)
+			}
+			for i := range seeds {
+				if out[i] != tc.rounds[i] || out[i] != plain[i] {
+					t.Fatalf("%s via %s: trial %d took %d rounds, direct %d, unobserved %d", tc.name, via, i, out[i], tc.rounds[i], plain[i])
+				}
+				if got[i] != tc.want[i] {
+					t.Fatalf("%s via %s: trial %d observed %+v, direct %+v", tc.name, via, i, got[i], tc.want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRunSeedsRefusesRequestObserver: Request.Observer is a single
+// trial's observer. A batch that carries one, without per-trial
+// observers, used to run with it silently detached; now it is refused,
+// by the executor on either backend and by a session.
+func TestRunSeedsRefusesRequestObserver(t *testing.T) {
+	g := testGraph(t, 16)
+	seeds := sweep.Seeds(4, 1)
+	out := make([]int, len(seeds))
+	for _, forceScalar := range []bool{false, true} {
+		req := protoReq(g)
+		req.ForceScalar = forceScalar
+		req.Observer = &trace.Counters{}
+		if _, err := exec.New().RunSeeds(context.Background(), req, seeds, out); err == nil {
+			t.Errorf("ForceScalar=%v: a batch with Request.Observer ran", forceScalar)
+		}
+		if err := exec.New().Open(req).RunSeeds(context.Background(), seeds, out); err == nil {
+			t.Errorf("ForceScalar=%v: a session batch with only Request.Observer ran", forceScalar)
+		}
+	}
+	if _, err := exec.New().RunSeedsObserved(context.Background(), protoReq(g), seeds, make([]trace.Observer, 3), out); err == nil {
+		t.Error("a batch with fewer observers than seeds ran")
 	}
 }
 

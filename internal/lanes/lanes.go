@@ -45,8 +45,18 @@
 // capability only: the per-round (q, cohort) schedule is probed up front
 // into a Plan (RoundProb is deterministic and consumes no randomness, so
 // probing is free); protocols with any non-uniform round fall back to the
-// scalar engine, as do observed runs (trace observers are inherently
-// scalar per-trial streams).
+// scalar engine.
+//
+// Runs can be watched through the standard trace.Observer, one observer
+// per lane (Observe): lane i receives BeginRun, one RoundRecord per round
+// it was active in, and EndRun, exactly the stream a scalar engine emits
+// for the same transmitter sets. The per-lane transmitter, success and
+// collision counts come from bit-sliced counters — each round's txMask,
+// reception and collision words are ripple-added into a few bitplanes and
+// unpacked once per round — so observing costs word operations, not a
+// per-lane branch per hit. Observed runs count at every listener, which
+// turns the saturated-listener skip off; their completion rounds are
+// unchanged.
 package lanes
 
 import (
@@ -60,6 +70,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/radio"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -128,39 +139,28 @@ func NewPlan(p radio.Protocol, maxRounds int) (*Plan, bool) {
 // radio.BroadcastTimeOn.
 func (pl *Plan) MaxRounds() int { return pl.maxRounds }
 
-// RoundStats are one lane's per-round counters, collected only in trace
-// mode (SetTrace) for the differential tests against the scalar oracle.
-type RoundStats struct {
-	Transmitters  int // lane transmitter-set size this round
-	Successes     int // listeners with exactly one transmitting neighbour
-	Collisions    int // listeners with >=2 transmitting neighbours
-	NewlyInformed int // uninformed listeners that became informed
-}
+// laneCounts is a bit-sliced counter: one count per lane, with bit k of
+// lane i's count stored as bit i of plane k. Thirty-two planes hold any
+// per-round count on an int32-indexed graph.
+type laneCounts [32]uint64
 
-// Trace captures per-lane, per-round details of a Run for the
-// differential tests: the effective transmitter set of every round (fit
-// for oracle.Engine.Replay), the per-round success/collision counters,
-// and the per-lane informed-at times. Collecting a trace disables the
-// saturated-node scatter skip (which elides hit counting at nodes whose
-// reception can no longer matter), so traced runs see every hit; the
-// per-lane results are unchanged.
-type Trace struct {
-	Sets       [][][]int32 // Sets[lane][r-1]: transmitters of round r
-	Stats      [][]RoundStats
-	InformedAt [][]int32 // InformedAt[lane][v]; radio.NotInformed if never
-}
-
-func (t *Trace) reset(width, n int) {
-	t.Sets = make([][][]int32, width)
-	t.Stats = make([][]RoundStats, width)
-	t.InformedAt = make([][]int32, width)
-	for i := 0; i < width; i++ {
-		at := make([]int32, n)
-		for v := range at {
-			at[v] = radio.NotInformed
-		}
-		t.InformedAt[i] = at
+// add increments the count of every lane whose bit is set in x: a
+// ripple-carry add of x into the planes, about two word ops per call.
+func (c *laneCounts) add(x uint64) {
+	for k := 0; x != 0; k++ {
+		carry := c[k] & x
+		c[k] ^= x
+		x = carry
 	}
+}
+
+// lane unpacks lane i's count from the low planes.
+func (c *laneCounts) lane(i, planes int) int {
+	v := 0
+	for k := 0; k < planes; k++ {
+		v |= int(c[k]>>uint(i)&1) << uint(k)
+	}
+	return v
 }
 
 // Engine runs lane blocks on a fixed graph from a fixed source set. It is
@@ -204,7 +204,16 @@ type Engine struct {
 	doneRound   []int32
 	active      uint64
 
-	trace *Trace
+	// Per-lane observation (Observe). observed is set iff some lane has an
+	// observer; then every round counts transmitters, successes and
+	// collisions for all lanes at once in the bit-sliced counters, and
+	// runs[i] accumulates lane i's EndRun summary.
+	observed        bool
+	obs             [Width]trace.Observer
+	txObs           [Width]trace.TransmitterObserver
+	tx, ok, col     laneCounts
+	runs            [Width]trace.Summary
+	laneTransmitter []int32 // one lane's transmitter set, for txObs
 }
 
 // NewEngine returns a lane engine on g with the given initial informed
@@ -266,7 +275,7 @@ func (e *Engine) Retarget(sources []int32, plan *Plan) {
 // warm engine holds about 330 bytes per node, nine times a fresh one.
 func (e *Engine) Footprint() int64 {
 	b := 8*(cap(e.informed)+cap(e.hits)+cap(e.txMask)) + cap(e.done) +
-		4*(cap(e.sources)+cap(e.touched)+cap(e.txUnion)+cap(e.live)+cap(e.unionInformed))
+		4*(cap(e.sources)+cap(e.touched)+cap(e.txUnion)+cap(e.live)+cap(e.unionInformed)+cap(e.laneTransmitter))
 	for _, el := range e.elig {
 		b += 4 * cap(el)
 	}
@@ -279,9 +288,26 @@ func (e *Engine) Footprint() int64 {
 	return int64(b)
 }
 
-// SetTrace attaches (or, with nil, detaches) a Trace that subsequent Runs
-// fill. Intended for tests; tracing allocates per round.
-func (e *Engine) SetTrace(t *Trace) { e.trace = t }
+// Observe sets the observers of subsequent runs: lane i of a block
+// reports to obs[i], and lanes beyond len(obs) or with a nil entry go
+// unobserved; Observe(nil) turns observation off. An observer that also
+// implements trace.TransmitterObserver receives the lane's transmitter
+// set of every round. The engine copies the entries, not the slice.
+func (e *Engine) Observe(obs []trace.Observer) {
+	if len(obs) > Width {
+		panic(fmt.Sprintf("lanes: %d observers exceed %d lanes", len(obs), Width))
+	}
+	e.observed = false
+	for i := range e.obs {
+		var o trace.Observer
+		if i < len(obs) {
+			o = obs[i]
+		}
+		e.obs[i] = o
+		e.txObs[i], _ = o.(trace.TransmitterObserver)
+		e.observed = e.observed || o != nil
+	}
+}
 
 // Run advances one lane block: up to Width trials, seeds[i] seeding lane
 // i's private stream. out[i] receives the round in which lane i's
@@ -309,32 +335,29 @@ func (e *Engine) RunContext(ctx context.Context, seeds []uint64, out []int) erro
 	}
 	n := e.g.N()
 	e.resetRun(seeds, width, n)
-	for i := 0; i < width; i++ {
-		out[i] = e.plan.maxRounds + 1
-	}
-	if len(e.unionInformed) == n {
-		// Every node is a source: all lanes complete in round 0.
-		for i := 0; i < width; i++ {
-			out[i] = 0
-		}
-		return nil
-	}
+	e.beginRuns(width)
 
+	// An all-source run never enters the loop: resetRun completed every
+	// lane in round 0.
 	maxRounds := e.plan.maxRounds
 	for round := 1; round <= maxRounds && e.active != 0; round++ {
 		if ctx.Err() != nil {
+			e.endRuns(width)
 			return radio.Canceled(ctx)
 		}
 		activeAtStart := e.active
 		e.buildTransmitters(round, width)
-		if e.trace != nil {
-			e.traceSets(width)
+		if e.observed {
+			e.countTransmitters(round, activeAtStart)
 		}
 		e.deliver(round, n)
+		if e.observed {
+			e.emitRound(round, activeAtStart)
+		}
 		for _, v := range e.txUnion {
 			e.txMask[v] = 0
 		}
-		if e.active != activeAtStart && e.active != 0 && e.trace == nil {
+		if e.active != activeAtStart && e.active != 0 && !e.observed {
 			// Lanes retired this round: nodes informed in every remaining
 			// active lane are now saturated — their reception can never
 			// matter again — so flag them for the delivery skip. done is
@@ -353,10 +376,9 @@ func (e *Engine) RunContext(ctx context.Context, seeds []uint64, out []int) erro
 			e.doneDirty = false
 		}
 	}
+	e.endRuns(width)
 	for i := 0; i < width; i++ {
-		if int(e.doneRound[i]) <= maxRounds {
-			out[i] = int(e.doneRound[i])
-		}
+		out[i] = int(e.doneRound[i]) // maxRounds+1 unless the lane completed
 	}
 	return nil
 }
@@ -383,6 +405,11 @@ func (e *Engine) resetRun(seeds []uint64, width, n int) {
 	e.active = active
 	for i := 0; i < width; i++ {
 		e.rngs[i].Reseed(seeds[i])
+		if cap(e.elig[i]) < n {
+			// A lane's list ends near n entries; growing it by appends
+			// would allocate about five times that on the way.
+			e.elig[i] = make([]int32, 0, n)
+		}
 		e.elig[i] = e.elig[i][:0]
 		e.informedCnt[i] = 0
 		e.doneRound[i] = int32(e.plan.maxRounds + 1)
@@ -390,22 +417,20 @@ func (e *Engine) resetRun(seeds []uint64, width, n int) {
 			e.eligCohort[k][i] = e.eligCohort[k][i][:0]
 		}
 	}
-	if e.trace != nil {
-		e.trace.reset(width, n)
-	}
 	for _, s := range e.sources {
 		if e.informed[s] != 0 {
 			continue // duplicate source
 		}
 		e.informed[s] = active
-		e.done[s] = 1 // sources are informed in every lane from round 0
+		if !e.observed {
+			// Sources are informed in every lane from round 0. Observed
+			// runs count hits at every listener, so they skip none.
+			e.done[s] = 1
+		}
 		e.unionInformed = append(e.unionInformed, s)
 		for i := 0; i < width; i++ {
 			e.elig[i] = append(e.elig[i], s)
 			e.informedCnt[i]++
-			if e.trace != nil {
-				e.trace.InformedAt[i][s] = 0
-			}
 		}
 		for k, cutoff := range e.plan.cutoffs {
 			if cutoff >= 0 { // sources have informedAt 0
@@ -416,11 +441,6 @@ func (e *Engine) resetRun(seeds []uint64, width, n int) {
 				}
 			}
 		}
-	}
-	if e.trace != nil {
-		// Trace mode counts hits at every listener, so the saturated-node
-		// skip must stay off: leave done all-zero.
-		clear(e.done)
 	}
 	e.live = e.live[:0]
 	e.liveDeg = 0
@@ -592,8 +612,9 @@ func (e *Engine) compactLive() {
 func (e *Engine) commit(w int32, once, twice uint64, round int) {
 	// Exactly one hit, and not transmitting in that lane itself.
 	recv := once &^ twice &^ e.txMask[w]
-	if e.trace != nil {
-		e.traceHits(w, recv, twice)
+	if e.observed {
+		e.ok.add(recv)
+		e.col.add(twice &^ e.txMask[w])
 	}
 	newBits := recv &^ e.informed[w]
 	if newBits == 0 {
@@ -604,7 +625,7 @@ func (e *Engine) commit(w int32, once, twice uint64, round int) {
 	}
 	ni := e.informed[w] | newBits
 	e.informed[w] = ni
-	if e.trace == nil && ni&e.active == e.active {
+	if !e.observed && ni&e.active == e.active {
 		e.done[w] = 1
 		e.doneDirty = true
 	}
@@ -624,11 +645,6 @@ func (e *Engine) commit(w int32, once, twice uint64, round int) {
 				e.eligCohort[k][i] = append(e.eligCohort[k][i], w)
 			}
 		}
-		if e.trace != nil {
-			e.trace.InformedAt[i][w] = int32(round)
-			s := e.trace.Stats[i]
-			s[len(s)-1].NewlyInformed++
-		}
 		e.informedCnt[i]++
 		if int(e.informedCnt[i]) == e.g.N() {
 			e.doneRound[i] = int32(round)
@@ -637,37 +653,88 @@ func (e *Engine) commit(w int32, once, twice uint64, round int) {
 	}
 }
 
-// traceSets records each active lane's effective transmitter set and
-// opens its RoundStats row for this round.
-func (e *Engine) traceSets(width int) {
+// beginRuns opens every observed lane's run and its summary.
+func (e *Engine) beginRuns(width int) {
+	n := e.g.N()
 	for i := 0; i < width; i++ {
-		if e.active>>uint(i)&1 == 0 {
+		if e.obs[i] == nil {
+			continue
+		}
+		sources := int(e.informedCnt[i])
+		e.runs[i] = trace.Summary{N: n, Informed: sources}
+		e.obs[i].BeginRun(trace.RunInfo{N: n, M: e.g.M(), Sources: sources, MaxRounds: e.plan.maxRounds})
+	}
+}
+
+// countTransmitters adds the round's transmit masks to the per-lane
+// transmitter counts and, before the round is classified, hands each
+// lane whose observer asks for it that lane's transmitter set.
+func (e *Engine) countTransmitters(round int, active uint64) {
+	for _, v := range e.txUnion {
+		e.tx.add(e.txMask[v])
+	}
+	for a := active; a != 0; a &= a - 1 {
+		i := bits.TrailingZeros64(a)
+		if e.txObs[i] == nil {
 			continue
 		}
 		bit := uint64(1) << uint(i)
-		var set []int32
+		set := e.laneTransmitter[:0]
 		for _, v := range e.txUnion {
 			if e.txMask[v]&bit != 0 {
 				set = append(set, v)
 			}
 		}
-		e.trace.Sets[i] = append(e.trace.Sets[i], set)
-		e.trace.Stats[i] = append(e.trace.Stats[i], RoundStats{Transmitters: len(set)})
+		e.laneTransmitter = set
+		e.txObs[i].RoundTransmitters(round, set)
 	}
 }
 
-// traceHits accumulates one listener's per-lane success/collision counts
-// into the open RoundStats rows.
-func (e *Engine) traceHits(w int32, recv, twice uint64) {
-	for b := recv; b != 0; b &= b - 1 {
-		i := bits.TrailingZeros64(b)
-		s := e.trace.Stats[i]
-		s[len(s)-1].Successes++
+// emitRound unpacks the round's per-lane counts, sends every observed
+// lane that was active this round its RoundRecord, and clears the
+// counters. Silent is the remainder of the node partition, as in the
+// scalar engine.
+func (e *Engine) emitRound(round int, active uint64) {
+	n := e.g.N()
+	planes := bits.Len(uint(n)) // every count is at most n
+	for a := active; a != 0; a &= a - 1 {
+		i := bits.TrailingZeros64(a)
+		if e.obs[i] == nil {
+			continue
+		}
+		s := &e.runs[i]
+		informed := int(e.informedCnt[i])
+		rec := trace.RoundRecord{
+			Round:         round,
+			Transmitters:  e.tx.lane(i, planes),
+			Successes:     e.ok.lane(i, planes),
+			Collisions:    e.col.lane(i, planes),
+			NewlyInformed: informed - s.Informed,
+			Informed:      informed,
+		}
+		rec.Silent = n - rec.Transmitters - rec.Successes - rec.Collisions
+		s.Rounds = round
+		s.Transmissions += rec.Transmitters
+		s.Successes += rec.Successes
+		s.Collisions += rec.Collisions
+		s.NewlyInformed += rec.NewlyInformed
+		s.Informed = informed
+		e.obs[i].Round(rec)
 	}
-	for b := twice &^ e.txMask[w]; b != 0; b &= b - 1 {
-		i := bits.TrailingZeros64(b)
-		s := e.trace.Stats[i]
-		s[len(s)-1].Collisions++
+	clear(e.tx[:planes])
+	clear(e.ok[:planes])
+	clear(e.col[:planes])
+}
+
+// endRuns closes every observed lane's run, also when it was canceled.
+func (e *Engine) endRuns(width int) {
+	for i := 0; i < width; i++ {
+		if e.obs[i] == nil {
+			continue
+		}
+		s := e.runs[i]
+		s.Completed = s.Informed == s.N
+		e.obs[i].EndRun(s)
 	}
 }
 
@@ -690,22 +757,27 @@ func RunBlocks(ctx context.Context, g *graph.Graph, sources []int32, plan *Plan,
 	for w := range engines {
 		engines[w] = NewEngine(g, sources, plan)
 	}
-	return runBlocks(ctx, engines, seeds, width, out)
+	return runBlocks(ctx, engines, seeds, nil, width, out)
 }
 
 // RunBlocksOn is RunBlocks on caller-supplied engines, in blocks of Width
 // seeds with one worker per engine (engines beyond the block count stay
-// idle). The engines must be distinct and already aimed at the sources
-// and plan to run; they stay the caller's, reusable after the call
-// whether or not it was canceled.
-func RunBlocksOn(ctx context.Context, engines []*Engine, seeds []uint64, out []int) error {
-	return runBlocks(ctx, engines, seeds, Width, out)
+// idle), with obs[i] observing trial i (nil obs: no trial is observed).
+// The engines must be distinct and already aimed at the sources and plan
+// to run; they stay the caller's, reusable after the call whether or not
+// it was canceled. Each block sets its engine's observers, and the
+// engines keep those of their last block until the next Observe.
+func RunBlocksOn(ctx context.Context, engines []*Engine, seeds []uint64, obs []trace.Observer, out []int) error {
+	return runBlocks(ctx, engines, seeds, obs, Width, out)
 }
 
 // runBlocks is the block scheduler behind RunBlocks and RunBlocksOn.
-func runBlocks(ctx context.Context, engines []*Engine, seeds []uint64, width int, out []int) error {
+func runBlocks(ctx context.Context, engines []*Engine, seeds []uint64, obs []trace.Observer, width int, out []int) error {
 	if len(out) != len(seeds) {
 		panic("lanes: RunBlocks needs len(out) == len(seeds)")
+	}
+	if obs != nil && len(obs) != len(seeds) {
+		panic("lanes: RunBlocksOn needs len(obs) == len(seeds)")
 	}
 	blocks := (len(seeds) + width - 1) / width
 	if blocks == 0 {
@@ -718,6 +790,11 @@ func runBlocks(ctx context.Context, engines []*Engine, seeds []uint64, width int
 	runBlock := func(e *Engine, b int) error {
 		lo := b * width
 		hi := min(lo+width, len(seeds))
+		var blockObs []trace.Observer
+		if obs != nil {
+			blockObs = obs[lo:hi]
+		}
+		e.Observe(blockObs)
 		return e.RunContext(ctx, seeds[lo:hi], out[lo:hi])
 	}
 	if workers == 1 {

@@ -6,10 +6,10 @@ package lanes_test
 //
 //  1. Mechanics: for whatever transmitter sets the engine drew, the
 //     per-lane reception/collision classification must match the naive
-//     oracle exactly. Each lane's recorded transmitter sets are replayed
-//     through oracle.Engine.Replay and the informed sets, informed-at
-//     times, completion rounds and per-round success/collision counts
-//     must be bit-identical.
+//     oracle exactly. Each lane is observed through the standard
+//     trace.Observer, its recorded transmitter sets are replayed through
+//     oracle.Engine.Replay, and the completion rounds, round records and
+//     run summaries must be identical.
 //
 //  2. Distribution: the lane engine is a new randomness stream (the
 //     PR 3 policy), so individual trials differ bit-wise from scalar
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -38,6 +39,7 @@ import (
 	"repro/internal/protocols"
 	"repro/internal/radio"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -55,18 +57,24 @@ func mustPlan(t *testing.T, p radio.Protocol, maxRounds int) *lanes.Plan {
 	return plan
 }
 
+// TestLaneVsOracleReplay observes every lane with a transmitter-recording
+// trace.Recorder, replays each lane's transmitter sets through the
+// oracle, and requires the lane's round records — every field, Silent
+// and Informed included — its run summary and its completion round to
+// equal the oracle's.
 func TestLaneVsOracleReplay(t *testing.T) {
 	configs := []struct {
-		name string
-		n    int
-		d    float64
-		p    func(n int, d float64) radio.Protocol
+		name    string
+		n       int
+		d       float64
+		sources []int32
+		p       func(n int, d float64) radio.Protocol
 	}{
-		{"distributed", 90, 6, func(n int, d float64) radio.Protocol { return core.NewDistributedProtocol(n, d) }},
-		{"restricted-pool", 120, 8, func(n int, d float64) radio.Protocol { return core.NewRestrictedPoolProtocol(n, d) }},
-		{"decay", 70, 5, func(n int, d float64) radio.Protocol { return protocols.NewDecay(n) }},
-		{"aloha", 60, 4, func(n int, d float64) radio.Protocol { return protocols.NewAloha(d) }},
-		{"flood", 40, 4, func(n int, d float64) radio.Protocol { return protocols.Flood{} }},
+		{"distributed", 90, 6, []int32{0}, func(n int, d float64) radio.Protocol { return core.NewDistributedProtocol(n, d) }},
+		{"restricted-pool", 120, 8, []int32{0, 17, 17}, func(n int, d float64) radio.Protocol { return core.NewRestrictedPoolProtocol(n, d) }},
+		{"decay", 70, 5, []int32{0}, func(n int, d float64) radio.Protocol { return protocols.NewDecay(n) }},
+		{"aloha", 60, 4, []int32{0}, func(n int, d float64) radio.Protocol { return protocols.NewAloha(d) }},
+		{"flood", 40, 4, []int32{0}, func(n int, d float64) radio.Protocol { return protocols.Flood{} }},
 	}
 	for ci, cfg := range configs {
 		cfg := cfg
@@ -75,18 +83,24 @@ func TestLaneVsOracleReplay(t *testing.T) {
 			p := cfg.p(cfg.n, cfg.d)
 			maxRounds := core.MaxRoundsFor(cfg.n)
 			plan := mustPlan(t, p, maxRounds)
-			e := lanes.NewEngine(g, []int32{0}, plan)
-			var tr lanes.Trace
-			e.SetTrace(&tr)
+			e := lanes.NewEngine(g, cfg.sources, plan)
 
 			const width = 8
+			recs := make([]*oracle.TxRecorder, width)
+			obs := make([]trace.Observer, width)
+			for i := range recs {
+				recs[i] = &oracle.TxRecorder{}
+				obs[i] = recs[i]
+			}
+			e.Observe(obs)
 			seeds := sweep.Seeds(width, 4321+uint64(ci))
 			out := make([]int, width)
 			e.Run(seeds, out)
 
-			for lane := 0; lane < width; lane++ {
-				o := oracle.New(g, []int32{0}, radio.StrictInformed)
-				res, err := o.Replay(tr.Sets[lane])
+			for lane, rec := range recs {
+				o := oracle.New(g, cfg.sources, radio.StrictInformed)
+				sources := o.InformedCount()
+				res, err := o.Replay(rec.Sets)
 				if err != nil {
 					t.Fatalf("lane %d: oracle replay: %v", lane, err)
 				}
@@ -97,25 +111,78 @@ func TestLaneVsOracleReplay(t *testing.T) {
 				} else if out[lane] != maxRounds+1 {
 					t.Errorf("lane %d: oracle incomplete but lane reports %d", lane, out[lane])
 				}
-				for v := 0; v < cfg.n; v++ {
-					if tr.InformedAt[lane][v] != res.InformedAt[v] {
-						t.Fatalf("lane %d: InformedAt[%d] = %d, oracle %d",
-							lane, v, tr.InformedAt[lane][v], res.InformedAt[v])
-					}
+				if d := oracle.CompareRecords(rec.Records, o.Records); d != "" {
+					t.Fatalf("lane %d: records diverge from the oracle:\n%s", lane, d)
 				}
-				if len(tr.Stats[lane]) != len(o.Records) {
-					t.Fatalf("lane %d: %d stat rows, oracle %d rounds", lane, len(tr.Stats[lane]), len(o.Records))
+				wantInfo := trace.RunInfo{N: cfg.n, M: g.M(), Sources: sources, MaxRounds: maxRounds}
+				if !rec.Began || !rec.Ended || rec.Info != wantInfo {
+					t.Errorf("lane %d: began=%v ended=%v info %+v, want %+v", lane, rec.Began, rec.Ended, rec.Info, wantInfo)
 				}
-				for r, rs := range tr.Stats[lane] {
-					rec := o.Records[r]
-					if rs.Transmitters != rec.Transmitters || rs.Successes != rec.Successes ||
-						rs.Collisions != rec.Collisions || rs.NewlyInformed != rec.NewlyInformed {
-						t.Fatalf("lane %d round %d: lane stats %+v, oracle tx=%d succ=%d coll=%d newly=%d",
-							lane, r+1, rs, rec.Transmitters, rec.Successes, rec.Collisions, rec.NewlyInformed)
-					}
+				wantSum := trace.Summary{
+					Completed: res.Completed, Rounds: res.Rounds, Informed: res.Informed, N: cfg.n,
+					Transmissions: o.Transmissions, Successes: o.Successes, Collisions: o.Collisions, NewlyInformed: o.NewlyInformed,
+				}
+				if rec.Summary != wantSum {
+					t.Errorf("lane %d: summary %+v, oracle %+v", lane, rec.Summary, wantSum)
 				}
 			}
 		})
+	}
+}
+
+// TestObservedRoundsIdentical: observing a block — every lane, some
+// lanes, or none — never changes a completion round, although observed
+// runs turn the saturated-listener skip off. The engine is reused across
+// the three runs, so it also covers switching observation on and off.
+func TestObservedRoundsIdentical(t *testing.T) {
+	g := testGraph(t, 300, 8, 61)
+	plan := mustPlan(t, core.NewDistributedProtocol(300, 8), core.MaxRoundsFor(300))
+	seeds := sweep.Seeds(lanes.Width, 62)
+	e := lanes.NewEngine(g, []int32{0}, plan)
+	want := make([]int, len(seeds))
+	e.Run(seeds, want)
+
+	all := make([]trace.Observer, len(seeds))
+	for i := range all {
+		all[i] = &trace.Counters{}
+	}
+	some := make([]trace.Observer, 5) // lanes 0..4, with 1 and 3 unobserved
+	some[0], some[2], some[4] = &trace.Counters{}, &trace.Counters{}, &trace.Counters{}
+	for _, obs := range [][]trace.Observer{all, some, nil} {
+		e.Observe(obs)
+		got := make([]int, len(seeds))
+		e.Run(seeds, got)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%d observers: trial %d took %d rounds, unobserved %d", len(obs), i, got[i], want[i])
+			}
+		}
+		for i, o := range obs {
+			if c, ok := o.(*trace.Counters); ok && (c.Runs != 1 || c.Rounds != want[i] || c.Completed != 1) {
+				t.Errorf("lane %d observer saw %+v, want one completed run of %d rounds", i, *c, want[i])
+			}
+		}
+	}
+}
+
+// TestFirstBlockAllocs: a fresh engine's first block allocates little
+// more than the buffers it keeps. Eligible lists sized to n on first use
+// make that hold; grown by appends they would cost about five times
+// their final size.
+func TestFirstBlockAllocs(t *testing.T) {
+	const n = 20000
+	g := testGraph(t, n, 10, 71)
+	plan := mustPlan(t, core.NewDistributedProtocol(n, 10), core.MaxRoundsFor(n))
+	seeds := sweep.Seeds(lanes.Width, 72)
+	out := make([]int, len(seeds))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := lanes.NewEngine(g, []int32{0}, plan)
+	e.Run(seeds, out)
+	runtime.ReadMemStats(&after)
+	alloc, fp := after.TotalAlloc-before.TotalAlloc, e.Footprint()
+	if float64(alloc) > 1.25*float64(fp) {
+		t.Errorf("NewEngine plus the first block allocate %d B, over 1.25x the %d B footprint", alloc, fp)
 	}
 }
 
@@ -383,6 +450,74 @@ func TestLaneVsScalarDistribution(t *testing.T) {
 	if limit := float64(df) + 5*math.Sqrt(2*float64(df)); chi2 > limit {
 		t.Fatalf("lane vs scalar completion-round distributions diverge: chi2=%.1f df=%d limit=%.1f", chi2, df, limit)
 	}
+}
+
+// TestLaneVsScalarCollisionRate: per-trial collision rates measured
+// through per-lane observers and through the scalar engine's observer
+// come from different streams but one distribution (two-sample
+// Kolmogorov–Smirnov at the 0.1% level).
+func TestLaneVsScalarCollisionRate(t *testing.T) {
+	const n, d, trials = 400, 12, 640
+	g := testGraph(t, n, d, 81)
+	p := core.NewDistributedProtocol(n, d)
+	maxRounds := core.MaxRoundsFor(n)
+	seeds := sweep.Seeds(trials, 82)
+	rate := func(c *trace.Counters) float64 {
+		return float64(c.Collisions) / float64(c.Successes+c.Collisions+c.Silent)
+	}
+
+	e := lanes.NewEngine(g, []int32{0}, mustPlan(t, p, maxRounds))
+	counters := make([]trace.Counters, lanes.Width)
+	obs := make([]trace.Observer, lanes.Width)
+	for i := range obs {
+		obs[i] = &counters[i]
+	}
+	e.Observe(obs)
+	out := make([]int, lanes.Width)
+	lane := make([]float64, 0, trials)
+	for lo := 0; lo < trials; lo += lanes.Width {
+		clear(counters)
+		e.Run(seeds[lo:lo+lanes.Width], out)
+		for i := range counters {
+			lane = append(lane, rate(&counters[i]))
+		}
+	}
+
+	scalar := make([]float64, trials)
+	se := radio.NewEngine(g, 0, radio.StrictInformed)
+	var c trace.Counters
+	se.Attach(&c)
+	for i, s := range seeds {
+		c = trace.Counters{}
+		radio.BroadcastTimeOn(se, p, maxRounds, xrand.New(s))
+		scalar[i] = rate(&c)
+	}
+
+	// 1.949 is the two-sample KS critical coefficient at alpha = 0.001.
+	if ks, limit := ksStatistic(lane, scalar), 1.949*math.Sqrt(2.0/trials); ks > limit {
+		t.Fatalf("lane vs scalar collision-rate distributions diverge: D=%.3f, limit %.3f", ks, limit)
+	}
+}
+
+// ksStatistic returns the two-sample Kolmogorov–Smirnov statistic: the
+// largest gap between the samples' empirical distribution functions.
+func ksStatistic(a, b []float64) float64 {
+	a, b = slices.Clone(a), slices.Clone(b)
+	sort.Float64s(a)
+	sort.Float64s(b)
+	var i, j int
+	var d float64
+	for i < len(a) && j < len(b) {
+		x := min(a[i], b[j])
+		for i < len(a) && a[i] == x {
+			i++
+		}
+		for j < len(b) && b[j] == x {
+			j++
+		}
+		d = max(d, math.Abs(float64(i)/float64(len(a))-float64(j)/float64(len(b))))
+	}
+	return d
 }
 
 // twoSampleChiSquare bins the pooled samples into (at most) `bins`
