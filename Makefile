@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint archlint bench bench-record experiments verify cover race campaign-smoke fuzz-smoke serve-smoke cluster-smoke clean
+.PHONY: all build test vet lint archlint bench-module bench bench-record experiments verify cover race campaign-smoke fuzz-smoke serve-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -11,13 +11,19 @@ vet:
 	go vet ./...
 
 # What the CI lint job runs: vet, gofmt cleanliness, and the
-# execution-layer boundary check (engines are only constructed inside
-# internal/exec; see scripts/archlint.sh).
+# execution-layer boundary check (engines are only constructed and run
+# through internal/exec; see scripts/archlint.sh).
 lint: vet archlint
 	test -z "$$(gofmt -l .)"
 
 archlint:
 	./scripts/archlint.sh
+
+# bench/ is its own module (repro/bench, replace repro => ../), so the
+# root `go build ./...` and `go test ./...` never compile it; vet and
+# test it here so an API it uses cannot break unnoticed.
+bench-module:
+	cd bench && go vet ./... && go test ./...
 
 test:
 	go test ./...

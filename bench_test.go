@@ -137,7 +137,7 @@ func BenchmarkBroadcast(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := Broadcast(g, 0, d, rng)
+		res, _ := Run(g, 0, WithDegree(d), WithRand(rng), WithPerNodeSampling())
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}
@@ -175,7 +175,7 @@ func BenchmarkBroadcastReuse(b *testing.B) {
 // BenchmarkBroadcastReusePerNode is BenchmarkBroadcastReuse with the
 // sampled-transmitter fast path disabled (SetPerNodeSampling): the engine
 // asks the protocol for one Bernoulli decision per informed node per round
-// — the pre-fast-path behaviour the deprecated wrappers keep. The ratio
+// — the pre-fast-path behaviour WithPerNodeSampling keeps. The ratio
 // BroadcastReusePerNode / BroadcastReuse is the fast-path speedup recorded
 // in BENCH_2.json.
 func BenchmarkBroadcastReusePerNode(b *testing.B) {
@@ -424,7 +424,7 @@ func BenchmarkSubstrateDistributedRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Broadcast(g, 0, d, rng)
+		res, _ := Run(g, 0, WithDegree(d), WithRand(rng), WithPerNodeSampling())
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}

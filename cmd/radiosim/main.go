@@ -32,6 +32,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -42,10 +43,10 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/protocols"
-	"repro/internal/radio"
 	"repro/internal/trace"
 	"repro/internal/viz"
 	"repro/internal/xrand"
@@ -196,7 +197,13 @@ func simulate(out, stdout io.Writer,
 		jw = trace.NewJSONLWriter(f)
 	}
 
-	var res radio.TracedResult
+	// Every run is observed by an in-memory recorder (for -trace and the
+	// progress line) next to the optional JSONL writer.
+	var rec trace.Recorder
+	req := &exec.Request{Graph: g, Sources: []int32{int32(src)}, Observer: &rec}
+	if jw != nil {
+		req.Observer = trace.Multi(jw, &rec)
+	}
 	switch algo {
 	case "centralized":
 		sched, tr, err := core.BuildCentralizedSchedule(g, int32(src), d, core.DefaultCentralizedConfig(seed))
@@ -218,48 +225,37 @@ func simulate(out, stdout io.Writer,
 			}
 			fmt.Fprintf(out, "schedule written to %s\n", saveSched)
 		}
-		e := radio.NewEngine(g, int32(src), radio.StrictInformed)
-		if jw != nil {
-			e.Attach(jw)
-		}
-		res, err = radio.ExecuteScheduleTrace(e, sched)
-		if err != nil {
-			return err
-		}
-	case "distributed", "decay", "aloha":
-		var p radio.Protocol
-		switch algo {
-		case "distributed":
-			p = core.NewDistributedProtocol(n, d)
-		case "decay":
-			p = protocols.NewDecay(n)
-		case "aloha":
-			p = protocols.NewAloha(d)
-		}
-		e := radio.NewEngine(g, int32(src), radio.StrictInformed)
-		if jw != nil {
-			e.Attach(jw)
-		}
-		res = radio.RunProtocolTrace(e, p, core.MaxRoundsFor(n), rng)
+		req.Schedule = sched
+	case "distributed":
+		req.Protocol = core.NewDistributedProtocol(n, d)
+	case "decay":
+		req.Protocol = protocols.NewDecay(n)
+	case "aloha":
+		req.Protocol = protocols.NewAloha(d)
 	default:
 		return fmt.Errorf("%w: unknown algorithm %q", errUsage, algo)
 	}
+	req.MaxRounds = core.MaxRoundsFor(n)
+	res, err := exec.Run(context.Background(), req, rng)
+	if err != nil {
+		return err
+	}
 
 	if showTrace {
-		for _, rec := range res.Trace {
-			fmt.Fprintln(out, rec)
+		for _, r := range rec.Records {
+			fmt.Fprintln(out, r)
 		}
 	}
 	if jw != nil {
 		if err := jw.Err(); err != nil {
 			return fmt.Errorf("writing %s: %w", traceOut, err)
 		}
-		fmt.Fprintf(out, "trace written to %s (%d records)\n", traceOut, len(res.Trace))
+		fmt.Fprintf(out, "trace written to %s (%d records)\n", traceOut, len(rec.Records))
 	}
-	if len(res.Trace) > 1 {
-		curve := make([]float64, len(res.Trace))
-		for i, rec := range res.Trace {
-			curve[i] = float64(rec.Informed)
+	if len(rec.Records) > 1 {
+		curve := make([]float64, len(rec.Records))
+		for i, r := range rec.Records {
+			curve[i] = float64(r.Informed)
 		}
 		fmt.Fprintf(out, "\nprogress %s (informed per round)\n", viz.Sparkline(curve))
 	}

@@ -1,7 +1,7 @@
 package repro_test
 
-// Cross-layer byte-identity: every consumer of the unified execution
-// layer (internal/exec) — the facade, the sweep helper, the campaign
+// Cross-layer byte-identity: the unified execution layer
+// (internal/exec) and every consumer of it — the facade, the campaign
 // runner and the HTTP server — must produce identical samples for the
 // same (graph, protocol, seed) configuration, because they all resolve
 // to the same backend through the same classification and the same
@@ -12,7 +12,7 @@ package repro_test
 //	graphSeed = xrand.New(pointSeed).DeriveSeed(0)  (campaign fixed graph)
 //	trial i   = sweep.Seeds(trials, pointSeed)[i]
 //
-// The lane leg (facade RunBatch, sweep.RunLanes, campaign fixed-graph
+// The lane leg (facade RunBatch, exec.RunSeeds, campaign fixed-graph
 // point) must agree bit-for-bit, and the scalar leg (facade Run, serve
 // POST /v1/run) must agree bit-for-bit; the two legs use different
 // randomness streams by design (the PR 3 stream policy), so they are
@@ -31,6 +31,7 @@ import (
 	"repro"
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/serve"
 	"repro/internal/sweep"
 	"repro/internal/xrand"
@@ -59,18 +60,20 @@ func TestCrossLayerByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Layer 2: sweep helper over the same protocol and seeds.
+	// Layer 2: the execution layer over the same protocol and seeds.
 	p := core.NewDistributedProtocol(xlN, xlD)
-	values, lanesOK, err := sweep.RunLanes(context.Background(), g, 0, p, maxRounds, xlTrials, pointSeed)
+	values := make([]int, xlTrials)
+	backend, err := exec.RunSeeds(context.Background(),
+		&exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: maxRounds}, seeds, values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lanesOK {
-		t.Fatal("distributed protocol must classify as lane-uniform")
+	if backend != exec.BackendLanes {
+		t.Fatalf("distributed protocol ran on %v, must classify as lane-uniform", backend)
 	}
 	for i, v := range values {
-		if v != float64(rounds[i]) {
-			t.Fatalf("sweep trial %d = %g, facade RunBatch = %d", i, v, rounds[i])
+		if v != rounds[i] {
+			t.Fatalf("exec trial %d = %d, facade RunBatch = %d", i, v, rounds[i])
 		}
 	}
 

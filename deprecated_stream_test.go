@@ -1,10 +1,12 @@
 package repro
 
-// Regression guard for the sampled-transmitter fast path: the deprecated
-// positional entry points (Broadcast, RunProtocol, BroadcastMulti) are
-// frozen to their historical per-node randomness streams. The golden
-// values below were recorded BEFORE the fast path landed (commit
-// b0c4f2c); if any of these assertions fails, a wrapper's stream drifted.
+// Regression guard for the sampled-transmitter fast path: Run with
+// WithPerNodeSampling is frozen to the historical per-node randomness
+// stream. The golden values below were recorded BEFORE the fast path
+// landed (commit b0c4f2c), through the positional wrappers Broadcast,
+// RunProtocol and BroadcastMulti that have since been removed; each case
+// is the Run call such a wrapper made. If any of these assertions fails,
+// the per-node stream drifted.
 
 import (
 	"hash/fnv"
@@ -36,6 +38,12 @@ func fingerprint(res Result) uint64 {
 	return h.Sum64()
 }
 
+// perNode is Run on the per-node stream; protocol runs cannot fail.
+func perNode(g *Graph, src int32, opts ...Option) Result {
+	res, _ := Run(g, src, append(opts, WithPerNodeSampling())...)
+	return res
+}
+
 func TestDeprecatedWrapperStreamsFrozen(t *testing.T) {
 	const n = 2000
 	const d = 25.0
@@ -47,19 +55,19 @@ func TestDeprecatedWrapperStreamsFrozen(t *testing.T) {
 		want uint64 // recorded pre-fast-path fingerprint
 		run  func(seed uint64) Result
 	}{
-		{"Broadcast/seed3", 3, 13442191628768536704, func(s uint64) Result { return Broadcast(g, 0, d, NewRand(s)) }},
-		{"Broadcast/seed9", 9, 17540272938987344624, func(s uint64) Result { return Broadcast(g, 0, d, NewRand(s)) }},
+		{"Broadcast/seed3", 3, 13442191628768536704, func(s uint64) Result { return perNode(g, 0, WithDegree(d), WithSeed(s)) }},
+		{"Broadcast/seed9", 9, 17540272938987344624, func(s uint64) Result { return perNode(g, 0, WithDegree(d), WithSeed(s)) }},
 		{"RunProtocol/seed5", 5, 16578885538056467629, func(s uint64) Result {
-			return RunProtocol(g, 0, NewProtocol(n, d), MaxRounds(n), NewRand(s))
+			return perNode(g, 0, WithProtocol(NewProtocol(n, d)), WithMaxRounds(MaxRounds(n)), WithSeed(s))
 		}},
 		{"BroadcastMulti/seed7", 7, 17027192350006751548, func(s uint64) Result {
-			return BroadcastMulti(g, []int32{0, 41, 97}, d, NewRand(s))
+			return perNode(g, 0, WithSources(41, 97), WithDegree(d), WithSeed(s))
 		}},
 	} {
 		got := fingerprint(tc.run(tc.seed))
 		t.Logf("GOLDEN %s: %d", tc.name, got)
 		if tc.want != 0 && got != tc.want {
-			t.Errorf("%s: fingerprint %d, frozen golden %d — the deprecated wrapper's randomness stream changed", tc.name, got, tc.want)
+			t.Errorf("%s: fingerprint %d, frozen golden %d — the per-node randomness stream changed", tc.name, got, tc.want)
 		}
 	}
 }

@@ -9,16 +9,20 @@ import (
 	repro "repro"
 )
 
-// ExampleBroadcast runs the paper's distributed protocol on a small
-// random radio network.
-func ExampleBroadcast() {
+// ExampleRun runs the paper's distributed protocol on a small random
+// radio network.
+func ExampleRun() {
 	rng := repro.NewRand(7)
 	g, ok := repro.ConnectedGnpDegree(2000, 16, rng)
 	if !ok {
 		fmt.Println("no connected sample")
 		return
 	}
-	res := repro.Broadcast(g, 0, 16, rng)
+	res, err := repro.Run(g, 0, repro.WithDegree(16), repro.WithRand(rng))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Printf("completed=%v informed=%d/%d\n", res.Completed, res.Informed, g.N())
 	// Output: completed=true informed=2000/2000
 }
@@ -37,7 +41,7 @@ func ExampleBuildSchedule() {
 		fmt.Println(err)
 		return
 	}
-	res, err := repro.ExecuteSchedule(g, 0, sched)
+	res, err := repro.Run(g, 0, repro.WithSchedule(sched))
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -27,7 +27,7 @@ func main() {
 	fmt.Printf("Network: %v, d=%.1f, ln n = %.1f\n\n", g, d, math.Log(n))
 
 	// 1. Single-message broadcast (the paper's Theorem 7).
-	res := repro.Broadcast(g, 0, d, rng)
+	res, _ := repro.Run(g, 0, repro.WithDegree(d), repro.WithRand(rng))
 	fmt.Printf("1. broadcast           : %4d rounds (1 message to all nodes)\n", res.Rounds)
 
 	// 2. k-message broadcast: one message per transmission, rarest-first.
@@ -48,7 +48,7 @@ func main() {
 
 	// 5. Crash faults: a third of the network dies; broadcast to the rest.
 	sc := repro.Crash(g, 0, 0.33, rng)
-	fres := repro.Broadcast(sc.Sub, sc.SrcNew, d*0.67, rng)
+	fres, _ := repro.Run(sc.Sub, sc.SrcNew, repro.WithDegree(d*0.67), repro.WithRand(rng))
 	fmt.Printf("5. broadcast, 33%% dead : %4d rounds (%d/%d reachable survivors informed)\n",
 		fres.Rounds, fres.Informed, sc.ReachableFromSource())
 

@@ -29,7 +29,10 @@ func main() {
 
 	// Fully distributed randomized broadcasting (Theorem 7): every node
 	// knows only n and d.
-	res := repro.Broadcast(g, 0, d, rng)
+	res, err := repro.Run(g, 0, repro.WithDegree(d), repro.WithRand(rng))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Distributed protocol : %d rounds (completed=%v)\n", res.Rounds, res.Completed)
 	fmt.Printf("  Theorem 7 bound    : O(ln n) = O(%.1f)  -> ratio %.2f\n",
 		repro.DistributedBound(n), float64(res.Rounds)/repro.DistributedBound(n))
@@ -41,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cres, err := repro.ExecuteSchedule(g, 0, sched)
+	cres, err := repro.Run(g, 0, repro.WithSchedule(sched))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func main() {
 		{"aloha 1/d", protocols.NewAloha(deg.Mean)},
 		{"deterministic flooding", protocols.Flood{}},
 	} {
-		res := repro.RunProtocol(field, fsrc, entry.p, maxRounds, rng)
+		res, _ := repro.Run(field, fsrc, repro.WithProtocol(entry.p), repro.WithMaxRounds(maxRounds), repro.WithRand(rng))
 		status := fmt.Sprintf("%d rounds", res.Rounds)
 		if !res.Completed {
 			status = fmt.Sprintf("STALLED at %d/%d sensors after %d rounds",
@@ -92,7 +92,7 @@ func main() {
 		fys[i] = ys[v]
 	}
 	if sched, err := geo.BuildGridSchedule(field, fxs, fys, radius, fsrc); err == nil {
-		res, err := repro.ExecuteSchedule(field, fsrc, sched)
+		res, err := repro.Run(field, fsrc, repro.WithSchedule(sched))
 		if err == nil && res.Completed {
 			fmt.Printf("%-24s %d rounds  (collisions: %d, transmissions: %d — position-aware, deterministic)\n",
 				"grid schedule", res.Rounds, res.Stats.Collisions, res.Stats.Transmissions)

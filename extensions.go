@@ -14,6 +14,7 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/pipeline"
 	"repro/internal/radio"
+	"repro/internal/sweep"
 )
 
 // GossipResult reports an all-to-all dissemination run.
@@ -61,9 +62,10 @@ func Crash(g *Graph, src int32, q float64, rng *Rand) *CrashScenario {
 
 // SourceSweep runs the paper's protocol once from each of k random
 // sources and returns the completion rounds (MaxRounds+1 sentinel for
-// incomplete runs) — the "for any u ∈ V" measurement.
+// incomplete runs) — the "for any u ∈ V" measurement. k is clamped to
+// [0, g.N()].
 func SourceSweep(g *Graph, k int, d float64, rng *Rand) []int {
-	return radio.SourceSweep(g, k, NewProtocol(g.N(), d), MaxRounds(g.N()), rng)
+	return sweep.Sources(g, k, NewProtocol(g.N(), d), MaxRounds(g.N()), rng)
 }
 
 // WriteSchedule serialises a schedule in the plain-text format read by

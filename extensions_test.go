@@ -37,7 +37,7 @@ func TestFacadeCrashAndBroadcast(t *testing.T) {
 	if sc.SrcNew < 0 {
 		t.Fatal("source crashed")
 	}
-	res := Broadcast(sc.Sub, sc.SrcNew, d*0.7, rng)
+	res, _ := Run(sc.Sub, sc.SrcNew, WithDegree(d*0.7), WithRand(rng))
 	if res.Informed < sc.ReachableFromSource() {
 		t.Fatalf("informed %d < reachable %d", res.Informed, sc.ReachableFromSource())
 	}
@@ -51,7 +51,7 @@ func TestFacadeBroadcastMulti(t *testing.T) {
 	if !ok {
 		t.Skip("no connected sample")
 	}
-	res := BroadcastMulti(g, []int32{0, int32(n / 2), int32(n - 1)}, d, rng)
+	res, _ := Run(g, 0, WithSources(int32(n/2), int32(n-1)), WithDegree(d), WithRand(rng))
 	if !res.Completed {
 		t.Fatalf("multi-source incomplete: %d/%d", res.Informed, n)
 	}
@@ -65,13 +65,20 @@ func TestFacadeSourceSweep(t *testing.T) {
 	if !ok {
 		t.Skip("no connected sample")
 	}
-	times := SourceSweep(g, 5, d, rng)
-	if len(times) != 5 {
-		t.Fatalf("%d sweep times", len(times))
-	}
-	for _, tt := range times {
-		if tt > MaxRounds(n) {
-			t.Fatalf("a source failed to complete: %d", tt)
+	for _, tc := range []struct{ k, want int }{
+		{5, 5},
+		{n + 10, n}, // clamped to n
+		{0, 0},
+		{-3, 0}, // clamped to 0, not a panic
+	} {
+		times := SourceSweep(g, tc.k, d, rng)
+		if len(times) != tc.want {
+			t.Fatalf("k=%d: %d sweep times, want %d", tc.k, len(times), tc.want)
+		}
+		for _, tt := range times {
+			if tt > MaxRounds(n) {
+				t.Fatalf("k=%d: a source failed to complete: %d", tc.k, tt)
+			}
 		}
 	}
 }
@@ -96,7 +103,7 @@ func TestFacadeScheduleIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExecuteSchedule(g, 0, got)
+	res, err := Run(g, 0, WithSchedule(got))
 	if err != nil || !res.Completed {
 		t.Fatalf("round-tripped schedule invalid: %v informed=%d", err, res.Informed)
 	}
@@ -150,7 +157,7 @@ func TestFacadeGridSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExecuteSchedule(g, 0, sched)
+	res, err := Run(g, 0, WithSchedule(sched))
 	if err != nil || !res.Completed {
 		t.Fatalf("grid schedule: %v informed=%d", err, res.Informed)
 	}

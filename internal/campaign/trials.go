@@ -376,7 +376,7 @@ func (r *collisionRateRunner) RunTrialBatch(ctx context.Context, seeds []uint64,
 
 func (r *collisionRateRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
 	r.counters = trace.Counters{}
-	// Session.Time drives the identical round stream RunProtocolOn did
+	// Session.Time drives the identical round stream a full protocol run does
 	// but materialises no Result (whose InformedAt slice was an n-sized
 	// allocation per trial); the counters observer carries the aggregate.
 	var rounds int

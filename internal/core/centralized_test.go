@@ -37,7 +37,7 @@ func TestCentralizedScheduleCompletesOnGnp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d d=%v: %v", tc.n, tc.d, err)
 		}
-		res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+		res, err := replay(g, 0, sched)
 		if err != nil {
 			t.Fatalf("replay failed: %v", err)
 		}
@@ -90,7 +90,7 @@ func TestCentralizedScheduleStrictValidity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := radio.ExecuteSchedule(g, 3, sched, radio.StrictInformed); err != nil {
+	if _, err := replay(g, 3, sched); err != nil {
 		t.Fatalf("schedule uses uninformed transmitter: %v", err)
 	}
 }
@@ -120,7 +120,7 @@ func TestCentralizedOnDenseGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("dense replay failed: %v %+v (%s)", err, res.Informed, trace)
 	}
@@ -137,7 +137,7 @@ func TestCentralizedOnPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("path schedule failed: %v, informed %d", err, res.Informed)
 	}
@@ -152,7 +152,7 @@ func TestCentralizedOnStarAndComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+		res, err := replay(g, 0, sched)
 		if err != nil || !res.Completed {
 			t.Fatalf("%s failed: %v informed=%d", name, err, res.Informed)
 		}
@@ -182,7 +182,7 @@ func TestCentralizedSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single vertex: %v", err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("single-vertex broadcast: %v %+v", err, res)
 	}
@@ -198,7 +198,7 @@ func TestCentralizedAblationNoCoverFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("no-cover-finish schedule failed: %v informed=%d", err, res.Informed)
 	}
@@ -212,7 +212,7 @@ func TestCentralizedAblationNonDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("non-disjoint schedule failed: %v informed=%d", err, res.Informed)
 	}
@@ -239,7 +239,7 @@ func TestCentralizedScalesLogarithmically(t *testing.T) {
 func TestRoundRobinSchedule(t *testing.T) {
 	g := mustConnected(t, 300, 10, 23)
 	s := RoundRobinSchedule(g, 0)
-	res, err := radio.ExecuteSchedule(g, 0, s, radio.StrictInformed)
+	res, err := replay(g, 0, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestRoundRobinSchedule(t *testing.T) {
 func TestRoundRobinOnPath(t *testing.T) {
 	g := gen.Path(20)
 	s := RoundRobinSchedule(g, 0)
-	res, err := radio.ExecuteSchedule(g, 0, s, radio.StrictInformed)
+	res, err := replay(g, 0, s)
 	if err != nil || !res.Completed {
 		t.Fatalf("round-robin on path: %v %+v", err, res.Informed)
 	}
@@ -354,7 +354,7 @@ func TestCentralizedZeroConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("zero-config schedule failed: %v informed=%d", err, res.Informed)
 	}
@@ -368,7 +368,7 @@ func TestCentralizedTinyDegreeClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("clamped-degree schedule failed: %v informed=%d", err, res.Informed)
 	}

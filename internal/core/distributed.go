@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/xrand"
 )
@@ -143,11 +142,4 @@ func MaxRoundsFor(n int) int {
 		return 8
 	}
 	return 64*int(math.Ceil(math.Log(float64(n)))) + 64
-}
-
-// RunDistributed is a convenience wrapper: it runs the default protocol on
-// g from src and returns the radio result.
-func RunDistributed(g *graph.Graph, src int32, d float64, rng *xrand.Rand) radio.Result {
-	p := NewDistributedProtocol(g.N(), d)
-	return radio.RunProtocol(g, src, p, MaxRoundsFor(g.N()), rng)
 }

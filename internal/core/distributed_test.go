@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -22,7 +21,7 @@ func TestDistributedProtocolCompletes(t *testing.T) {
 	} {
 		g := mustConnected(t, tc.n, tc.d, tc.seed)
 		rng := xrand.New(tc.seed + 100)
-		res := RunDistributed(g, 0, tc.d, rng)
+		res := runProtocol(g, 0, NewDistributedProtocol(g.N(), tc.d), MaxRoundsFor(g.N()), rng)
 		if !res.Completed {
 			t.Fatalf("n=%d d=%v: incomplete %d/%d after %d rounds",
 				tc.n, tc.d, res.Informed, tc.n, res.Rounds)
@@ -125,7 +124,7 @@ func TestRestrictedPoolCompletesViaSafetyValve(t *testing.T) {
 	g := mustConnected(t, n, d, 33)
 	rng := xrand.New(34)
 	p := NewRestrictedPoolProtocol(n, d)
-	res := radio.RunProtocol(g, 0, p, MaxRoundsFor(n), rng)
+	res := runProtocol(g, 0, p, MaxRoundsFor(n), rng)
 	if !res.Completed {
 		t.Fatalf("restricted protocol incomplete even with valve: %d/%d", res.Informed, n)
 	}
@@ -138,7 +137,7 @@ func TestDistributedScalesLogarithmically(t *testing.T) {
 		times := make([]int, 0, 5)
 		for trial := 0; trial < 5; trial++ {
 			rng := xrand.New(uint64(n)*31 + uint64(trial))
-			times = append(times, radio.BroadcastTime(g, 0, NewDistributedProtocol(n, d), MaxRoundsFor(n), rng))
+			times = append(times, broadcastTime(g, NewDistributedProtocol(n, d), MaxRoundsFor(n), rng))
 		}
 		// insertion sort of 5 elements
 		for i := 1; i < len(times); i++ {
@@ -162,7 +161,7 @@ func TestDistributedOnDenseGraph(t *testing.T) {
 	const n = 800
 	g := gen.Gnp(n, 0.3, xrand.New(5))
 	rng := xrand.New(6)
-	res := RunDistributed(g, 0, 0.3*n, rng)
+	res := runProtocol(g, 0, NewDistributedProtocol(g.N(), 0.3*n), MaxRoundsFor(g.N()), rng)
 	if !res.Completed {
 		t.Fatalf("dense distributed incomplete: %d/%d", res.Informed, n)
 	}
@@ -173,7 +172,7 @@ func TestDistributedSmallGraphs(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5} {
 		g := gen.Complete(n)
 		rng := xrand.New(uint64(n))
-		res := RunDistributed(g, 0, float64(n-1), rng)
+		res := runProtocol(g, 0, NewDistributedProtocol(g.N(), float64(n-1)), MaxRoundsFor(g.N()), rng)
 		if !res.Completed {
 			t.Fatalf("K_%d incomplete", n)
 		}
@@ -208,7 +207,7 @@ func BenchmarkDistributedBroadcast(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := xrand.New(uint64(i))
-		res := RunDistributed(g, 0, d, rng)
+		res := runProtocol(g, 0, NewDistributedProtocol(g.N(), d), MaxRoundsFor(g.N()), rng)
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}

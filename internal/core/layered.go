@@ -11,9 +11,11 @@ package core
 // baseline in experiment E15.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/radio"
 )
@@ -124,7 +126,7 @@ func CompressSchedule(g *graph.Graph, src int32, s *radio.Schedule) (*radio.Sche
 	if !e.Done() {
 		// The input schedule did not complete either; compression
 		// preserves whatever coverage it had.
-		res, err := radio.ExecuteSchedule(g, src, s, radio.StrictInformed)
+		res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Schedule: s}, nil)
 		if err != nil {
 			return nil, err
 		}

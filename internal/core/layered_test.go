@@ -18,7 +18,7 @@ func TestLayeredCoverScheduleCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestLayeredCoverOnPathAndStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, 0, sched)
 	if err != nil || !res.Completed {
 		t.Fatalf("path: %v %d", err, res.Informed)
 	}
@@ -131,7 +131,7 @@ func TestCompressScheduleShortensAndStaysValid(t *testing.T) {
 	if comp.Len() > sched.Len() {
 		t.Fatalf("compression lengthened the schedule: %d -> %d", sched.Len(), comp.Len())
 	}
-	res, err := radio.ExecuteSchedule(g, 0, comp, radio.StrictInformed)
+	res, err := replay(g, 0, comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCompressScheduleShortensAndStaysValid(t *testing.T) {
 		t.Fatalf("compressed schedule incomplete: %d/%d", res.Informed, n)
 	}
 	// Transmission budget should shrink (fewer redundant transmitters).
-	orig, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	orig, err := replay(g, 0, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCompressRoundRobinCollapses(t *testing.T) {
 	if comp.Len() >= rr.Len() {
 		t.Fatalf("compression did not shrink round robin: %d -> %d", rr.Len(), comp.Len())
 	}
-	res, err := radio.ExecuteSchedule(g, 0, comp, radio.StrictInformed)
+	res, err := replay(g, 0, comp)
 	if err != nil || !res.Completed {
 		t.Fatalf("compressed RR invalid: %v %d", err, res.Informed)
 	}
@@ -175,7 +175,7 @@ func TestCompressPreservesIncompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, comp, radio.StrictInformed)
+	res, err := replay(g, 0, comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestCompressScheduleDifferentialProperty(t *testing.T) {
 		if !e.Done() {
 			continue // unlucky random schedule; property only on complete inputs
 		}
-		orig, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+		orig, err := replay(g, 0, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestCompressScheduleDifferentialProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		res, err := radio.ExecuteSchedule(g, 0, comp, radio.StrictInformed)
+		res, err := replay(g, 0, comp)
 		if err != nil {
 			t.Fatalf("trial %d: compressed replay: %v", trial, err)
 		}

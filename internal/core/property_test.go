@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -31,7 +30,7 @@ func TestCentralizedSchedulePropertySweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (n=%d d=%.1f src=%d): %v", trial, n, d, src, err)
 		}
-		res, err := radio.ExecuteSchedule(g, src, sched, radio.StrictInformed)
+		res, err := replay(g, src, sched)
 		if err != nil {
 			t.Fatalf("trial %d: replay error: %v", trial, err)
 		}
@@ -64,7 +63,7 @@ func TestDistributedProtocolPropertySweep(t *testing.T) {
 			continue
 		}
 		src := rng.Int31n(int32(n))
-		res := radio.RunProtocol(g, src, NewDistributedProtocol(n, d), MaxRoundsFor(n), rng)
+		res := runProtocol(g, src, NewDistributedProtocol(n, d), MaxRoundsFor(n), rng)
 		if !res.Completed {
 			t.Fatalf("trial %d (n=%d d=%.1f): incomplete %d/%d", trial, n, d, res.Informed, n)
 		}
@@ -106,8 +105,8 @@ func TestDistributedRunDeterministicProperty(t *testing.T) {
 	const n = 1000
 	d := 2 * math.Log(n)
 	g := mustConnected(t, n, d, 888)
-	a := radio.RunProtocol(g, 0, NewDistributedProtocol(n, d), MaxRoundsFor(n), xrand.New(31))
-	b := radio.RunProtocol(g, 0, NewDistributedProtocol(n, d), MaxRoundsFor(n), xrand.New(31))
+	a := runProtocol(g, 0, NewDistributedProtocol(n, d), MaxRoundsFor(n), xrand.New(31))
+	b := runProtocol(g, 0, NewDistributedProtocol(n, d), MaxRoundsFor(n), xrand.New(31))
 	if a.Rounds != b.Rounds || a.Informed != b.Informed {
 		t.Fatal("same seed, different outcome")
 	}

@@ -1,11 +1,13 @@
 // Package exec is the unified execution layer: one place that picks a
 // simulation backend, owns engine lifecycle and reuse, and counts what
-// ran. Every consumer — the root facade (Run/RunBatch), internal/sweep,
-// the campaign runners and the serving layer — dispatches through an
-// Executor instead of constructing radio or lane engines itself, so
-// backend selection, fallback and pooling have exactly one
+// ran. Every consumer — the root facade (Run/RunBatch/BroadcastTime),
+// internal/sweep, the experiments, core and lower, cmd/radiosim, the
+// campaign runners and the serving layer — dispatches through an
+// Executor instead of constructing or running radio or lane engines
+// itself, so backend selection, fallback and pooling have exactly one
 // implementation and one metrics surface, and a new backend (e.g. a
 // collision-detection feedback engine) plugs in here once.
+// scripts/archlint.sh enforces the rule.
 //
 // Classification:
 //
@@ -83,7 +85,8 @@ type Request struct {
 
 	// Protocol drives randomized runs; Schedule, when non-nil, replays a
 	// centralized schedule instead (Protocol, MaxRounds, PerNode and rng
-	// do not apply).
+	// do not apply) under the engine's policy: StrictInformed, unless a
+	// caller Engine was built with another.
 	Protocol  radio.Protocol
 	Schedule  *radio.Schedule
 	MaxRounds int
@@ -99,10 +102,10 @@ type Request struct {
 	Observer trace.Observer
 
 	// Engine, when non-nil, runs the request on this caller-owned engine
-	// (the facade WithEngine path): its sources, observer and sampling
-	// mode are re-initialised from the request and result reuse is
-	// enabled, so a run is bit-identical to a fresh-engine run. The
-	// caller keeps ownership; exec never pools it.
+	// (the facade WithEngine path, protocol or schedule): its sources,
+	// observer and sampling mode are re-initialised from the request and
+	// result reuse is enabled, so a run is bit-identical to a
+	// fresh-engine run. The caller keeps ownership; exec never pools it.
 	Engine *radio.Engine
 
 	// Pool checks a scalar engine out of the executor's per-graph pool
@@ -238,21 +241,23 @@ func ClassifyBatch(req *Request) Backend {
 	return BackendScalar
 }
 
-// Run executes one trial of req and returns the full Result. Schedules
-// replay deterministically (rng unused); protocols run the scalar
-// engine with rng. Cancellation is cooperative between rounds: a
-// canceled ctx returns the partial Result and an error wrapping
-// radio.ErrCanceled.
+// Run executes one trial of req and returns the full Result on the
+// engine checkout resolves: schedules replay deterministically (rng
+// unused) under the engine's policy, protocols run the scalar engine
+// with rng. Cancellation is cooperative between rounds: a canceled ctx
+// returns the partial Result and an error wrapping radio.ErrCanceled.
 func (x *Executor) Run(ctx context.Context, req *Request, rng *xrand.Rand) (radio.Result, error) {
-	if req.Schedule != nil {
-		x.c[BackendSchedule].runs.Add(1)
-		x.c[BackendSchedule].trials.Add(1)
-		return radio.ExecuteScheduleObservedContext(ctx, req.Graph, req.Sources, req.Schedule, radio.StrictInformed, req.Observer)
-	}
 	e, pooled := x.checkout(req)
-	x.c[BackendScalar].runs.Add(1)
-	x.c[BackendScalar].trials.Add(1)
-	res, err := e.RunProtocolContext(ctx, req.Protocol, req.MaxRounds, rng)
+	b := Classify(req)
+	x.c[b].runs.Add(1)
+	x.c[b].trials.Add(1)
+	var res radio.Result
+	var err error
+	if req.Schedule != nil {
+		res, err = radio.ExecuteScheduleOnContext(ctx, e, req.Schedule)
+	} else {
+		res, err = e.RunProtocolContext(ctx, req.Protocol, req.MaxRounds, rng)
+	}
 	if pooled {
 		// Clean return only: a panicking trial abandons the engine to the
 		// GC instead of pooling corrupt state.

@@ -97,6 +97,12 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// broadcastTime is the direct-engine reference for one timed trial.
+func broadcastTime(e *radio.Engine, p radio.Protocol, maxRounds int, rng *xrand.Rand) int {
+	r, _ := radio.BroadcastTimeOnContext(context.Background(), e, p, maxRounds, rng)
+	return r
+}
+
 // TestRunMatchesEngine: exec.Run is bit-identical to driving the scalar
 // engine directly with the same rng — the facade rewire changes nothing.
 func TestRunMatchesEngine(t *testing.T) {
@@ -105,7 +111,7 @@ func TestRunMatchesEngine(t *testing.T) {
 	req := protoReq(g)
 
 	e := radio.NewEngineMulti(g, []int32{0}, radio.StrictInformed)
-	want := e.RunProtocol(req.Protocol, req.MaxRounds, xrand.New(5))
+	want, _ := e.RunProtocolContext(context.Background(), req.Protocol, req.MaxRounds, xrand.New(5))
 
 	got, err := x.Run(context.Background(), req, xrand.New(5))
 	if err != nil {
@@ -126,7 +132,7 @@ func TestRunSchedule(t *testing.T) {
 	x := exec.New()
 	g := testGraph(t, 3)
 	sched := testSchedule(t, g)
-	want, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	want, err := radio.ExecuteScheduleOnContext(context.Background(), radio.NewEngine(g, 0, radio.StrictInformed), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +210,7 @@ func TestRunSeedsFallback(t *testing.T) {
 			t.Fatalf("backend = %v, want scalar fallback", backend)
 		}
 		for i, seed := range seeds {
-			if want := radio.BroadcastTimeOn(e, req.Protocol, req.MaxRounds, xrand.New(seed)); got[i] != want {
+			if want := broadcastTime(e, req.Protocol, req.MaxRounds, xrand.New(seed)); got[i] != want {
 				t.Fatalf("call %d trial %d: exec %d vs direct scalar %d", call, i, got[i], want)
 			}
 		}
@@ -255,7 +261,7 @@ func TestRunSeedsObserved(t *testing.T) {
 	se := radio.NewEngineMulti(g, scalar.Sources, radio.StrictInformed)
 	for i, seed := range seeds {
 		se.Attach(&scalarWant[i])
-		scalarRounds[i] = radio.BroadcastTimeOn(se, scalar.Protocol, scalar.MaxRounds, xrand.New(seed))
+		scalarRounds[i] = broadcastTime(se, scalar.Protocol, scalar.MaxRounds, xrand.New(seed))
 	}
 
 	for _, tc := range []struct {
@@ -549,7 +555,7 @@ func TestSessionTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := radio.NewEngineMulti(g, []int32{0}, radio.StrictInformed)
-		if want := radio.BroadcastTimeOn(e, req.Protocol, req.MaxRounds, xrand.New(seed)); got != want {
+		if want := broadcastTime(e, req.Protocol, req.MaxRounds, xrand.New(seed)); got != want {
 			t.Fatalf("trial %d: session %d vs fresh engine %d", trial, got, want)
 		}
 	}

@@ -54,7 +54,7 @@ func runE12(cfg Config) []*table.Table {
 			if err != nil {
 				panic(err)
 			}
-			res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+			res, err := replay(g, sched)
 			if err != nil || !res.Completed {
 				panic(fmt.Sprintf("ablation %q failed: %v", v.name, err))
 			}
@@ -87,7 +87,7 @@ func runE12(cfg Config) []*table.Table {
 		v := v
 		samples := sweep.Run(trials, cfg.Seed+uint64(i)*907, func(rng *xrand.Rand) float64 {
 			g := sampleConnected(n, d, rng)
-			return float64(radio.BroadcastTime(g, 0, v.mk(), maxR, rng))
+			return float64(broadcastTime(g, v.mk(), maxR, rng))
 		})
 		completed := 0
 		for _, s := range samples {

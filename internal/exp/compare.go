@@ -65,9 +65,9 @@ func runE5(cfg Config) []*table.Table {
 	} {
 		p := entry.p
 		// One trial per energy figure suffices; rounds get the full sweep.
-		energyRes := radio.RunProtocol(g, 0, p, maxRounds, rng.Derive(hash(entry.name)))
+		energyRes := runProtocol(g, []int32{0}, p, maxRounds, rng.Derive(hash(entry.name)))
 		samples := sweep.Run(trials, cfg.Seed+hash(entry.name), func(r *xrand.Rand) float64 {
-			return float64(radio.BroadcastTime(g, 0, p, maxRounds, r))
+			return float64(broadcastTime(g, p, maxRounds, r))
 		})
 		completed := 0
 		for _, s := range samples {
@@ -125,7 +125,7 @@ func runE10(cfg Config) []*table.Table {
 		n := tp.g.N()
 		maxR := 200 * core.MaxRoundsFor(n)
 		radioT := sweep.Run(trials, cfg.Seed+hash(tp.name), func(r *xrand.Rand) float64 {
-			return float64(radio.BroadcastTime(tp.g, 0, core.NewDistributedProtocol(n, tp.d), core.MaxRoundsFor(n), r))
+			return float64(broadcastTime(tp.g, core.NewDistributedProtocol(n, tp.d), core.MaxRoundsFor(n), r))
 		})
 		pushT := sweep.Run(trials, cfg.Seed+hash(tp.name)+1, func(r *xrand.Rand) float64 {
 			return float64(rumor.SpreadTime(tp.g, 0, rumor.Push, maxR, r))

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -52,8 +53,40 @@ func TestConfigTrials(t *testing.T) {
 	}
 }
 
-// Every experiment must run at Small scale and produce at least one
-// non-empty table. These are the repository's end-to-end smoke tests.
+// smallCSVFingerprints pins the FNV-64a hash of each experiment's CSV
+// tables (concatenated in order) at TestAllExperimentsRunSmall's fixed
+// configuration. Every experiment is seed-deterministic, so a change
+// that moves any fixed-seed number shows up here. Update an entry only
+// for an intentional change to that experiment's randomness or output.
+var smallCSVFingerprints = map[string]uint64{
+	"E1":  0x8d8fa59483bbc216,
+	"E2":  0x08d31887445bb87e,
+	"E3":  0xe2a3d5acfe7131c5,
+	"E4":  0x42c21a632f07e712,
+	"E5":  0xec58b0f3e2773a46,
+	"E6":  0xada7fb2e424f38a4,
+	"E7":  0x3a88be4fe7cfd2b3,
+	"E8":  0x760aeb638bdbce5e,
+	"E9":  0x78fa6b3eed72f2d0,
+	"E10": 0x3fa870ace0d91817,
+	"E11": 0x09a9e9c7be15f944,
+	"E12": 0x4d194c8ed92818ec,
+	"E13": 0x7b06f670be682701,
+	"E14": 0x3bd8440285b23725,
+	"E15": 0x4e66195834d48b19,
+	"E16": 0x1c9b05188339ef90,
+	"E17": 0x585336b6140642a2,
+	"E18": 0xc16303498d25a60b,
+	"E19": 0x39d5d9732794263d,
+	"E20": 0xf811e330a1ef6db7,
+	"E21": 0x517b5bb8aa151f07,
+	"E22": 0xf414d0408a639d71,
+	"E23": 0x8268f4c7bf3ff206,
+}
+
+// Every experiment must run at Small scale, produce at least one
+// non-empty table, and reproduce its pinned CSV fingerprint. These are
+// the repository's end-to-end smoke and fixed-seed drift tests.
 func TestAllExperimentsRunSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments skipped in -short mode")
@@ -73,6 +106,13 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 				if s := tb.String(); len(s) == 0 {
 					t.Fatalf("%s renders empty", e.ID)
 				}
+			}
+			h := fnv.New64a()
+			for _, tb := range tables {
+				h.Write([]byte(tb.CSV()))
+			}
+			if got, want := h.Sum64(), smallCSVFingerprints[e.ID]; got != want {
+				t.Errorf("%s CSV fingerprint = %#016x, want %#016x (fixed-seed output drifted)", e.ID, got, want)
 			}
 		})
 	}

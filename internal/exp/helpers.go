@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
@@ -30,7 +32,7 @@ func centralizedRounds(g *graph.Graph, d float64, seed uint64) int {
 	if err != nil {
 		panic(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := replay(g, sched)
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +45,26 @@ func centralizedRounds(g *graph.Graph, d float64, seed uint64) int {
 // distributedRounds runs the Theorem 7 protocol once and returns the
 // completion round (sentinel maxRounds+1 if incomplete).
 func distributedRounds(g *graph.Graph, d float64, rng *xrand.Rand) int {
-	return radio.BroadcastTime(g, 0, core.NewDistributedProtocol(g.N(), d), core.MaxRoundsFor(g.N()), rng)
+	return broadcastTime(g, core.NewDistributedProtocol(g.N(), d), core.MaxRoundsFor(g.N()), rng)
+}
+
+// broadcastTime runs p once from node 0 on a fresh engine and returns the
+// completion round (sentinel maxRounds+1 if incomplete). A protocol run
+// under a background context cannot fail, here or in runProtocol.
+func broadcastTime(g *graph.Graph, p radio.Protocol, maxRounds int, rng *xrand.Rand) int {
+	r, _ := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: maxRounds}, rng)
+	return r
+}
+
+// runProtocol runs p once from the given sources on a fresh engine.
+func runProtocol(g *graph.Graph, sources []int32, p radio.Protocol, maxRounds int, rng *xrand.Rand) radio.Result {
+	res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: sources, Protocol: p, MaxRounds: maxRounds}, rng)
+	return res
+}
+
+// replay replays s from node 0 on a fresh strict engine.
+func replay(g *graph.Graph, s *radio.Schedule) (radio.Result, error) {
+	return exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: s}, nil)
 }
 
 // summarizeRounds compacts samples into (mean, p10, p90).

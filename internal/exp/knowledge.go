@@ -43,7 +43,7 @@ func runE19(cfg Config) []*table.Table {
 	for i, factor := range []float64{1, 0.25, 0.5, 2, 4, 16} {
 		assumed := d * factor
 		samples := sweep.Run(trials, cfg.Seed+uint64(i)*1511, func(r *xrand.Rand) float64 {
-			return float64(radio.BroadcastTime(g, 0, core.NewDistributedProtocol(n, assumed), budget, r))
+			return float64(broadcastTime(g, core.NewDistributedProtocol(n, assumed), budget, r))
 		})
 		med := stats.Median(samples)
 		if i == 0 {
@@ -61,10 +61,10 @@ func runE19(cfg Config) []*table.Table {
 		run             func(r *xrand.Rand) float64
 	}{
 		{"paper (Thm 7)", "n, p", "no", func(r *xrand.Rand) float64 {
-			return float64(radio.BroadcastTime(g, 0, core.NewDistributedProtocol(n, d), budget, r))
+			return float64(broadcastTime(g, core.NewDistributedProtocol(n, d), budget, r))
 		}},
 		{"decay (BGI)", "n", "no", func(r *xrand.Rand) float64 {
-			return float64(radio.BroadcastTime(g, 0, protocols.NewDecay(n), budget, r))
+			return float64(broadcastTime(g, protocols.NewDecay(n), budget, r))
 		}},
 		{"AIMD backoff", "nothing", "yes", func(r *xrand.Rand) float64 {
 			e := radio.NewEngine(g, 0, radio.StrictInformed)

@@ -67,7 +67,7 @@ func runE15(cfg Config) []*table.Table {
 			if err != nil {
 				panic(err)
 			}
-			res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+			res, err := replay(g, sched)
 			if err != nil {
 				panic(err)
 			}
@@ -82,7 +82,7 @@ func runE15(cfg Config) []*table.Table {
 			if err != nil {
 				panic(err)
 			}
-			res, err := radio.ExecuteSchedule(g, 0, comp, radio.StrictInformed)
+			res, err := replay(g, comp)
 			if err != nil {
 				panic(err)
 			}
@@ -93,14 +93,14 @@ func runE15(cfg Config) []*table.Table {
 			if err != nil {
 				panic(err)
 			}
-			res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+			res, err := replay(g, sched)
 			if err != nil {
 				panic(err)
 			}
 			return res
 		}},
 		{"round robin (naive)", func(g *graph.Graph, rng *xrand.Rand) radio.Result {
-			res, err := radio.ExecuteSchedule(g, 0, core.RoundRobinSchedule(g, 0), radio.StrictInformed)
+			res, err := replay(g, core.RoundRobinSchedule(g, 0))
 			if err != nil {
 				panic(err)
 			}
@@ -145,7 +145,7 @@ func runE16(cfg Config) []*table.Table {
 			reachable := sc.ReachableFromSource()
 			dSurv := d * (1 - q)
 			p := core.NewDistributedProtocol(sc.Sub.N(), dSurv)
-			res := radio.RunProtocol(sc.Sub, sc.SrcNew, p, 4*core.MaxRoundsFor(n), rng)
+			res := runProtocol(sc.Sub, []int32{sc.SrcNew}, p, 4*core.MaxRoundsFor(n), rng)
 			frac := 1.0
 			if reachable > 0 {
 				frac = float64(res.Informed) / float64(reachable)
@@ -196,7 +196,7 @@ func runE17(cfg Config) []*table.Table {
 			}
 			dTotal := dIn + b/half
 			p := core.NewDistributedProtocol(n, dTotal)
-			return float64(radio.BroadcastTime(g, 0, p, maxR, rng))
+			return float64(broadcastTime(g, p, maxR, rng))
 		})
 		for _, s := range samples {
 			if int(s) <= maxR {

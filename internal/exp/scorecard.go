@@ -12,10 +12,12 @@ package exp
 // an algorithm or the simulator regresses.
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/gossip"
 	"repro/internal/lower"
@@ -103,16 +105,20 @@ func Scorecard(cfg Config) []Check {
 		rng := xrand.New(cfg.Seed + 53)
 		g := sampleConnected(n, d, rng)
 		// Both protocol comparisons run many trials on the same graph, so
-		// each worker reuses one engine (sweep.RunWith + BroadcastTimeOn)
+		// each worker reuses one engine through an execution session
 		// instead of rebuilding graph-sized state per trial. Results are
-		// identical to the per-trial BroadcastTime formulation.
-		newEngine := func() *radio.Engine { return radio.NewEngine(g, 0, radio.StrictInformed) }
-		paper := sweep.RunWith(5, cfg.Seed+54, newEngine, func(r *xrand.Rand, e *radio.Engine) float64 {
-			return float64(radio.BroadcastTimeOn(e, core.NewDistributedProtocol(n, d), 8*n, r))
-		})
-		decay := sweep.RunWith(5, cfg.Seed+55, newEngine, func(r *xrand.Rand, e *radio.Engine) float64 {
-			return float64(radio.BroadcastTimeOn(e, protocols.NewDecay(n), 8*n, r))
-		})
+		// identical to the fresh-engine-per-trial formulation.
+		session := func(p radio.Protocol) func() *exec.Session {
+			return func() *exec.Session {
+				return exec.Open(&exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: 8 * n})
+			}
+		}
+		timed := func(r *xrand.Rand, s *exec.Session) float64 {
+			t, _ := s.Time(context.Background(), r)
+			return float64(t)
+		}
+		paper := sweep.RunWith(5, cfg.Seed+54, session(core.NewDistributedProtocol(n, d)), timed)
+		decay := sweep.RunWith(5, cfg.Seed+55, session(protocols.NewDecay(n)), timed)
 		pass := stats.Median(paper) <= stats.Median(decay)
 		add("E5", "paper protocol ≤ Decay on G(n,p)", pass,
 			"paper median=%.0f decay median=%.0f", stats.Median(paper), stats.Median(decay))
@@ -186,8 +192,8 @@ func Scorecard(cfg Config) []Check {
 		g := sampleConnected(n, d, rng)
 		lit := core.NewRestrictedPoolProtocol(n, d)
 		lit.SafetyRound = 0
-		litTime := radio.BroadcastTime(g, 0, lit, core.MaxRoundsFor(n), rng)
-		defTime := radio.BroadcastTime(g, 0, core.NewDistributedProtocol(n, d), core.MaxRoundsFor(n), rng)
+		litTime := broadcastTime(g, lit, core.MaxRoundsFor(n), rng)
+		defTime := broadcastTime(g, core.NewDistributedProtocol(n, d), core.MaxRoundsFor(n), rng)
 		pass := defTime <= core.MaxRoundsFor(n) && litTime > defTime
 		add("E12", "literal pool strands; proof pool completes", pass,
 			"literal=%d default=%d budget=%d", litTime, defTime, core.MaxRoundsFor(n))
@@ -216,7 +222,7 @@ func Scorecard(cfg Config) []Check {
 		budget := 40 * core.MaxRoundsFor(n)
 		e := radio.NewEngine(g, 0, radio.StrictInformed)
 		res := radio.RunCDProtocol(e, protocols.NewBackoff(n), budget, rng)
-		decay := radio.BroadcastTime(g, 0, protocols.NewDecay(n), budget, rng.Derive(3))
+		decay := broadcastTime(g, protocols.NewDecay(n), budget, rng.Derive(3))
 		pass := res.Completed && res.Rounds < budget && decay <= budget
 		add("E19", "knowledge-free AIMD backoff completes under CD", pass,
 			"backoff=%d decay=%d budget=%d", res.Rounds, decay, budget)

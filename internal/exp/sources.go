@@ -7,8 +7,8 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/radio"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/table"
 	"repro/internal/xrand"
 )
@@ -31,7 +31,7 @@ func runE18(cfg Config) []*table.Table {
 
 	// E18a: sweep many random sources with the distributed protocol.
 	k := map[Scale]int{Small: 10, Medium: 30, Full: 50}[cfg.Scale]
-	times := radio.SourceSweep(g, k, core.NewDistributedProtocol(n, d), maxR, rng)
+	times := sweep.Sources(g, k, core.NewDistributedProtocol(n, d), maxR, rng)
 	s := stats.Summarize(stats.Ints(times))
 	t1 := table.New("E18a: distributed completion time across random sources",
 		"sources", "min", "median", "mean", "max", "max/min")
@@ -50,7 +50,7 @@ func runE18(cfg Config) []*table.Table {
 		for trial := 0; trial < trials; trial++ {
 			r := rng.Derive(uint64(k*1000 + trial))
 			sources := r.Sample(n, k)
-			res := radio.RunProtocolMulti(g, sources, core.NewDistributedProtocol(n, d), maxR, r)
+			res := runProtocol(g, sources, core.NewDistributedProtocol(n, d), maxR, r)
 			rounds := res.Rounds
 			if !res.Completed {
 				rounds = maxR + 1

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/xrand"
@@ -48,8 +47,7 @@ func runE22(cfg Config) []*table.Table {
 			}
 			connectedCount++
 			diams = append(diams, float64(graph.DiameterLower(g, 0)))
-			rounds = append(rounds, float64(radio.BroadcastTime(g, 0,
-				core.NewDistributedProtocol(n, d), 4*core.MaxRoundsFor(n), rng)))
+			rounds = append(rounds, float64(broadcastTime(g, core.NewDistributedProtocol(n, d), 4*core.MaxRoundsFor(n), rng)))
 		}
 		diam, round := math.NaN(), math.NaN()
 		if connectedCount > 0 {

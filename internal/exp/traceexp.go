@@ -11,10 +11,11 @@ package exp
 // collision storm the selectivity avoids.
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/radio"
+	"repro/internal/exec"
 	"repro/internal/table"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -65,14 +66,13 @@ func runCollisionTrace(cfg Config) []*table.Table {
 	p := core.NewDistributedProtocol(n, d)
 	budget := core.MaxRoundsFor(n)
 
-	e := radio.NewEngine(g, 0, radio.StrictInformed)
 	var rec trace.Recorder
-	e.Attach(&rec)
+	s := exec.Open(&exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: budget, Observer: &rec})
 	agg := map[int]*roundAgg{}
 	maxRound := 0
 	for i := 0; i < trials; i++ {
 		rec.Reset()
-		radio.RunProtocolOn(e, p, budget, rng.Derive(uint64(i)+2))
+		s.Time(context.Background(), rng.Derive(uint64(i)+2)) // cannot fail: protocol, uncanceled
 		for _, r := range rec.Records {
 			a := agg[r.Round]
 			if a == nil {
@@ -140,10 +140,9 @@ func CollisionTraceRun(cfg Config, obs trace.Observer) *table.Table {
 	g := sampleConnected(n, d, rng.Derive(1))
 	p := core.NewDistributedProtocol(n, d)
 
-	e := radio.NewEngine(g, 0, radio.StrictInformed)
-	var rec trace.Recorder
-	e.Attach(trace.Multi(obs, &rec))
-	radio.RunProtocolOn(e, p, core.MaxRoundsFor(n), rng.Derive(2))
+	var rec trace.Recorder // a protocol run under a background context cannot fail
+	exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p,
+		MaxRounds: core.MaxRoundsFor(n), Observer: trace.Multi(obs, &rec)}, rng.Derive(2))
 
 	t := table.New("instrumented broadcast: per-round collision rate",
 		"round", "phase", "tx", "informed", "lambda", "P(col) meas", "P(col) pred", "P(ok) meas", "P(ok) pred")

@@ -1,13 +1,14 @@
 package faults
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -82,7 +83,7 @@ func TestBroadcastUnderFaultsCompletesOnReachable(t *testing.T) {
 		reach := sc.ReachableFromSource()
 		dSurv := d * (1 - q)
 		p := core.NewDistributedProtocol(sc.Sub.N(), dSurv)
-		res := radio.RunProtocol(sc.Sub, sc.SrcNew, p, 4*core.MaxRoundsFor(n), rng)
+		res, _ := exec.Run(context.Background(), &exec.Request{Graph: sc.Sub, Sources: []int32{sc.SrcNew}, Protocol: p, MaxRounds: 4 * core.MaxRoundsFor(n)}, rng)
 		if res.Informed < reach {
 			t.Fatalf("q=%v: informed %d < reachable %d", q, res.Informed, reach)
 		}

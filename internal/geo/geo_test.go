@@ -1,12 +1,13 @@
 package geo
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -32,7 +33,7 @@ func TestGridScheduleCompletesCollisionFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestGridScheduleNonUDGEdgesRejected(t *testing.T) {
 	if err != nil {
 		return // rejection is acceptable
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
 	if err != nil || !res.Completed {
 		t.Fatalf("returned schedule invalid: %v informed=%d", err, res.Informed)
 	}
@@ -128,7 +129,7 @@ func TestGridScheduleSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
 	if err != nil || !res.Completed {
 		t.Fatalf("singleton: %v", err)
 	}

@@ -136,7 +136,7 @@ func NewPlan(p radio.Protocol, maxRounds int) (*Plan, bool) {
 
 // MaxRounds returns the round budget the plan was probed for. Trials that
 // do not complete within it report MaxRounds()+1, mirroring
-// radio.BroadcastTimeOn.
+// radio.BroadcastTimeOnContext.
 func (pl *Plan) MaxRounds() int { return pl.maxRounds }
 
 // laneCounts is a bit-sliced counter: one count per lane, with bit k of
@@ -312,7 +312,7 @@ func (e *Engine) Observe(obs []trace.Observer) {
 // Run advances one lane block: up to Width trials, seeds[i] seeding lane
 // i's private stream. out[i] receives the round in which lane i's
 // broadcast completed, or MaxRounds()+1 if it did not finish within the
-// plan's budget (the same sentinel radio.BroadcastTimeOn uses).
+// plan's budget (the same sentinel radio.BroadcastTimeOnContext uses).
 func (e *Engine) Run(seeds []uint64, out []int) {
 	// context.Background never cancels, so the error is structurally nil.
 	_ = e.RunContext(context.Background(), seeds, out)

@@ -287,7 +287,7 @@ func TestLaneBudgetAndDegenerateCases(t *testing.T) {
 		}
 	}
 
-	// Zero budget: the sentinel is 1, matching radio.BroadcastTimeOn.
+	// Zero budget: the sentinel is 1, matching radio.BroadcastTimeOnContext.
 	plan0 := mustPlan(t, p, 0)
 	e0 := lanes.NewEngine(g, []int32{0}, plan0)
 	out0 := make([]int, 2)
@@ -444,7 +444,7 @@ func TestLaneVsScalarDistribution(t *testing.T) {
 	scalar := make([]int, trials)
 	e := radio.NewEngine(g, 0, radio.StrictInformed)
 	for i, s := range seeds {
-		scalar[i] = radio.BroadcastTimeOn(e, p, maxRounds, xrand.New(s))
+		scalar[i], _ = radio.BroadcastTimeOnContext(context.Background(), e, p, maxRounds, xrand.New(s))
 	}
 	chi2, df := twoSampleChiSquare(lane, scalar, 8)
 	if limit := float64(df) + 5*math.Sqrt(2*float64(df)); chi2 > limit {
@@ -489,7 +489,7 @@ func TestLaneVsScalarCollisionRate(t *testing.T) {
 	se.Attach(&c)
 	for i, s := range seeds {
 		c = trace.Counters{}
-		radio.BroadcastTimeOn(se, p, maxRounds, xrand.New(s))
+		radio.BroadcastTimeOnContext(context.Background(), se, p, maxRounds, xrand.New(s))
 		scalar[i] = rate(&c)
 	}
 
@@ -562,37 +562,4 @@ func twoSampleChiSquare(a, b []int, bins int) (chi2 float64, df int) {
 		chi2 += (ca[i]-ea)*(ca[i]-ea)/ea + (cb[i]-eb)*(cb[i]-eb)/eb
 	}
 	return chi2, nb - 1
-}
-
-// TestSweepRunLanes: the sweep wrapper agrees with direct RunBlocks,
-// declines non-uniform protocols, and propagates cancellation.
-func TestSweepRunLanes(t *testing.T) {
-	g := testGraph(t, 100, 6, 13)
-	p := core.NewDistributedProtocol(100, 6)
-	maxRounds := core.MaxRoundsFor(100)
-	values, ok, err := sweep.RunLanes(context.Background(), g, 0, p, maxRounds, 50, 321)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("RunLanes declined a uniform protocol")
-	}
-	plan := mustPlan(t, p, maxRounds)
-	want := make([]int, 50)
-	if err := lanes.RunBlocks(context.Background(), g, []int32{0}, plan, sweep.Seeds(50, 321), 0, 0, want); err != nil {
-		t.Fatal(err)
-	}
-	for i := range values {
-		if values[i] != float64(want[i]) {
-			t.Fatalf("trial %d: RunLanes %v, RunBlocks %d", i, values[i], want[i])
-		}
-	}
-	if _, ok, err := sweep.RunLanes(context.Background(), g, 0, &protocols.RoundRobin{N: 100}, maxRounds, 10, 1); ok || err != nil {
-		t.Fatalf("RunLanes on a non-uniform protocol: ok=%v err=%v, want a clean decline", ok, err)
-	}
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, ok, err := sweep.RunLanes(canceled, g, 0, p, maxRounds, 50, 321); !ok || !errors.Is(err, radio.ErrCanceled) {
-		t.Fatalf("RunLanes under canceled ctx: ok=%v err=%v, want ok with ErrCanceled", ok, err)
-	}
 }

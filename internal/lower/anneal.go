@@ -9,6 +9,9 @@ package lower
 // independent witness.
 
 import (
+	"context"
+
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/xrand"
@@ -73,7 +76,8 @@ func cloneSchedule(s *radio.Schedule) *radio.Schedule {
 // may move a transmitter before it is informed; the filter keeps the
 // semantics physical) and reports the completion round.
 func executedRounds(g *graph.Graph, src int32, s *radio.Schedule) (int, bool) {
-	res, err := radio.ExecuteSchedule(g, src, s, radio.FilterUninformed)
+	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Schedule: s,
+		Engine: radio.NewEngine(g, src, radio.FilterUninformed)}, nil)
 	if err != nil {
 		return 0, false
 	}

@@ -1,10 +1,12 @@
 package lower
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/radio"
 	"repro/internal/xrand"
@@ -23,7 +25,7 @@ func TestTightenRoundRobinCollapses(t *testing.T) {
 		t.Fatalf("no shortening: %d -> %d", rr.Len(), rounds)
 	}
 	// Validity: the returned schedule completes under the filter policy.
-	res, err := radio.ExecuteSchedule(g, 0, tightened, radio.FilterUninformed)
+	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: tightened, Engine: radio.NewEngine(g, 0, radio.FilterUninformed)}, nil)
 	if err != nil || !res.Completed {
 		t.Fatalf("tightened schedule invalid: %v informed=%d", err, res.Informed)
 	}

@@ -26,8 +26,10 @@
 package lower
 
 import (
+	"context"
 	"math"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/xrand"
@@ -290,14 +292,17 @@ func OptimizeSequence(g *graph.Graph, src int32, d float64, maxRounds, trials in
 	cands := CandidateSequences(d, period)
 	best := math.Inf(1)
 	var bestP *SequenceProtocol
-	// One engine for the whole search: BroadcastTimeOn resets it per
-	// trial, and engine construction consumes no randomness, so results
-	// are bit-identical to the fresh-engine-per-trial form.
-	e := radio.NewEngine(g, src, radio.StrictInformed)
+	// One engine for the whole search: every trial resets it, and engine
+	// construction consumes no randomness, so results are bit-identical
+	// to the fresh-engine-per-trial form.
+	req := &exec.Request{Graph: g, Sources: []int32{src}, MaxRounds: maxRounds,
+		Engine: radio.NewEngine(g, src, radio.StrictInformed)}
 	for _, p := range cands {
+		req.Protocol = p
 		total := 0.0
 		for t := 0; t < trials; t++ {
-			total += float64(radio.BroadcastTimeOn(e, p, maxRounds, rng.Derive(uint64(t))))
+			r, _ := exec.Time(context.Background(), req, rng.Derive(uint64(t)))
+			total += float64(r)
 		}
 		mean := total / float64(trials)
 		if mean < best {

@@ -1,13 +1,14 @@
 package lower
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -46,7 +47,7 @@ func TestGreedyAdaptiveCompletesAndIsValid(t *testing.T) {
 		t.Fatalf("greedy incomplete: %d/400", res.Informed)
 	}
 	// Replay validates the schedule independently.
-	replay, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	replay, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
 	if err != nil || !replay.Completed {
 		t.Fatalf("replay: %v %d", err, replay.Informed)
 	}
@@ -104,7 +105,7 @@ func TestGreedyFasterThanConstructive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	constructive, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	constructive, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

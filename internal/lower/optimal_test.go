@@ -1,11 +1,12 @@
 package lower
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -151,7 +152,7 @@ func TestOptimalMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := radio.ExecuteSchedule(g, 0, sched, radio.StrictInformed)
+	replay, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

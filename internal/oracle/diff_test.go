@@ -14,6 +14,7 @@ package oracle
 // ORACLE_DIFF_CASES=N scales every suite up for soak runs.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -34,6 +35,12 @@ import (
 // diffBaseSeed anchors every randomized suite; the per-case stream is
 // Derive(case index), so a failing case replays from its index alone.
 const diffBaseSeed = 0xD1FF0AC1E5
+
+// runEngine drives p on e's current state with a background context.
+func runEngine(e *radio.Engine, p radio.Protocol, maxRounds int, rng *xrand.Rand) radio.Result {
+	res, _ := e.RunProtocolContext(context.Background(), p, maxRounds, rng)
+	return res
+}
 
 // diffCases returns the per-suite case budget: at least min, scaled up
 // by ORACLE_DIFF_CASES for soak runs.
@@ -103,7 +110,7 @@ func TestDifferentialPerNode(t *testing.T) {
 		e.SetPerNodeSampling(true)
 		rec := &trace.Recorder{}
 		e.Attach(rec)
-		res := e.RunProtocol(p, mr, xrand.New(seed))
+		res := runEngine(e, p, mr, xrand.New(seed))
 
 		o := New(g, []int32{src}, radio.StrictInformed)
 		ores := o.RunProtocol(p, mr, xrand.New(seed))
@@ -137,7 +144,7 @@ func TestDifferentialSampled(t *testing.T) {
 		e := radio.NewEngine(g, src, radio.StrictInformed) // sampled by default
 		rec := &TxRecorder{}
 		e.Attach(rec)
-		res := e.RunProtocol(p, mr, xrand.New(seed))
+		res := runEngine(e, p, mr, xrand.New(seed))
 
 		o := New(g, []int32{src}, radio.StrictInformed)
 		ores, err := o.Replay(rec.Sets)
@@ -318,7 +325,9 @@ func TestDifferentialSchedule(t *testing.T) {
 		}
 
 		rec := &trace.Recorder{}
-		res, errE := radio.ExecuteScheduleObserved(g, []int32{src}, s, policy, rec)
+		eng := radio.NewEngine(g, src, policy)
+		eng.Attach(rec)
+		res, errE := radio.ExecuteScheduleOnContext(context.Background(), eng, s)
 		o := New(g, []int32{src}, policy)
 		ores, errO := o.ExecuteSchedule(s)
 
@@ -368,7 +377,7 @@ func TestDifferentialMultiSource(t *testing.T) {
 		// Per-node path: same stream as the oracle.
 		e := radio.NewEngineMulti(g, sources, radio.StrictInformed)
 		e.SetPerNodeSampling(true)
-		res := e.RunProtocol(p, mr, xrand.New(seed))
+		res := runEngine(e, p, mr, xrand.New(seed))
 		o := New(g, sources, radio.StrictInformed)
 		ores := o.RunProtocol(p, mr, xrand.New(seed))
 		if d := Compare(res, ores); d != "" {
@@ -380,7 +389,7 @@ func TestDifferentialMultiSource(t *testing.T) {
 		e2 := radio.NewEngineMulti(g, sources, radio.StrictInformed)
 		rec := &TxRecorder{}
 		e2.Attach(rec)
-		res2 := e2.RunProtocol(p, mr, xrand.New(seed))
+		res2 := runEngine(e2, p, mr, xrand.New(seed))
 		o2 := New(g, sources, radio.StrictInformed)
 		ores2, err := o2.Replay(rec.Sets)
 		if err != nil {
@@ -423,7 +432,7 @@ func TestDifferentialFaulted(t *testing.T) {
 
 		e := radio.NewEngine(sub, sc.SrcNew, radio.StrictInformed)
 		e.SetPerNodeSampling(true)
-		res := e.RunProtocol(p, mr, xrand.New(seed))
+		res := runEngine(e, p, mr, xrand.New(seed))
 		o := New(sub, []int32{sc.SrcNew}, radio.StrictInformed)
 		ores := o.RunProtocol(p, mr, xrand.New(seed))
 		if d := Compare(res, ores); d != "" {

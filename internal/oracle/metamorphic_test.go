@@ -8,6 +8,7 @@ package oracle
 // Reset only shows up when an engine is reused).
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -59,7 +60,7 @@ func TestMetamorphicRelabeling(t *testing.T) {
 		}
 		// MagicTransmitters: every set is valid, so the runs never abort
 		// and the full schedule's outcome is compared.
-		res, err := radio.ExecuteSchedule(g, src, s, radio.MagicTransmitters)
+		res, err := radio.ExecuteScheduleOnContext(context.Background(), radio.NewEngine(g, src, radio.MagicTransmitters), s)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -69,7 +70,7 @@ func TestMetamorphicRelabeling(t *testing.T) {
 		for _, set := range s.Sets {
 			s2.Sets = append(s2.Sets, applyPerm(perm, set))
 		}
-		res2, err := radio.ExecuteSchedule(g2, perm[src], s2, radio.MagicTransmitters)
+		res2, err := radio.ExecuteScheduleOnContext(context.Background(), radio.NewEngine(g2, perm[src], radio.MagicTransmitters), s2)
 		if err != nil {
 			t.Fatalf("case %d: relabeled run: %v", i, err)
 		}
@@ -107,7 +108,7 @@ func TestMetamorphicMonotonicity(t *testing.T) {
 		}
 		rec := &trace.Recorder{}
 		e.Attach(rec)
-		res := e.RunProtocol(p, maxRoundsFor(n), xrand.New(seed))
+		res := runEngine(e, p, maxRoundsFor(n), xrand.New(seed))
 
 		prev := 1 // the single source
 		for ri, r := range rec.Records {
@@ -166,13 +167,13 @@ func TestMetamorphicEngineReuse(t *testing.T) {
 		perNode := crng.Bool()
 		reused.SetPerNodeSampling(perNode)
 		// Dirty the engine with a throwaway run, then Reset and rerun.
-		reused.RunProtocol(p, mr, xrand.New(seed^0xABCD))
+		runEngine(reused, p, mr, xrand.New(seed^0xABCD))
 		reused.Reset()
-		got := reused.RunProtocol(p, mr, xrand.New(seed))
+		got := runEngine(reused, p, mr, xrand.New(seed))
 
 		fresh := radio.NewEngineMulti(g, sources, radio.StrictInformed)
 		fresh.SetPerNodeSampling(perNode)
-		want := fresh.RunProtocol(p, mr, xrand.New(seed))
+		want := runEngine(fresh, p, mr, xrand.New(seed))
 
 		if d := Compare(got, want); d != "" {
 			t.Fatalf("case %d (%v sources=%v proto=%s perNode=%v seed=%#x): reused engine diverges from fresh:\n%s",

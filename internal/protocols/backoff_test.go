@@ -1,10 +1,12 @@
 package protocols
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/radio"
 	"repro/internal/xrand"
@@ -49,7 +51,9 @@ func TestBackoffCompetitiveWithPaperProtocol(t *testing.T) {
 		return res.Rounds
 	})
 	paper := med(func(seed uint64) int {
-		return radio.BroadcastTime(g, 0, core.NewDistributedProtocol(n, d), budget, xrand.New(100+seed))
+		r, _ := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{0},
+			Protocol: core.NewDistributedProtocol(n, d), MaxRounds: budget}, xrand.New(100+seed))
+		return r
 	})
 	if backoff > 20*paper {
 		t.Fatalf("backoff (%d) more than 20x the paper protocol (%d)", backoff, paper)

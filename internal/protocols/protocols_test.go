@@ -1,10 +1,12 @@
 package protocols
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
@@ -25,7 +27,7 @@ func TestDecayCompletesOnGnp(t *testing.T) {
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 1)
 	rng := xrand.New(2)
-	res := radio.RunProtocol(g, 0, NewDecay(n), 4000, rng)
+	res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: NewDecay(n), MaxRounds: 4000}, rng)
 	if !res.Completed {
 		t.Fatalf("decay incomplete: %d/%d", res.Informed, n)
 	}
@@ -68,7 +70,7 @@ func TestAlohaCompletesOnGnp(t *testing.T) {
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 4)
 	rng := xrand.New(5)
-	res := radio.RunProtocol(g, 0, NewAloha(d), 5000, rng)
+	res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: NewAloha(d), MaxRounds: 5000}, rng)
 	if !res.Completed {
 		t.Fatalf("aloha incomplete: %d/%d", res.Informed, n)
 	}
@@ -90,7 +92,7 @@ func TestFloodDeadlocksOnGnp(t *testing.T) {
 	const n = 500
 	g := connected(t, n, 20, 6)
 	rng := xrand.New(7)
-	res := radio.RunProtocol(g, 0, Flood{}, 300, rng)
+	res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: Flood{}, MaxRounds: 300}, rng)
 	if res.Completed {
 		t.Fatal("deterministic flooding should not complete on G(n,p)")
 	}
@@ -102,7 +104,7 @@ func TestRoundRobinAlwaysCompletes(t *testing.T) {
 	rng := xrand.New(9)
 	rr := &RoundRobin{N: n}
 	diam := graph.Diameter(g)
-	res := radio.RunProtocol(g, 0, rr, n*(diam+2), rng)
+	res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: rr, MaxRounds: n * (diam + 2)}, rng)
 	if !res.Completed {
 		t.Fatalf("round robin incomplete: %d/%d", res.Informed, n)
 	}
@@ -148,7 +150,8 @@ func TestPaperProtocolBeatsDecay(t *testing.T) {
 		var times []int
 		for trial := 0; trial < 5; trial++ {
 			rng := xrand.New(100 + uint64(trial))
-			times = append(times, radio.BroadcastTime(g, 0, p, 5000, rng))
+			r, _ := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: 5000}, rng)
+			times = append(times, r)
 		}
 		for i := 1; i < len(times); i++ {
 			for j := i; j > 0 && times[j] < times[j-1]; j-- {
@@ -171,7 +174,7 @@ func BenchmarkDecay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := xrand.New(uint64(i))
-		res := radio.RunProtocol(g, 0, NewDecay(n), 5000, rng)
+		res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: NewDecay(n), MaxRounds: 5000}, rng)
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}

@@ -4,7 +4,7 @@ package radio
 // listeners NO collision detection: a collision is indistinguishable from
 // silence. The CD variant — equally standard in the radio-network
 // literature — lets a listening node distinguish silence, a clean message
-// and a collision. RunFeedbackProtocol simulates that model; protocols
+// and a collision. RunCDProtocol simulates that model; protocols
 // receive their previous round's observation and can adapt (see
 // protocols.Backoff for a knowledge-free protocol built on it, and
 // experiment E19 for the comparison).

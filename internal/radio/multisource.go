@@ -1,17 +1,13 @@
 package radio
 
 // Multi-source broadcasting: the same message starts at k sources (e.g. a
-// replicated alarm). The paper's statements are "for any u ∈ V"; the
-// multi-source engine and the source-sweep helpers quantify that source
-// invariance (experiment E18) and how completion time falls as sources
-// are added.
+// replicated alarm). Experiment E18 measures how completion time falls
+// as sources are added.
 
 import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/trace"
-	"repro/internal/xrand"
 )
 
 // NewEngineMulti returns an engine in which every listed source knows the
@@ -35,59 +31,4 @@ func NewEngineMulti(g *graph.Graph, sources []int32, policy TransmitterPolicy) *
 		}
 	}
 	return e
-}
-
-// RunProtocolMulti is RunProtocol starting from several sources.
-func RunProtocolMulti(g *graph.Graph, sources []int32, p Protocol, maxRounds int, rng *xrand.Rand) Result {
-	return RunProtocolMultiObserved(g, sources, p, maxRounds, rng, nil)
-}
-
-// RunProtocolMultiObserved is RunProtocolMulti with a trace observer
-// attached for the duration of the run (nil behaves exactly like
-// RunProtocolMulti; the observer consumes no randomness, so results are
-// bit-for-bit identical either way).
-func RunProtocolMultiObserved(g *graph.Graph, sources []int32, p Protocol, maxRounds int, rng *xrand.Rand, obs trace.Observer) Result {
-	e := NewEngineMulti(g, sources, StrictInformed)
-	e.Attach(obs)
-	e.runProtocol(p, maxRounds, rng)
-	return resultOf(e)
-}
-
-// SourceSweep runs the protocol once from each of k sources drawn
-// uniformly without replacement and returns the per-source completion
-// rounds (sentinel maxRounds+1 for incomplete runs). It quantifies the
-// "for any u ∈ V" part of the paper's theorems.
-func SourceSweep(g *graph.Graph, k int, p Protocol, maxRounds int, rng *xrand.Rand) []int {
-	return SourceSweepObserved(g, k, p, maxRounds, rng, nil)
-}
-
-// SourceSweepObserved is SourceSweep with a trace observer attached to the
-// shared engine: the observer sees one BeginRun/EndRun cycle per source
-// (a trace.Counters therefore aggregates over the whole sweep). A nil
-// observer behaves exactly like SourceSweep.
-func SourceSweepObserved(g *graph.Graph, k int, p Protocol, maxRounds int, rng *xrand.Rand, obs trace.Observer) []int {
-	n := g.N()
-	if k > n {
-		k = n
-	}
-	sources := rng.Sample(n, k)
-	out := make([]int, len(sources))
-	if len(sources) == 0 {
-		return out
-	}
-	// One engine serves every source: ResetFor + the zero-alloc runner give
-	// the same per-source results as a fresh engine (same derived streams),
-	// without k graph-sized allocations.
-	e := NewEngine(g, 0, StrictInformed)
-	e.Attach(obs)
-	for i, s := range sources {
-		e.ResetFor(s)
-		e.runProtocol(p, maxRounds, rng.Derive(uint64(i)+1))
-		if e.Done() {
-			out[i] = e.round
-		} else {
-			out[i] = maxRounds + 1
-		}
-	}
-	return out
 }

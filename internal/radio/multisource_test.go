@@ -73,7 +73,7 @@ func TestRunProtocolMultiFasterWithMoreSources(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			rng := xrand.New(100 + uint64(trial))
 			sources := rng.Sample(n, k)
-			res := RunProtocolMulti(g, sources, p, 5000, rng)
+			res := runOn(NewEngineMulti(g, sources, StrictInformed), p, 5000, rng)
 			if !res.Completed {
 				t.Fatal("incomplete")
 			}
@@ -90,49 +90,5 @@ func TestRunProtocolMultiFasterWithMoreSources(t *testing.T) {
 	many := med(64)
 	if many > one {
 		t.Fatalf("64 sources (%d rounds) slower than 1 source (%d rounds)", many, one)
-	}
-}
-
-func TestSourceSweep(t *testing.T) {
-	const n = 500
-	d := 2 * math.Log(n)
-	g, _, ok := gen.ConnectedGnp(n, gen.PForDegree(n, d), xrand.New(2), 50)
-	if !ok {
-		t.Skip("no connected sample")
-	}
-	p := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool {
-		if round <= 2 {
-			return true
-		}
-		return r.Bernoulli(1 / d)
-	})
-	rng := xrand.New(3)
-	times := SourceSweep(g, 10, p, 5000, rng)
-	if len(times) != 10 {
-		t.Fatalf("sweep returned %d times", len(times))
-	}
-	for _, tt := range times {
-		if tt <= 0 || tt > 5000 {
-			t.Fatalf("completion time %d out of range", tt)
-		}
-	}
-	// k > n clamps.
-	times = SourceSweep(gen.Complete(5), 100, p, 100, rng)
-	if len(times) != 5 {
-		t.Fatalf("clamped sweep returned %d", len(times))
-	}
-}
-
-func TestSourceSweepDeterministic(t *testing.T) {
-	g := gen.Complete(20)
-	p := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool {
-		return r.Bernoulli(0.2)
-	})
-	a := SourceSweep(g, 5, p, 500, xrand.New(7))
-	b := SourceSweep(g, 5, p, 500, xrand.New(7))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("sweep not deterministic")
-		}
 	}
 }

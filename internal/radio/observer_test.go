@@ -39,7 +39,7 @@ func TestCountersMatchStats(t *testing.T) {
 	for trial := 0; trial < 1000; trial++ {
 		c.Reset()
 		e.ResetFor(int32(trial % n))
-		res := RunProtocolOn(e, p, 300, rng.Derive(uint64(trial)+1))
+		res := runOn(e, p, 300, rng.Derive(uint64(trial)+1))
 		st := e.Stats()
 		if c.Rounds != st.Rounds || c.Transmissions != st.Transmissions ||
 			c.Successes != st.Deliveries || c.Collisions != st.Collisions ||
@@ -71,7 +71,7 @@ func TestCountersMatchStatsSchedule(t *testing.T) {
 	var c trace.Counters
 	e.Attach(&c)
 	s := &Schedule{Sets: [][]int32{{0}, {1, 2}, {3}}}
-	res, err := ExecuteScheduleOn(e, s)
+	res, err := replayOn(e, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestObserverSurvivesReset(t *testing.T) {
 	var c trace.Counters
 	e.Attach(&c)
 	for i := 0; i < 3; i++ {
-		if _, err := ExecuteScheduleOn(e, &Schedule{Sets: [][]int32{{0}, {1}, {2}, {3}}}); err != nil {
+		if _, err := replayOn(e, &Schedule{Sets: [][]int32{{0}, {1}, {2}, {3}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestRecorderRoundRecords(t *testing.T) {
 	e := NewEngine(g, 0, StrictInformed)
 	var rec trace.Recorder
 	e.Attach(&rec)
-	res, err := ExecuteScheduleOn(e, &Schedule{Sets: [][]int32{{0}, {1, 2}}})
+	res, err := replayOn(e, &Schedule{Sets: [][]int32{{0}, {1, 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRecorderRoundRecords(t *testing.T) {
 
 // TestNilObserverAllocs is the benchmark guard in test form: the reuse
 // fast path must stay allocation-free with no observer attached, and
-// RunProtocolOn must not gain allocations from the observer layer (its
+// RunProtocolContext must not gain allocations from the observer layer (its
 // only allocation is the Result's InformedAt copy).
 func TestNilObserverAllocs(t *testing.T) {
 	if testing.Short() {
@@ -176,14 +176,14 @@ func TestNilObserverAllocs(t *testing.T) {
 	})
 	rng := xrand.New(5)
 	if avg := testing.AllocsPerRun(20, func() {
-		BroadcastTimeOn(e, p, 400, rng)
+		timeOn(e, p, 400, rng)
 	}); avg != 0 {
-		t.Fatalf("BroadcastTimeOn with nil observer: %.1f allocs/op, want 0", avg)
+		t.Fatalf("BroadcastTimeOnContext with nil observer: %.1f allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
-		RunProtocolOn(e, p, 400, rng)
+		runOn(e, p, 400, rng)
 	}); avg > 1 {
-		t.Fatalf("RunProtocolOn with nil observer: %.1f allocs/op, want <=1 (InformedAt copy)", avg)
+		t.Fatalf("RunProtocolContext with nil observer: %.1f allocs/op, want <=1 (InformedAt copy)", avg)
 	}
 }
 
@@ -199,10 +199,10 @@ func TestObservedRunBitIdentical(t *testing.T) {
 		}
 		return r.Bernoulli(1 / d)
 	})
-	plain := RunProtocol(g, 0, p, 500, xrand.New(42))
+	plain := runFresh(g, 0, p, 500, xrand.New(42))
 	e := NewEngine(g, 0, StrictInformed)
 	e.Attach(&trace.Recorder{})
-	observed := RunProtocolOn(e, p, 500, xrand.New(42))
+	observed := runOn(e, p, 500, xrand.New(42))
 	if plain.Rounds != observed.Rounds || plain.Informed != observed.Informed || plain.Stats != observed.Stats {
 		t.Fatalf("observed run diverged: %+v vs %+v", observed, plain)
 	}
@@ -213,7 +213,7 @@ func TestObservedRunBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMultiSourceObserved covers the multi-source observed runner.
+// TestMultiSourceObserved covers an observed multi-source run.
 func TestMultiSourceObserved(t *testing.T) {
 	const n = 300
 	const d = 8.0
@@ -222,37 +222,14 @@ func TestMultiSourceObserved(t *testing.T) {
 		return r.Bernoulli(1 / d)
 	})
 	var c trace.Counters
-	res := RunProtocolMultiObserved(g, []int32{0, 5, 9}, p, 400, xrand.New(3), &c)
+	e := NewEngineMulti(g, []int32{0, 5, 9}, StrictInformed)
+	e.Attach(&c)
+	res := runOn(e, p, 400, xrand.New(3))
 	if c.Rounds != res.Rounds || c.Informed != res.Informed {
 		t.Fatalf("counters (rounds=%d informed=%d) != result (%d, %d)", c.Rounds, c.Informed, res.Rounds, res.Informed)
 	}
-	plain := RunProtocolMulti(g, []int32{0, 5, 9}, p, 400, xrand.New(3))
+	plain := runOn(NewEngineMulti(g, []int32{0, 5, 9}, StrictInformed), p, 400, xrand.New(3))
 	if plain.Rounds != res.Rounds || plain.Informed != res.Informed {
 		t.Fatalf("observed multi run diverged from plain run")
-	}
-}
-
-// TestSourceSweepObserved: the shared-engine sweep delivers one run cycle
-// per source to the observer.
-func TestSourceSweepObserved(t *testing.T) {
-	const n = 200
-	const d = 8.0
-	g := connectedTestGraph(t, n, d, 13)
-	p := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool {
-		if round <= 2 {
-			return true
-		}
-		return r.Bernoulli(1 / d)
-	})
-	var c trace.Counters
-	times := SourceSweepObserved(g, 5, p, 300, xrand.New(21), &c)
-	if c.Runs != len(times) {
-		t.Fatalf("observer saw %d runs, sweep ran %d", c.Runs, len(times))
-	}
-	plain := SourceSweep(g, 5, p, 300, xrand.New(21))
-	for i := range plain {
-		if plain[i] != times[i] {
-			t.Fatalf("observed sweep diverged at source %d: %d vs %d", i, times[i], plain[i])
-		}
 	}
 }

@@ -143,7 +143,7 @@ func TestInformedAtConsistencyProperty(t *testing.T) {
 		}
 		return r.Bernoulli(0.08)
 	})
-	res := RunProtocol(g, 0, p, 5000, rng)
+	res := runFresh(g, 0, p, 5000, rng)
 	if !res.Completed {
 		t.Skip("unlucky run")
 	}
@@ -175,11 +175,11 @@ func TestScheduleReplayDeterministic(t *testing.T) {
 		sets[i] = rng.Sample(n, 1+rng.Intn(20))
 	}
 	s := &Schedule{Sets: sets}
-	a, err := ExecuteSchedule(g, 0, s, MagicTransmitters)
+	a, err := replayFresh(g, 0, s, MagicTransmitters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExecuteSchedule(g, 0, s, MagicTransmitters)
+	b, err := replayFresh(g, 0, s, MagicTransmitters)
 	if err != nil {
 		t.Fatal(err)
 	}

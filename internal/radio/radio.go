@@ -13,9 +13,13 @@
 //
 // The package provides a low-level Engine that advances one round at a
 // time given an explicit transmitter set (used by centralized schedules and
-// by the lower-bound harnesses) and a higher-level protocol runner for
-// fully distributed randomized protocols in which every informed node
-// locally decides each round whether to transmit.
+// by the lower-bound harnesses) and four runners on top of it: a protocol
+// loop for fully distributed randomized protocols in which every informed
+// node locally decides each round whether to transmit
+// (Engine.RunProtocolContext, and BroadcastTimeOnContext for the
+// completion round alone), schedule replay (ExecuteScheduleOnContext) and
+// the collision-detection variant (RunCDProtocol). Everything outside the
+// engine runs them through internal/exec.
 package radio
 
 import (
@@ -151,7 +155,7 @@ func NewEngine(g *graph.Graph, src int32, policy TransmitterPolicy) *Engine {
 // Reset returns the engine to its initial state — the full initial
 // informed set: the source, plus every extra source for engines built by
 // NewEngineMulti — without reallocating, making one engine reusable
-// across many trials on the same graph (see RunProtocolOn).
+// across many trials on the same graph.
 func (e *Engine) Reset() {
 	for i := range e.informed {
 		e.informed[i] = false
@@ -240,11 +244,11 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Counters() trace.Counters { return e.counters }
 
 // Attach sets the engine's observer: after every executed round the
-// engine sends it a trace.RoundRecord, and the run helpers
-// (RunProtocol*/ExecuteSchedule*/BroadcastTime*) bracket each run with
-// BeginRun/EndRun notifications. Attach(nil) detaches. The attached
-// observer survives Reset/ResetFor, so one observer can aggregate across
-// many trials on a reused engine.
+// engine sends it a trace.RoundRecord, and the runners
+// (RunProtocolContext, ExecuteScheduleOnContext, BroadcastTimeOnContext)
+// bracket each run with BeginRun/EndRun notifications. Attach(nil)
+// detaches. The attached observer survives Reset/ResetFor, so one
+// observer can aggregate across many trials on a reused engine.
 //
 // With no observer attached the per-round overhead is a single nil check;
 // the allocation-free fast path is unchanged. An observer that also
@@ -515,72 +519,33 @@ type Result struct {
 	Stats      Stats
 }
 
-// ExecuteSchedule runs the schedule on a fresh engine over g from src and
-// returns the result. Execution stops early once all nodes are informed;
-// Rounds then reports the first round after which the broadcast was
-// complete.
-func ExecuteSchedule(g *graph.Graph, src int32, s *Schedule, policy TransmitterPolicy) (Result, error) {
-	e := NewEngine(g, src, policy)
-	return executeScheduleOn(e, s)
-}
-
-// ExecuteScheduleOn resets the caller-owned engine and replays the
-// schedule on it, avoiding the per-run engine allocation of
-// ExecuteSchedule. The engine's existing source and policy apply.
-func ExecuteScheduleOn(e *Engine, s *Schedule) (Result, error) {
-	e.Reset()
-	return executeScheduleOn(e, s)
-}
-
-// ExecuteScheduleObserved replays the schedule on a fresh engine with the
-// given initially informed sources and a trace observer attached (nil obs
-// adds no overhead). It is the observed, multi-source-capable form of
-// ExecuteSchedule.
-func ExecuteScheduleObserved(g *graph.Graph, sources []int32, s *Schedule, policy TransmitterPolicy, obs trace.Observer) (Result, error) {
-	return ExecuteScheduleObservedContext(context.Background(), g, sources, s, policy, obs)
-}
-
-// ExecuteScheduleObservedContext is ExecuteScheduleObserved with
-// cooperative cancellation: replay stops between rounds once ctx is
-// canceled, returning the partial Result and an error wrapping
-// ErrCanceled. An uncanceled context is bit-identical to the context-free
-// form.
-func ExecuteScheduleObservedContext(ctx context.Context, g *graph.Graph, sources []int32, s *Schedule, policy TransmitterPolicy, obs trace.Observer) (Result, error) {
-	e := NewEngineMulti(g, sources, policy)
-	e.Attach(obs)
-	return executeScheduleOnCtx(ctx, e, s)
-}
-
-func executeScheduleOn(e *Engine, s *Schedule) (Result, error) {
-	return executeScheduleOnCtx(context.Background(), e, s)
-}
-
-// executeScheduleOnCtx replays the schedule with a cancellation check
-// between rounds. Replay consumes no randomness, so the check cannot
-// perturb results: an uncanceled context yields output bit-identical to
-// the context-free path. On cancellation the partial Result is returned
-// alongside an error wrapping ErrCanceled and the context's cause.
-func executeScheduleOnCtx(ctx context.Context, e *Engine, s *Schedule) (Result, error) {
+// ExecuteScheduleOnContext replays the schedule on the engine from its
+// CURRENT state — no reset — under the engine's policy, with a
+// cancellation check between rounds. Execution stops early once all
+// nodes are informed; Rounds then reports the first round after which
+// the broadcast was complete. Replay consumes no randomness, so the
+// check cannot perturb results. On cancellation the partial Result is
+// returned alongside an error wrapping ErrCanceled and the context's
+// cause; a schedule the model rejects returns the zero Result.
+func ExecuteScheduleOnContext(ctx context.Context, e *Engine, s *Schedule) (Result, error) {
 	e.observeBegin(s.Len())
+	defer e.observeEnd()
 	for _, set := range s.Sets {
 		if e.Done() {
 			break
 		}
 		if ctx.Err() != nil {
-			e.observeEnd()
 			return resultOf(e), Canceled(ctx)
 		}
 		if _, err := e.Round(set); err != nil {
-			e.observeEnd()
 			return Result{}, err
 		}
 	}
-	e.observeEnd()
 	return resultOf(e), nil
 }
 
 // SetResultReuse toggles result-buffer reuse: when on, Results built by
-// the RunProtocol*/ExecuteSchedule* methods fill InformedAt from an
+// RunProtocolContext and ExecuteScheduleOnContext fill InformedAt from an
 // engine-owned buffer that the engine's NEXT run overwrites, instead of
 // a fresh O(n) copy per run. Engine-pooling callers (repro.WithEngine,
 // the serving layer) turn this on so steady-state requests allocate
@@ -694,22 +659,17 @@ func (e *Engine) SetPerNodeSampling(on bool) { e.perNode = on }
 // PerNodeSampling reports whether the sampled fast path is disabled.
 func (e *Engine) PerNodeSampling() bool { return e.perNode }
 
-// runProtocol drives the engine under the protocol until completion or the
-// round budget, reusing the engine's scratch transmit set so steady-state
-// rounds allocate nothing. When p implements UniformProtocol (and per-node
-// sampling is not forced), uniform rounds draw their transmitter set by
-// binomial cohort sampling in O(k) instead of O(n).
-func (e *Engine) runProtocol(p Protocol, maxRounds int, rng *xrand.Rand) {
-	e.runProtocolCtx(context.Background(), p, maxRounds, rng)
-}
-
-// runProtocolCtx is runProtocol with a cancellation check between rounds.
-// The check consumes no randomness (and context.Background's Err is a
-// constant nil), so an uncanceled run is bit-for-bit identical to the
-// context-free path. On cancellation the engine keeps its partial state —
-// callers build the partial Result from it — and the returned error wraps
-// ErrCanceled together with the context's cause.
-func (e *Engine) runProtocolCtx(ctx context.Context, p Protocol, maxRounds int, rng *xrand.Rand) error {
+// runProtocol drives the engine under the protocol from its current
+// state until completion, the round budget or cancellation, reusing the
+// engine's scratch transmit set so steady-state rounds allocate nothing.
+// When p implements UniformProtocol (and per-node sampling is not
+// forced), uniform rounds draw their transmitter set by binomial cohort
+// sampling in O(k) instead of O(n). The cancellation check between
+// rounds consumes no randomness, so an uncanceled run is bit-for-bit
+// identical whatever the context. On cancellation the engine keeps its
+// partial state — callers build the partial Result from it — and the
+// returned error wraps ErrCanceled together with the context's cause.
+func (e *Engine) runProtocol(ctx context.Context, p Protocol, maxRounds int, rng *xrand.Rand) error {
 	e.observeBegin(maxRounds)
 	defer e.observeEnd()
 	up, _ := p.(UniformProtocol)
@@ -819,85 +779,28 @@ func (e *Engine) appendEligible(newly []int32) {
 	}
 }
 
-// RunProtocol drives p on the engine's CURRENT state — no reset — until
-// completion or maxRounds rounds, and returns the result. Most callers
-// want the package-level RunProtocol or RunProtocolOn (which reset
-// first); the method exists for callers that prepared the engine
-// themselves (multi-source initial sets, per-node sampling opt-out).
-func (e *Engine) RunProtocol(p Protocol, maxRounds int, rng *xrand.Rand) Result {
-	e.runProtocol(p, maxRounds, rng)
-	return resultOf(e)
-}
-
-// RunProtocol simulates the distributed protocol for at most maxRounds
-// rounds, stopping early when every node is informed.
-func RunProtocol(g *graph.Graph, src int32, p Protocol, maxRounds int, rng *xrand.Rand) Result {
-	e := NewEngine(g, src, StrictInformed)
-	e.runProtocol(p, maxRounds, rng)
-	return resultOf(e)
-}
-
-// RunProtocolOn resets the caller-owned engine and simulates the protocol
-// on it. It is RunProtocol without the per-trial graph walk and engine
-// allocation: a sweep that runs many trials on one graph builds the engine
-// once (per worker) and calls RunProtocolOn per trial. Combine with
-// ResetFor via the engine's own methods to also vary the source. The
-// engine's policy applies (RunProtocol itself always uses StrictInformed).
-func RunProtocolOn(e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) Result {
-	e.Reset()
-	e.runProtocol(p, maxRounds, rng)
-	return resultOf(e)
-}
-
-// BroadcastTime runs the protocol and returns the completion round, or
-// maxRounds+1 if the broadcast did not finish within the budget. The
-// sentinel keeps incomplete runs visibly worse than any complete run when
-// aggregating.
-func BroadcastTime(g *graph.Graph, src int32, p Protocol, maxRounds int, rng *xrand.Rand) int {
-	res := RunProtocol(g, src, p, maxRounds, rng)
-	if !res.Completed {
-		return maxRounds + 1
-	}
-	return res.Rounds
-}
-
-// BroadcastTimeOn is BroadcastTime on a caller-owned engine (reset first).
-// Unlike RunProtocolOn it builds no Result, so a trial allocates nothing.
-func BroadcastTimeOn(e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) int {
-	e.Reset()
-	e.runProtocol(p, maxRounds, rng)
-	if !e.Done() {
-		return maxRounds + 1
-	}
-	return e.round
-}
-
 // RunProtocolContext drives p on the engine's CURRENT state — no reset —
-// with cooperative cancellation: the round loop checks ctx between rounds
-// and stops as soon as it is canceled, returning the partial Result
-// together with an error wrapping ErrCanceled and the context's cause.
-// The check consumes no randomness, so an uncanceled context yields output
-// bit-for-bit identical to RunProtocol's.
+// until every node is informed or maxRounds rounds have run, and returns
+// the result. Cancellation is cooperative: the round loop checks ctx
+// between rounds and stops as soon as it is canceled, returning the
+// partial Result together with an error wrapping ErrCanceled and the
+// context's cause. The check consumes no randomness, so an uncanceled
+// context yields bit-for-bit the same run as context.Background().
 func (e *Engine) RunProtocolContext(ctx context.Context, p Protocol, maxRounds int, rng *xrand.Rand) (Result, error) {
-	err := e.runProtocolCtx(ctx, p, maxRounds, rng)
+	err := e.runProtocol(ctx, p, maxRounds, rng)
 	return resultOf(e), err
 }
 
-// RunProtocolOnContext is RunProtocolOn with cooperative cancellation
-// (reset first; see RunProtocolContext for the cancellation contract).
-func RunProtocolOnContext(ctx context.Context, e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) (Result, error) {
-	e.Reset()
-	err := e.runProtocolCtx(ctx, p, maxRounds, rng)
-	return resultOf(e), err
-}
-
-// BroadcastTimeOnContext is BroadcastTimeOn with cooperative cancellation.
-// A canceled run reports the sentinel maxRounds+1 (it did not complete)
-// alongside the wrapping error, so aggregators that ignore the error still
-// see a sane value.
+// BroadcastTimeOnContext resets the engine, drives p on it like
+// RunProtocolContext and returns only the completion round, or
+// maxRounds+1 if the broadcast did not finish within the budget — a
+// sentinel that keeps incomplete runs visibly worse than any complete
+// run when aggregating. It builds no Result, so a trial allocates
+// nothing. A canceled run reports the sentinel alongside the wrapping
+// error, so aggregators that ignore the error still see a sane value.
 func BroadcastTimeOnContext(ctx context.Context, e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) (int, error) {
 	e.Reset()
-	err := e.runProtocolCtx(ctx, p, maxRounds, rng)
+	err := e.runProtocol(ctx, p, maxRounds, rng)
 	if !e.Done() {
 		return maxRounds + 1, err
 	}

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -8,6 +9,42 @@ import (
 	"repro/internal/graph"
 	"repro/internal/xrand"
 )
+
+// Test shorthands over the package's runners, with a background context.
+
+// runOn resets e and runs p on it.
+func runOn(e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) Result {
+	e.Reset()
+	res, _ := e.RunProtocolContext(context.Background(), p, maxRounds, rng)
+	return res
+}
+
+// runFresh runs p on a fresh strict engine from src.
+func runFresh(g *graph.Graph, src int32, p Protocol, maxRounds int, rng *xrand.Rand) Result {
+	return runOn(NewEngine(g, src, StrictInformed), p, maxRounds, rng)
+}
+
+// timeOn resets e, runs p on it and returns the completion round.
+func timeOn(e *Engine, p Protocol, maxRounds int, rng *xrand.Rand) int {
+	r, _ := BroadcastTimeOnContext(context.Background(), e, p, maxRounds, rng)
+	return r
+}
+
+// timeFresh is timeOn on a fresh strict engine from src.
+func timeFresh(g *graph.Graph, src int32, p Protocol, maxRounds int, rng *xrand.Rand) int {
+	return timeOn(NewEngine(g, src, StrictInformed), p, maxRounds, rng)
+}
+
+// replayOn resets e and replays s on it.
+func replayOn(e *Engine, s *Schedule) (Result, error) {
+	e.Reset()
+	return ExecuteScheduleOnContext(context.Background(), e, s)
+}
+
+// replayFresh replays s on a fresh engine from src under policy.
+func replayFresh(g *graph.Graph, src int32, s *Schedule, policy TransmitterPolicy) (Result, error) {
+	return replayOn(NewEngine(g, src, policy), s)
+}
 
 // star builds a star with centre 0 and n-1 leaves.
 func star(n int) *graph.Graph { return gen.Star(n) }
@@ -188,7 +225,7 @@ func TestReset(t *testing.T) {
 func TestExecuteSchedule(t *testing.T) {
 	g := gen.Path(4)
 	s := &Schedule{Sets: [][]int32{{0}, {1}, {2}}}
-	res, err := ExecuteSchedule(g, 0, s, StrictInformed)
+	res, err := replayFresh(g, 0, s, StrictInformed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +242,7 @@ func TestExecuteSchedule(t *testing.T) {
 func TestExecuteScheduleStopsEarly(t *testing.T) {
 	g := star(4)
 	s := &Schedule{Sets: [][]int32{{0}, {1}, {2}, {3}}}
-	res, err := ExecuteSchedule(g, 0, s, StrictInformed)
+	res, err := replayFresh(g, 0, s, StrictInformed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +254,7 @@ func TestExecuteScheduleStopsEarly(t *testing.T) {
 func TestExecuteScheduleIncomplete(t *testing.T) {
 	g := gen.Path(5)
 	s := &Schedule{Sets: [][]int32{{0}}}
-	res, err := ExecuteSchedule(g, 0, s, StrictInformed)
+	res, err := replayFresh(g, 0, s, StrictInformed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +277,7 @@ func TestRunProtocolAlwaysTransmitOnPath(t *testing.T) {
 	g := gen.Path(n)
 	rng := xrand.New(1)
 	always := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return true })
-	res := RunProtocol(g, 0, always, 5*n, rng)
+	res := runFresh(g, 0, always, 5*n, rng)
 	if !res.Completed {
 		t.Fatalf("flooding on path incomplete: %+v", res.Informed)
 	}
@@ -264,7 +301,7 @@ func TestRunProtocolFloodingStallsOnStarPair(t *testing.T) {
 	g := b.Build()
 	rng := xrand.New(2)
 	always := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return true })
-	res := RunProtocol(g, 0, always, 50, rng)
+	res := runFresh(g, 0, always, 50, rng)
 	if res.Completed {
 		t.Fatal("deterministic flooding should deadlock on the collision gadget")
 	}
@@ -286,7 +323,7 @@ func TestRunProtocolRandomizedEscapesCollision(t *testing.T) {
 	half := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool {
 		return r.Bernoulli(0.5)
 	})
-	res := RunProtocol(g, 0, half, 200, rng)
+	res := runFresh(g, 0, half, 200, rng)
 	if !res.Completed {
 		t.Fatal("randomized protocol failed to escape the collision gadget")
 	}
@@ -296,12 +333,12 @@ func TestBroadcastTimeSentinel(t *testing.T) {
 	g := gen.Path(6)
 	rng := xrand.New(4)
 	never := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return false })
-	if got := BroadcastTime(g, 0, never, 10, rng); got != 11 {
-		t.Fatalf("BroadcastTime sentinel = %d, want 11", got)
+	if got := timeFresh(g, 0, never, 10, rng); got != 11 {
+		t.Fatalf("completion sentinel = %d, want 11", got)
 	}
 	always := ProtocolFunc(func(v int32, round int, at int32, r *xrand.Rand) bool { return true })
-	if got := BroadcastTime(g, 0, always, 10, rng); got != 5 {
-		t.Fatalf("BroadcastTime = %d, want 5", got)
+	if got := timeFresh(g, 0, always, 10, rng); got != 5 {
+		t.Fatalf("completion round = %d, want 5", got)
 	}
 }
 
@@ -387,7 +424,7 @@ func TestRandomGraphFloodingProgress(t *testing.T) {
 		}
 		return r.Bernoulli(1 / d)
 	})
-	res := RunProtocol(g, 0, p, 2000, rng)
+	res := runFresh(g, 0, p, 2000, rng)
 	if !res.Completed {
 		t.Fatalf("randomized flooding incomplete: informed %d/%d", res.Informed, n)
 	}

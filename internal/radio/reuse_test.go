@@ -94,8 +94,8 @@ func TestRunProtocolOnMatchesRunProtocol(t *testing.T) {
 	})
 	e := NewEngine(g, 0, StrictInformed)
 	for seed := uint64(1); seed <= 4; seed++ {
-		fresh := RunProtocol(g, 0, p, 400, xrand.New(seed))
-		reused := RunProtocolOn(e, p, 400, xrand.New(seed))
+		fresh := runFresh(g, 0, p, 400, xrand.New(seed))
+		reused := runOn(e, p, 400, xrand.New(seed))
 		if fresh.Completed != reused.Completed || fresh.Rounds != reused.Rounds ||
 			fresh.Informed != reused.Informed || fresh.Stats != reused.Stats {
 			t.Fatalf("seed %d: reused engine result %+v, fresh %+v", seed, reused, fresh)
@@ -115,10 +115,10 @@ func TestBroadcastTimeOnMatchesBroadcastTime(t *testing.T) {
 	})
 	e := NewEngine(g, 0, StrictInformed)
 	for seed := uint64(1); seed <= 6; seed++ {
-		want := BroadcastTime(g, 0, p, 300, xrand.New(seed))
-		got := BroadcastTimeOn(e, p, 300, xrand.New(seed))
+		want := timeFresh(g, 0, p, 300, xrand.New(seed))
+		got := timeOn(e, p, 300, xrand.New(seed))
 		if got != want {
-			t.Fatalf("seed %d: BroadcastTimeOn = %d, BroadcastTime = %d", seed, got, want)
+			t.Fatalf("seed %d: reused engine = %d, fresh engine = %d", seed, got, want)
 		}
 	}
 }
@@ -132,20 +132,20 @@ func TestExecuteScheduleOnMatchesExecuteSchedule(t *testing.T) {
 	s := &Schedule{Sets: [][]int32{{0}, {1}, {2}}}
 
 	e := NewEngine(g, 0, StrictInformed)
-	// Dirty the engine first so ExecuteScheduleOn's reset is exercised.
+	// Dirty the engine first so the reset before replay is exercised.
 	if _, err := e.Round([]int32{0}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecuteScheduleOn(e, s)
+	got, err := replayOn(e, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ExecuteSchedule(g, 0, s, StrictInformed)
+	want, err := replayFresh(g, 0, s, StrictInformed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Completed != want.Completed || got.Rounds != want.Rounds || got.Stats != want.Stats {
-		t.Fatalf("ExecuteScheduleOn = %+v, ExecuteSchedule = %+v", got, want)
+		t.Fatalf("reused-engine replay = %+v, fresh replay = %+v", got, want)
 	}
 }
 
@@ -160,8 +160,8 @@ func TestResetForSweepsSources(t *testing.T) {
 		if e.Source() != src || e.InformedCount() != 1 || !e.Informed(src) {
 			t.Fatalf("ResetFor(%d): source=%d informed=%d", src, e.Source(), e.InformedCount())
 		}
-		got := RunProtocolOn(e, p, 300, xrand.New(uint64(src)+11))
-		want := RunProtocol(g, src, p, 300, xrand.New(uint64(src)+11))
+		got := runOn(e, p, 300, xrand.New(uint64(src)+11))
+		want := runFresh(g, src, p, 300, xrand.New(uint64(src)+11))
 		if got.Rounds != want.Rounds || got.Informed != want.Informed {
 			t.Fatalf("src %d: reused %+v, fresh %+v", src, got, want)
 		}

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -60,7 +61,7 @@ func connectedGnp(t testing.TB, n int, d float64, seed uint64) *graph.Graph {
 func TestSampledPathUsed(t *testing.T) {
 	g := connectedGnp(t, 500, 12, 1)
 	p := uniformTest{Flood: 2, Q: 1.0 / 12, PanicOnTransmit: true}
-	res := RunProtocol(g, 0, p, 5000, xrand.New(3))
+	res := runFresh(g, 0, p, 5000, xrand.New(3))
 	if !res.Completed {
 		t.Fatalf("sampled run incomplete: %+v", res)
 	}
@@ -72,7 +73,7 @@ func TestSampledPathUsed(t *testing.T) {
 			t.Fatal("per-node opt-out did not call Transmit")
 		}
 	}()
-	RunProtocolOn(e, p, 5000, xrand.New(3))
+	runOn(e, p, 5000, xrand.New(3))
 }
 
 // TestSampleTransmittersCohortSubset: across many rounds and both cohort
@@ -164,7 +165,7 @@ func TestSampledTransmitterCountsBinomial(t *testing.T) {
 	e := NewEngineMulti(g, sources, StrictInformed)
 	var rec trace.Recorder
 	e.Attach(&rec)
-	e.RunProtocol(uniformTest{Q: q, PanicOnTransmit: true}, rounds, xrand.New(11))
+	e.RunProtocolContext(context.Background(), uniformTest{Q: q, PanicOnTransmit: true}, rounds, xrand.New(11))
 	if len(rec.Records) != rounds {
 		t.Fatalf("expected %d rounds, got %d", rounds, len(rec.Records))
 	}
@@ -232,8 +233,8 @@ func TestBroadcastTimeDistributionSampledVsPerNode(t *testing.T) {
 	sampled := make([]int, trials)
 	direct := make([]int, trials)
 	for i := 0; i < trials; i++ {
-		sampled[i] = BroadcastTime(g, 0, p, budget, xrand.New(uint64(100+i)))
-		direct[i] = BroadcastTime(g, 0, perNode, budget, xrand.New(uint64(9000+i)))
+		sampled[i] = timeFresh(g, 0, p, budget, xrand.New(uint64(100+i)))
+		direct[i] = timeFresh(g, 0, perNode, budget, xrand.New(uint64(9000+i)))
 	}
 	sort.Ints(sampled)
 	sort.Ints(direct)
@@ -267,8 +268,8 @@ func TestSampledRestrictedCohortMatchesPerNode(t *testing.T) {
 	pn := ProtocolFunc(func(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
 		return informedAt <= cutoff
 	})
-	a := RunProtocol(g, 0, coP, 100, xrand.New(1))
-	b := RunProtocol(g, 0, pn, 100, xrand.New(1))
+	a := runFresh(g, 0, coP, 100, xrand.New(1))
+	b := runFresh(g, 0, pn, 100, xrand.New(1))
 	if a.Rounds != b.Rounds || a.Informed != b.Informed || a.Stats != b.Stats {
 		t.Fatalf("restricted cohort diverges from per-node twin:\n%+v\n%+v", a.Stats, b.Stats)
 	}
@@ -294,12 +295,12 @@ func TestSampledNilObserverAllocs(t *testing.T) {
 	// charge the interface conversion to the engine.
 	var p Protocol = uniformTest{Flood: 2, Q: 1.0 / 15, PanicOnTransmit: true}
 	rng := xrand.New(1)
-	BroadcastTimeOn(e, p, 5000, rng) // warm-up sizes the eligible lists
+	timeOn(e, p, 5000, rng) // warm-up sizes the eligible lists
 	avg := testing.AllocsPerRun(20, func() {
-		BroadcastTimeOn(e, p, 5000, rng)
+		timeOn(e, p, 5000, rng)
 	})
 	if avg != 0 {
-		t.Fatalf("sampled BroadcastTimeOn allocates %.1f per trial, want 0", avg)
+		t.Fatalf("sampled BroadcastTimeOnContext allocates %.1f per trial, want 0", avg)
 	}
 }
 
@@ -311,7 +312,7 @@ func TestSampledObserverRecordShape(t *testing.T) {
 	var rec trace.Recorder
 	e := NewEngine(g, 0, StrictInformed)
 	e.Attach(&rec)
-	res := RunProtocolOn(e, uniformTest{Flood: 2, Q: 0.1, PanicOnTransmit: true}, 5000, xrand.New(2))
+	res := runOn(e, uniformTest{Flood: 2, Q: 0.1, PanicOnTransmit: true}, 5000, xrand.New(2))
 	if !res.Completed {
 		t.Fatalf("incomplete: %+v", res)
 	}

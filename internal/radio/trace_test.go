@@ -1,28 +1,42 @@
 package radio
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
+
+// recordRun attaches a fresh recorder to e for the duration of run and
+// returns the rounds it recorded.
+func recordRun(e *Engine, run func()) []trace.RoundRecord {
+	var rec trace.Recorder
+	e.Attach(&rec)
+	defer e.Attach(nil)
+	run()
+	return rec.Records
+}
 
 func TestExecuteScheduleTrace(t *testing.T) {
 	g := gen.Path(4)
 	e := NewEngine(g, 0, StrictInformed)
 	s := &Schedule{Sets: [][]int32{{0}, {1}, {2}}}
-	res, err := ExecuteScheduleTrace(e, s)
+	var res Result
+	var err error
+	records := recordRun(e, func() { res, err = ExecuteScheduleOnContext(context.Background(), e, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed || res.Rounds != 3 {
-		t.Fatalf("result %+v", res.Result)
+		t.Fatalf("result %+v", res)
 	}
-	if len(res.Trace) != 3 {
-		t.Fatalf("trace has %d records", len(res.Trace))
+	if len(records) != 3 {
+		t.Fatalf("trace has %d records", len(records))
 	}
-	for i, rec := range res.Trace {
+	for i, rec := range records {
 		if rec.Round != i+1 {
 			t.Fatalf("record %d has round %d", i, rec.Round)
 		}
@@ -39,12 +53,13 @@ func TestExecuteScheduleTraceStopsEarly(t *testing.T) {
 	g := gen.Star(5)
 	e := NewEngine(g, 0, StrictInformed)
 	s := &Schedule{Sets: [][]int32{{0}, {1}, {2}}}
-	res, err := ExecuteScheduleTrace(e, s)
+	var err error
+	records := recordRun(e, func() { _, err = ExecuteScheduleOnContext(context.Background(), e, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) != 1 {
-		t.Fatalf("trace %d records after early completion", len(res.Trace))
+	if len(records) != 1 {
+		t.Fatalf("trace %d records after early completion", len(records))
 	}
 }
 
@@ -52,8 +67,13 @@ func TestExecuteScheduleTraceError(t *testing.T) {
 	g := gen.Path(3)
 	e := NewEngine(g, 0, StrictInformed)
 	s := &Schedule{Sets: [][]int32{{2}}}
-	if _, err := ExecuteScheduleTrace(e, s); err == nil {
+	var err error
+	records := recordRun(e, func() { _, err = ExecuteScheduleOnContext(context.Background(), e, s) })
+	if err == nil {
 		t.Fatal("uninformed transmitter accepted")
+	}
+	if len(records) != 0 {
+		t.Fatalf("rejected round recorded: %+v", records)
 	}
 }
 
@@ -70,17 +90,19 @@ func TestRunProtocolTraceMatchesUntraced(t *testing.T) {
 		return r.Bernoulli(1.0 / 12)
 	})
 	// Same seed: traced and untraced must agree exactly.
-	traced := RunProtocolTrace(NewEngine(g, 0, StrictInformed), p, 2000, xrand.New(7))
-	plain := RunProtocol(g, 0, p, 2000, xrand.New(7))
+	e := NewEngine(g, 0, StrictInformed)
+	var traced Result
+	records := recordRun(e, func() { traced = runOn(e, p, 2000, xrand.New(7)) })
+	plain := runFresh(g, 0, p, 2000, xrand.New(7))
 	if traced.Rounds != plain.Rounds || traced.Informed != plain.Informed {
-		t.Fatalf("traced %+v != plain %+v", traced.Result.Rounds, plain.Rounds)
+		t.Fatalf("traced %+v != plain %+v", traced.Rounds, plain.Rounds)
 	}
-	if len(traced.Trace) != traced.Rounds {
-		t.Fatalf("trace length %d != rounds %d", len(traced.Trace), traced.Rounds)
+	if len(records) != traced.Rounds {
+		t.Fatalf("trace length %d != rounds %d", len(records), traced.Rounds)
 	}
 	// Informed counts must be non-decreasing and end at n.
 	prev := 1
-	for _, rec := range traced.Trace {
+	for _, rec := range records {
 		if rec.Informed < prev {
 			t.Fatalf("informed decreased at round %d", rec.Round)
 		}
@@ -92,7 +114,7 @@ func TestRunProtocolTraceMatchesUntraced(t *testing.T) {
 }
 
 func TestRoundRecordString(t *testing.T) {
-	s := RoundRecord{Round: 3, Transmitters: 5, NewlyInformed: 2, Informed: 10}.String()
+	s := trace.RoundRecord{Round: 3, Transmitters: 5, NewlyInformed: 2, Informed: 10}.String()
 	for _, want := range []string{"round", "3", "5", "2", "10"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("record string %q missing %q", s, want)

@@ -127,7 +127,7 @@ func Spread(g *graph.Graph, src int32, mode Mode, maxRounds int, rng *xrand.Rand
 }
 
 // SpreadTime runs Spread and returns the completion round, or maxRounds+1
-// if the rumor did not reach everyone (sentinel, as in radio.BroadcastTime).
+// if the rumor did not reach everyone (sentinel, as in radio.BroadcastTimeOnContext).
 func SpreadTime(g *graph.Graph, src int32, mode Mode, maxRounds int, rng *xrand.Rand) int {
 	res := Spread(g, src, mode, maxRounds, rng)
 	if !res.Completed {

@@ -1,11 +1,12 @@
 package selective
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
-	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -105,7 +106,7 @@ func TestProtocolBroadcastsOnGnp(t *testing.T) {
 	// G(n,p) k ≈ 4d suffices in practice.
 	f := Random(n, int(4*d), reps, xrand.New(7))
 	p := &Protocol{F: f}
-	res := radio.RunProtocol(g, 0, p, 200*f.Len(), xrand.New(8))
+	res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: 200 * f.Len()}, xrand.New(8))
 	if !res.Completed {
 		t.Fatalf("selective-family broadcast incomplete: %d/%d", res.Informed, n)
 	}

@@ -54,6 +54,52 @@ func TestEnginePoolReuse(t *testing.T) {
 	}
 }
 
+// TestEnginePoolCentralized: a centralized request replays its schedule
+// on a pooled engine too — checked out of the per-graph pool and back in,
+// so repeated replays on one graph build a single engine — and the
+// pooled replay matches a fresh one.
+func TestEnginePoolCentralized(t *testing.T) {
+	s := NewServer(Config{})
+	defer s.Shutdown(0)
+	before := exec.Snapshot()
+	var rounds [3]int
+	for i := range rounds {
+		req := poolReq(7)
+		req.Algo = "centralized"
+		if err := req.validate(&s.cfg); err != nil {
+			t.Fatal(err)
+		}
+		sim, err := s.prepare(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.engine == nil {
+			t.Fatal("centralized request must check out a pooled engine")
+		}
+		res, err := sim.run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatal("schedule replay must complete")
+		}
+		rounds[i] = res.Rounds
+	}
+	after := exec.Snapshot()
+	if misses := after.Scalar.PoolMisses - before.Scalar.PoolMisses; misses != 1 {
+		t.Errorf("pool_misses delta = %d, want 1 (one build, then reuse)", misses)
+	}
+	if hits := after.Scalar.PoolHits - before.Scalar.PoolHits; hits != 2 {
+		t.Errorf("pool_hits delta = %d, want 2: every replay returns its engine", hits)
+	}
+	if runs := after.Schedule.Runs - before.Schedule.Runs; runs != 3 {
+		t.Errorf("schedule runs delta = %d, want 3", runs)
+	}
+	if rounds[1] != rounds[0] || rounds[2] != rounds[0] {
+		t.Errorf("pooled replays diverged: %v", rounds)
+	}
+}
+
 // TestEnginePoolSameResult: a pooled-engine rerun of the same request is
 // bit-identical to the fresh-engine first run — SetSources fully resets
 // the engine.

@@ -304,7 +304,7 @@ func (r *RunRequest) options(g *repro.Graph) ([]repro.Option, error) {
 }
 
 // simulation is one prepared run: the cached graph, the assembled
-// options and — for the protocol algorithms — a pooled engine to run on.
+// options and a pooled engine to run on.
 // prepare does everything that can fail with a status code; run executes
 // and returns the engine to the pool. Both endpoints funnel through this
 // pair, which also makes the simulation path testable without HTTP.
@@ -318,9 +318,8 @@ type simulation struct {
 }
 
 // prepare resolves the request's graph (through the LRU) and options,
-// and checks an engine out of the per-graph pool. The centralized
-// algorithm replays a schedule through its own execution state, so it
-// runs engine-less.
+// and checks an engine out of the per-graph pool — protocol runs and
+// centralized schedule replays alike.
 func (s *Server) prepare(req *RunRequest) (*simulation, error) {
 	key := req.graphKey()
 	g, err := s.cache.Get(key)
@@ -331,11 +330,8 @@ func (s *Server) prepare(req *RunRequest) (*simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim := &simulation{s: s, req: req, g: g, key: key, opts: opts}
-	if req.Algo != "centralized" {
-		sim.engine = exec.AcquireEngine(g)
-		sim.opts = append(sim.opts, repro.WithEngine(sim.engine))
-	}
+	sim := &simulation{s: s, req: req, g: g, key: key, opts: opts, engine: exec.AcquireEngine(g)}
+	sim.opts = append(sim.opts, repro.WithEngine(sim.engine))
 	return sim, nil
 }
 

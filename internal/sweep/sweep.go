@@ -6,14 +6,12 @@ package sweep
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/radio"
-	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -56,7 +54,7 @@ func Run(trials int, baseSeed uint64, trial Trial) []float64 {
 //
 // Trial randomness still comes exclusively from the per-trial derived rng,
 // and a trial must leave no result-relevant state in the context (reset it
-// at the start of the trial, as radio.RunProtocolOn does); under that
+// at the start of the trial, as radio.BroadcastTimeOnContext does); under that
 // contract the measurements are identical to Run's for the same baseSeed,
 // independent of worker count and scheduling.
 func RunWith[C any](trials int, baseSeed uint64, newCtx func() C, trial func(rng *xrand.Rand, ctx C) float64) []float64 {
@@ -104,196 +102,20 @@ func RunWith[C any](trials int, baseSeed uint64, newCtx func() C, trial func(rng
 	return out
 }
 
-// RunWithContext is RunWith with cooperative cancellation: once ctx is
-// canceled, workers stop taking new trials and the trial callback receives
-// the canceled context so a context-aware trial (radio.BroadcastTimeOnContext,
-// repro.RunContext) can abandon its remaining rounds too. It returns the
-// measurements indexed by trial — entries whose trials never ran (or were
-// canceled mid-flight and reported NaN themselves) hold NaN — plus the
-// number of completed (non-NaN) trials and, when canceled, an error
-// wrapping radio.ErrCanceled and the context's cause.
-//
-// Completed entries carry exactly the values an uncanceled sweep produces
-// for those indices (per-trial seeds are derived identically up front), so
-// a canceled sweep's partial output is loss-free: nothing already measured
-// is discarded, and nothing half-measured is reported.
-func RunWithContext[C any](ctx context.Context, trials int, baseSeed uint64, newCtx func() C,
-	trial func(ctx context.Context, rng *xrand.Rand, c C) float64) ([]float64, int, error) {
-	out := make([]float64, trials)
-	if trials <= 0 {
-		return out[:0], 0, ctx.Err()
+// Sources runs p once from each of k sources drawn uniformly without
+// replacement by rng.Sample and returns the per-source completion rounds
+// (maxRounds+1 for incomplete runs) — the "for any u ∈ V" measurement
+// of the paper's theorems. Source i's run draws from rng.Derive(i+1).
+// k is clamped to [0, n]. The runs go through the execution layer on one
+// pooled engine, re-aimed at each source.
+func Sources(g *graph.Graph, k int, p radio.Protocol, maxRounds int, rng *xrand.Rand) []int {
+	k = min(max(k, 0), g.N())
+	sources := rng.Sample(g.N(), k)
+	out := make([]int, len(sources))
+	req := &exec.Request{Graph: g, Sources: make([]int32, 1), Protocol: p, MaxRounds: maxRounds, Pool: true}
+	for i, s := range sources {
+		req.Sources[0] = s
+		out[i], _ = exec.Time(context.Background(), req, rng.Derive(uint64(i)+1))
 	}
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rngs := make([]*xrand.Rand, trials)
-	for i, seed := range Seeds(trials, baseSeed) {
-		rngs[i] = xrand.New(seed)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := newCtx()
-			for i := range next {
-				out[i] = trial(ctx, rngs[i], c)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < trials; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	done := 0
-	for _, v := range out {
-		if !math.IsNaN(v) {
-			done++
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return out, done, radio.Canceled(ctx)
-	}
-	return out, done, nil
-}
-
-// RunLanes runs `trials` independent broadcasts of a uniform protocol on
-// one fixed graph through the bit-parallel lane engine: 64 trials advance
-// per edge pass, sharded into lane blocks across a GOMAXPROCS worker
-// pool. Trial i measures the completion round under seed Seeds(trials,
-// baseSeed)[i] — the repository-wide per-trial seed convention — with
-// maxRounds+1 for trials that do not finish in budget, exactly the
-// radio.BroadcastTimeOn sentinel.
-//
-// ok is false (and values nil) when the execution layer classifies a
-// batch of p onto the scalar backend (no radio.UniformProtocol, or a
-// non-uniform round within the budget); callers fall back to
-// Run/RunWith with the scalar engine. Lane purity makes each value a
-// function of its trial seed alone, so results are bitwise independent
-// of lane width, block sharding, worker count and GOMAXPROCS — but the
-// lane engine is a new randomness stream: values are distributionally
-// identical to a scalar sweep of the same seeds, not bit-identical to
-// one (the PR 3 stream policy).
-//
-// Cancellation is cooperative: once ctx is canceled the lane workers
-// stop between rounds and RunLanes returns a non-nil error wrapping
-// radio.ErrCanceled; values are nil then (partially advanced lane
-// blocks are not loss-free the way scalar NaN-marking is).
-func RunLanes(ctx context.Context, g *graph.Graph, src int32, p radio.Protocol, maxRounds, trials int, baseSeed uint64) (values []float64, ok bool, err error) {
-	req := &exec.Request{Graph: g, Sources: []int32{src}, Protocol: p, MaxRounds: maxRounds}
-	if exec.ClassifyBatch(req) != exec.BackendLanes {
-		return nil, false, nil
-	}
-	if trials <= 0 {
-		return []float64{}, true, nil
-	}
-	rounds := make([]int, trials)
-	if _, err := exec.RunSeeds(ctx, req, Seeds(trials, baseSeed), rounds); err != nil {
-		return nil, true, err
-	}
-	out := make([]float64, trials)
-	for i, r := range rounds {
-		out[i] = float64(r)
-	}
-	return out, true, nil
-}
-
-// RunObserved is RunWith with per-worker trace observers: each worker
-// goroutine calls newObs once and passes that observer to every trial it
-// executes (alongside the per-worker context), and all observers are
-// returned once the sweep completes, one per worker, for merging.
-//
-// Observers are never shared across workers, so they need no
-// synchronisation; additive aggregates (trace.Counters via Add) merge to
-// totals independent of worker count and scheduling. Per-round streams
-// (JSONL writers, recorders) interleave trials within a worker in
-// execution order, which is scheduling-dependent — use counters-style
-// observers when determinism across worker counts matters.
-func RunObserved[C any](trials int, baseSeed uint64, newCtx func() C, newObs func() trace.Observer,
-	trial func(rng *xrand.Rand, ctx C, obs trace.Observer) float64) ([]float64, []trace.Observer) {
-	out := make([]float64, trials)
-	if trials <= 0 {
-		return out[:0], nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rngs := make([]*xrand.Rand, trials)
-	for i, seed := range Seeds(trials, baseSeed) {
-		rngs[i] = xrand.New(seed)
-	}
-	observers := make([]trace.Observer, workers)
-	if workers == 1 {
-		ctx := newCtx()
-		observers[0] = newObs()
-		for i := 0; i < trials; i++ {
-			out[i] = trial(rngs[i], ctx, observers[0])
-		}
-		return out, observers
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := newCtx()
-			obs := newObs()
-			observers[w] = obs
-			for i := range next {
-				out[i] = trial(rngs[i], ctx, obs)
-			}
-		}(w)
-	}
-	for i := 0; i < trials; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out, observers
-}
-
-// Point is one configuration of a 1-D sweep with its measurements.
-type Point struct {
-	X       float64   // the swept parameter (n, d, f, ...)
-	Label   string    // optional display label
-	Samples []float64 // per-trial measurements
-}
-
-// Sweep1D runs `trials` trials of `trial(x)` for every x in xs; trial
-// factories receive the parameter and must return a Trial closure.
-//
-// Per-point seeds are derived from a single parent stream seeded with
-// baseSeed (xrand.Rand.DeriveSeed), not by affine arithmetic on baseSeed:
-// two sweeps whose base seeds differ by a small offset therefore share no
-// per-point streams. (Sweeps recorded before this change used
-// baseSeed + i·1000003 and produce different samples.)
-func Sweep1D(xs []float64, trials int, baseSeed uint64, factory func(x float64) Trial) []Point {
-	parent := xrand.New(baseSeed)
-	points := make([]Point, len(xs))
-	for i, x := range xs {
-		points[i] = Point{
-			X:       x,
-			Samples: Run(trials, parent.DeriveSeed(uint64(i)+1), factory(x)),
-		}
-	}
-	return points
+	return out
 }

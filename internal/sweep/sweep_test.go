@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -56,44 +55,6 @@ func TestRunDifferentBaseSeeds(t *testing.T) {
 func TestRunZeroTrials(t *testing.T) {
 	if got := Run(0, 1, func(rng *xrand.Rand) float64 { return 1 }); len(got) != 0 {
 		t.Fatalf("zero trials returned %v", got)
-	}
-}
-
-func TestSweep1D(t *testing.T) {
-	xs := []float64{10, 20, 30}
-	points := Sweep1D(xs, 5, 99, func(x float64) Trial {
-		return func(rng *xrand.Rand) float64 { return x + float64(rng.Intn(3)) }
-	})
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
-	}
-	for i, p := range points {
-		if p.X != xs[i] {
-			t.Fatalf("point %d x = %v", i, p.X)
-		}
-		if len(p.Samples) != 5 {
-			t.Fatalf("point %d has %d samples", i, len(p.Samples))
-		}
-		for _, s := range p.Samples {
-			if s < p.X || s >= p.X+3 {
-				t.Fatalf("sample %v out of expected range for x=%v", s, p.X)
-			}
-		}
-	}
-}
-
-func TestSweep1DDeterministic(t *testing.T) {
-	factory := func(x float64) Trial {
-		return func(rng *xrand.Rand) float64 { return x * float64(rng.Intn(100)) }
-	}
-	a := Sweep1D([]float64{1, 2}, 4, 5, factory)
-	b := Sweep1D([]float64{1, 2}, 4, 5, factory)
-	for i := range a {
-		for j := range a[i].Samples {
-			if a[i].Samples[j] != b[i].Samples[j] {
-				t.Fatal("sweep not deterministic")
-			}
-		}
 	}
 }
 
@@ -163,90 +124,11 @@ func TestRunWithContextPerWorker(t *testing.T) {
 	}
 }
 
-func TestSweep1DUsesDerivedPointSeeds(t *testing.T) {
-	// Regression for the old affine scheme (baseSeed + i·1000003): nearby
-	// base seeds must not share any per-point trial streams.
-	factory := func(x float64) Trial {
-		return func(rng *xrand.Rand) float64 { return float64(rng.Intn(1 << 30)) }
-	}
-	a := Sweep1D([]float64{1, 2, 3}, 6, 1000, factory)
-	b := Sweep1D([]float64{1, 2, 3}, 6, 1000+1000003, factory)
-	for i := range a {
-		for j := range b {
-			if a[i].Samples[0] == b[j].Samples[0] {
-				t.Fatalf("points (%d,%d) of sweeps with offset base seeds share a stream", i, j)
-			}
-		}
-	}
-}
-
 func TestRunMoreWorkersThanTrials(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 	got := Run(3, 7, func(rng *xrand.Rand) float64 { return 1 })
 	if len(got) != 3 {
 		t.Fatalf("len = %d", len(got))
-	}
-}
-
-func TestRunObservedMergesToSerialTotals(t *testing.T) {
-	// Totals from merged per-worker counters must equal a serial run's,
-	// regardless of worker count.
-	trial := func(rng *xrand.Rand, _ struct{}, obs trace.Observer) float64 {
-		rounds := 1 + rng.Intn(5)
-		obs.BeginRun(trace.RunInfo{N: 10, MaxRounds: rounds})
-		for r := 1; r <= rounds; r++ {
-			obs.Round(trace.RoundRecord{Round: r, Transmitters: 2, Successes: 1, Silent: 7, Informed: r + 1})
-		}
-		obs.EndRun(trace.Summary{Completed: true, Rounds: rounds})
-		return float64(rounds)
-	}
-	newCtx := func() struct{} { return struct{}{} }
-	newObs := func() trace.Observer { return &trace.Counters{} }
-
-	run := func(workers int) (samples []float64, total trace.Counters) {
-		old := runtime.GOMAXPROCS(workers)
-		defer runtime.GOMAXPROCS(old)
-		samples, observers := RunObserved(24, 77, newCtx, newObs, trial)
-		for _, o := range observers {
-			total.Add(*o.(*trace.Counters))
-		}
-		return samples, total
-	}
-	serialSamples, serialTotal := run(1)
-	parSamples, parTotal := run(4)
-	for i := range serialSamples {
-		if serialSamples[i] != parSamples[i] {
-			t.Fatalf("sample %d differs across worker counts", i)
-		}
-	}
-	if serialTotal != parTotal {
-		t.Fatalf("merged counters differ: serial %+v, parallel %+v", serialTotal, parTotal)
-	}
-	if serialTotal.Runs != 24 || serialTotal.Completed != 24 {
-		t.Fatalf("totals %+v", serialTotal)
-	}
-	var wantRounds int
-	for _, s := range serialSamples {
-		wantRounds += int(s)
-	}
-	if serialTotal.Rounds != wantRounds {
-		t.Fatalf("rounds total %d, want %d", serialTotal.Rounds, wantRounds)
-	}
-}
-
-func TestRunObservedOneObserverPerWorker(t *testing.T) {
-	old := runtime.GOMAXPROCS(3)
-	defer runtime.GOMAXPROCS(old)
-	var created atomic.Int32
-	_, observers := RunObserved(9, 5,
-		func() struct{} { return struct{}{} },
-		func() trace.Observer { created.Add(1); return &trace.Counters{} },
-		func(rng *xrand.Rand, _ struct{}, obs trace.Observer) float64 { return 0 })
-	if int(created.Load()) != len(observers) {
-		t.Fatalf("created %d observers, returned %d", created.Load(), len(observers))
-	}
-	if len(observers) < 1 || len(observers) > 3 {
-		t.Fatalf("%d observers for 3 workers", len(observers))
 	}
 }

@@ -13,7 +13,7 @@
 // The layer is zero-cost when disabled: the engine only builds a
 // RoundRecord and calls the observer when one is attached, so the untraced
 // runners keep their allocation-free hot path (verified by
-// TestRunProtocolOnNilObserverAllocs and BenchmarkBroadcastReuse).
+// TestNilObserverAllocs and BenchmarkBroadcastReuse).
 //
 // The package deliberately imports nothing from the simulation packages;
 // internal/radio and internal/gossip import trace, never the reverse.
@@ -91,11 +91,12 @@ type Summary struct {
 }
 
 // Observer receives the per-round stream of a simulation run. Attach one
-// to an engine (Engine.Attach) or pass it to the observed runners.
+// to an engine (Engine.Attach) or pass it to the execution layer
+// (exec.Request.Observer for one trial, one per trial for a batch).
 //
 // Observers are not synchronised: one observer must only ever be driven by
-// one engine/runner at a time. Concurrent sweeps use one observer per
-// worker and merge afterwards (see sweep.RunObserved and Counters.Add).
+// one engine/runner at a time. Concurrent trials use one observer each and
+// merge afterwards (see exec.Executor.RunSeedsObserved and Counters.Add).
 //
 // Runners drive the full BeginRun / Round* / EndRun cycle. Code that steps
 // an engine manually via Engine.Round only produces Round notifications.
@@ -129,7 +130,7 @@ type TransmitterObserver interface {
 // Recorder is an Observer that stores everything it sees in memory: the
 // run info, every round record, and the final summary. It is the bridge
 // between the streaming observer layer and code that wants a complete
-// trace as a value (radio.RunProtocolTrace, the planner example).
+// trace as a value (cmd/radiosim's -trace, the planner example).
 type Recorder struct {
 	Info    RunInfo
 	Records []RoundRecord

@@ -6,6 +6,7 @@ package trace_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/radio"
 	"repro/internal/trace"
@@ -33,9 +35,8 @@ func fixedRun(obs trace.Observer) radio.Result {
 		}
 		return r.Bernoulli(1 / d)
 	})
-	e := radio.NewEngine(g, 0, radio.StrictInformed)
-	e.Attach(obs)
-	return radio.RunProtocolOn(e, p, 40, xrand.New(7))
+	res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: 40, Observer: obs}, xrand.New(7))
+	return res
 }
 
 // TestJSONLWriterGolden locks the JSONL byte format on a fixed seed: one
@@ -171,11 +172,9 @@ func TestMultiComposesAndCollapses(t *testing.T) {
 func TestFrontierProfileMatchesLayers(t *testing.T) {
 	g := gen.Path(8)
 	flood := radio.ProtocolFunc(func(int32, int, int32, *xrand.Rand) bool { return true })
-	e := radio.NewEngine(g, 0, radio.StrictInformed)
 	var f trace.FrontierProfile
 	f.Degree = 1
-	e.Attach(&f)
-	res := radio.RunProtocolOn(e, flood, 20, xrand.New(1))
+	res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: flood, MaxRounds: 20, Observer: &f}, xrand.New(1))
 	if !res.Completed {
 		t.Fatalf("flooding on a path must complete: %+v", res)
 	}

@@ -1,11 +1,12 @@
 package repro
 
 // Options-based facade: Run is the single entry point for broadcast
-// simulations, replacing the positional-argument sprawl of
-// Broadcast(g, src, d, rng) / RunProtocol(g, src, p, maxRounds, rng) /
-// ExecuteSchedule(g, src, s). The old functions remain as thin wrappers
-// over Run, so existing callers keep working and keep their exact
-// behaviour (same randomness stream, bit-for-bit identical results).
+// simulations — protocol runs, schedule replays, multi-source and
+// observed runs are all options of one call, and every one dispatches
+// through the unified execution layer (internal/exec). The per-node
+// randomness stream of the removed positional wrappers (Broadcast,
+// RunProtocol, BroadcastMulti) is Run(..., WithPerNodeSampling()),
+// pinned bit-for-bit by deprecated_stream_test.go.
 
 import (
 	"context"
@@ -86,7 +87,7 @@ func WithObserver(obs Observer) Option {
 }
 
 // WithSources adds further initially informed nodes beside src — the
-// multi-source broadcast of BroadcastMulti. Duplicates are tolerated.
+// multi-source broadcast. Duplicates are tolerated.
 func WithSources(sources ...int32) Option {
 	return func(c *runConfig) { c.extraSrc = append(c.extraSrc, sources...) }
 }
@@ -109,8 +110,7 @@ func WithContext(ctx context.Context) Option {
 // cohort sampling fast path whenever the protocol supports it — the same
 // transmitter-set distribution through a much shorter randomness stream.
 // Use this option to reproduce pre-fast-path runs bit-for-bit at a fixed
-// seed (the deprecated positional wrappers do), or to exercise a custom
-// protocol's Transmit method on every node.
+// seed, or to exercise a custom protocol's Transmit method on every node.
 func WithPerNodeSampling() Option {
 	return func(c *runConfig) { c.perNode = true }
 }
@@ -122,8 +122,8 @@ func WithPerNodeSampling() Option {
 // (ErrConflictingOptions otherwise); its sources, observer and sampling
 // mode are re-initialised from this call's own options, so a pooled
 // engine run is bit-for-bit identical to a fresh-engine run with the
-// same options. Mutually exclusive with WithSchedule (schedule replay
-// builds its own execution state).
+// same options. Schedule replays (WithSchedule) run on it too, under
+// the engine's transmitter policy.
 //
 // To keep the steady state free of O(n) allocations, the returned
 // Result's InformedAt aliases an engine-owned buffer that the engine's
@@ -140,7 +140,6 @@ func WithEngine(e *Engine) Option {
 //
 //	res, err := repro.Run(g, 0, repro.WithDegree(25))
 //
-// runs the same simulation as repro.Broadcast(g, 0, 25, repro.NewRand(1)).
 // Options select the protocol or schedule, the round budget, the
 // randomness and an observer; see the With* functions. Run only returns
 // an error for invalid option combinations or a schedule that violates
@@ -153,8 +152,7 @@ func WithEngine(e *Engine) Option {
 // flip per informed node. The transmitter-set distribution is identical,
 // but the randomness stream is shorter, so runs at a fixed seed differ
 // bit-for-bit from the per-node path; pass WithPerNodeSampling() to
-// reproduce pre-fast-path runs exactly (the deprecated positional
-// wrappers do this, and so stay bit-for-bit stable).
+// reproduce pre-fast-path runs exactly.
 func Run(g *Graph, src int32, opts ...Option) (Result, error) {
 	return RunContext(context.Background(), g, src, opts...)
 }
@@ -191,8 +189,6 @@ func RunContext(ctx context.Context, g *Graph, src int32, opts ...Option) (Resul
 		return Result{}, fmt.Errorf("%w: WithRand and WithSeed are mutually exclusive", ErrConflictingOptions)
 	case c.hasMax && c.maxRounds < 0:
 		return Result{}, fmt.Errorf("%w: negative round budget %d", ErrConflictingOptions, c.maxRounds)
-	case c.engine != nil && c.schedule != nil:
-		return Result{}, fmt.Errorf("%w: WithEngine excludes WithSchedule", ErrConflictingOptions)
 	case c.engine != nil && c.engine.Graph() != g:
 		return Result{}, fmt.Errorf("%w: WithEngine engine was built for a different graph", ErrConflictingOptions)
 	}
@@ -203,10 +199,6 @@ func RunContext(ctx context.Context, g *Graph, src int32, opts ...Option) (Resul
 			return Result{}, fmt.Errorf("%w: source %d outside [0,%d)", ErrNoSuchSource, s, g.N())
 		}
 	}
-	if c.schedule != nil {
-		return exec.Run(c.ctx, &exec.Request{Graph: g, Sources: sources, Schedule: c.schedule, Observer: c.obs}, nil)
-	}
-
 	rng := c.rng
 	if rng == nil {
 		seed := uint64(1)
@@ -229,11 +221,13 @@ func RunContext(ctx context.Context, g *Graph, src int32, opts ...Option) (Resul
 	}
 	// Dispatch through the unified execution layer (internal/exec): it
 	// owns engine construction and WithEngine re-initialisation, so a
-	// pooled- or caller-engine run stays bit-identical to a fresh one.
+	// pooled- or caller-engine run stays bit-identical to a fresh one. A
+	// schedule replay ignores the protocol, budget and rng.
 	return exec.Run(c.ctx, &exec.Request{
 		Graph:     g,
 		Sources:   sources,
 		Protocol:  p,
+		Schedule:  c.schedule,
 		MaxRounds: maxRounds,
 		PerNode:   c.perNode,
 		Observer:  c.obs,

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
@@ -15,24 +16,33 @@ func testGraph(t testing.TB, n int, d float64, seed uint64) *Graph {
 	return g
 }
 
+// perNodeBroadcast is the per-node broadcast driven directly on a fresh
+// engine, without Run: the reference the facade must reproduce.
+func perNodeBroadcast(g *Graph, sources []int32, d float64, rng *Rand) Result {
+	e := NewEngine(g, sources[0])
+	e.SetSources(sources)
+	e.SetPerNodeSampling(true)
+	return RunProtocolOn(e, NewProtocol(g.N(), d), MaxRounds(g.N()), rng)
+}
+
 // TestRunReproducesBroadcast is the facade acceptance check: the options
-// entry point with WithPerNodeSampling must reproduce the positional one
-// bit-for-bit on the same seed (the deprecated wrappers are frozen to the
-// historical per-node randomness stream; plain Run uses the sampled fast
-// path, covered by TestRunSampledFastPath).
+// entry point with WithPerNodeSampling must reproduce the per-node
+// broadcast driven directly on an engine bit-for-bit on the same seed
+// (plain Run uses the sampled fast path, covered by
+// TestRunSampledFastPath).
 func TestRunReproducesBroadcast(t *testing.T) {
 	const n = 2000
 	const d = 25.0
 	g := testGraph(t, n, d, 1)
 	for seed := uint64(1); seed <= 5; seed++ {
-		want := Broadcast(g, 0, d, NewRand(seed))
+		want := perNodeBroadcast(g, []int32{0}, d, NewRand(seed))
 		got, err := Run(g, 0, WithDegree(d), WithSeed(seed), WithPerNodeSampling())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Completed != want.Completed || got.Rounds != want.Rounds ||
 			got.Informed != want.Informed || got.Stats != want.Stats {
-			t.Fatalf("seed %d: Run %+v != Broadcast %+v", seed, got, want)
+			t.Fatalf("seed %d: Run %+v != engine broadcast %+v", seed, got, want)
 		}
 		for i := range want.InformedAt {
 			if got.InformedAt[i] != want.InformedAt[i] {
@@ -45,9 +55,9 @@ func TestRunReproducesBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Broadcast(g, 0, d, NewRand(1))
+	want := perNodeBroadcast(g, []int32{0}, d, NewRand(1))
 	if def.Rounds != want.Rounds || def.Stats != want.Stats {
-		t.Fatalf("default-seed Run %+v != Broadcast(seed 1) %+v", def, want)
+		t.Fatalf("default-seed Run %+v != engine broadcast (seed 1) %+v", def, want)
 	}
 }
 
@@ -91,7 +101,7 @@ func TestRunSampledFastPath(t *testing.T) {
 }
 
 // TestRunScheduleMatchesExecuteSchedule: the schedule path of Run is
-// ExecuteSchedule.
+// ExecuteScheduleOn on a fresh engine.
 func TestRunScheduleMatchesExecuteSchedule(t *testing.T) {
 	const n = 1000
 	const d = 16.0
@@ -100,7 +110,7 @@ func TestRunScheduleMatchesExecuteSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ExecuteSchedule(g, 0, sched)
+	want, err := ExecuteScheduleOn(NewEngine(g, 0), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +119,7 @@ func TestRunScheduleMatchesExecuteSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Completed != want.Completed || got.Rounds != want.Rounds || got.Stats != want.Stats {
-		t.Fatalf("Run schedule %+v != ExecuteSchedule %+v", got, want)
+		t.Fatalf("Run schedule %+v != ExecuteScheduleOn %+v", got, want)
 	}
 }
 
@@ -199,14 +209,14 @@ func TestRunWithSourcesMatchesBroadcastMulti(t *testing.T) {
 	const d = 10.0
 	g := testGraph(t, n, d, 6)
 	sources := []int32{0, 17, 23}
-	want := BroadcastMulti(g, sources, d, NewRand(8))
+	want := perNodeBroadcast(g, sources, d, NewRand(8))
 	got, err := Run(g, 0, WithSources(17, 23), WithDegree(d), WithRand(NewRand(8)),
 		WithPerNodeSampling())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Rounds != want.Rounds || got.Stats != want.Stats {
-		t.Fatalf("Run multi %+v != BroadcastMulti %+v", got, want)
+		t.Fatalf("Run multi %+v != engine multi-source broadcast %+v", got, want)
 	}
 }
 
@@ -255,8 +265,61 @@ func TestGossipWithMatchesGossip(t *testing.T) {
 func TestBroadcastMultiObserver(t *testing.T) {
 	g := testGraph(t, 400, 9, 10)
 	var c Counters
-	res := BroadcastMulti(g, []int32{0, 5}, 9, NewRand(4), &c)
+	res, _ := Run(g, 0, WithSources(5), WithDegree(9), WithSeed(4), WithObserver(&c))
 	if c.Rounds != res.Rounds || c.Informed != res.Informed {
 		t.Fatalf("counters %+v != result %+v", c, res)
+	}
+}
+
+// TestWithEngine: a run on a caller-supplied engine is field-for-field
+// the fresh-engine run with the same options — for a protocol, a
+// multi-source protocol and a schedule replay — however dirty the engine
+// was, and an engine built on another graph is refused.
+func TestWithEngine(t *testing.T) {
+	const n = 600
+	const d = 10.0
+	g := testGraph(t, n, d, 11)
+	sched, err := BuildSchedule(g, 0, d, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(g, 0)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"protocol", []Option{WithDegree(d), WithSeed(3)}},
+		{"multi-source", []Option{WithSources(7, 400), WithDegree(d), WithSeed(4), WithPerNodeSampling()}},
+		{"schedule", []Option{WithSchedule(sched)}},
+		{"protocol-after-schedule", []Option{WithProtocol(NewProtocol(n, d)), WithMaxRounds(8), WithSeed(5)}},
+	} {
+		want, err := Run(g, 0, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: fresh run: %v", tc.name, err)
+		}
+		var c Counters
+		got, err := Run(g, 0, append(tc.opts, WithEngine(e), WithObserver(&c))...)
+		if err != nil {
+			t.Fatalf("%s: engine run: %v", tc.name, err)
+		}
+		if got.Completed != want.Completed || got.Rounds != want.Rounds || got.Informed != want.Informed ||
+			got.N != want.N || got.Stats != want.Stats || len(got.InformedAt) != len(want.InformedAt) {
+			t.Fatalf("%s: engine run %+v != fresh run %+v", tc.name, got.Stats, want.Stats)
+		}
+		for v := range want.InformedAt {
+			if got.InformedAt[v] != want.InformedAt[v] {
+				t.Fatalf("%s: InformedAt[%d] = %d, fresh %d", tc.name, v, got.InformedAt[v], want.InformedAt[v])
+			}
+		}
+		if c.Runs != 1 || c.Rounds != got.Rounds {
+			t.Fatalf("%s: observer saw %d runs of %d rounds, want 1 of %d", tc.name, c.Runs, c.Rounds, got.Rounds)
+		}
+	}
+
+	other := testGraph(t, n, d, 12)
+	for _, opts := range [][]Option{{WithDegree(d)}, {WithSchedule(sched)}} {
+		if _, err := Run(other, 0, append(opts, WithEngine(e))...); !errors.Is(err, ErrConflictingOptions) {
+			t.Fatalf("engine on another graph: err = %v, want ErrConflictingOptions", err)
+		}
 	}
 }

@@ -58,11 +58,11 @@
 //   - Run (and RunProtocolOn, BroadcastTime, BroadcastTimeOn, the gossip
 //     runners) default to the sampled fast path; opt out per call with
 //     WithPerNodeSampling, or per engine with Engine.SetPerNodeSampling.
-//   - The deprecated positional wrappers (Broadcast, RunProtocol,
-//     BroadcastMulti) opt out internally and keep their historical
-//     per-node streams bit-for-bit stable across releases.
-//   - ExecuteSchedule and BuildSchedule take no per-round randomness from
-//     the engine and are unaffected.
+//   - Run(..., WithPerNodeSampling()) is the historical per-node stream,
+//     frozen bit-for-bit across releases (deprecated_stream_test.go pins
+//     it with the fingerprints the removed positional wrappers had).
+//   - Schedule replay (WithSchedule, ExecuteScheduleOn) and BuildSchedule
+//     take no per-round randomness from the engine and are unaffected.
 //
 // The runnable examples under examples/ exercise these entry points on the
 // scenarios from the paper's motivation; cmd/experiments regenerates every
@@ -70,7 +70,10 @@
 package repro
 
 import (
+	"context"
+
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
@@ -176,28 +179,33 @@ func NewProtocol(n int, d float64) Protocol {
 // (recorded completion times at fixed seeds shifted; distributions did
 // not).
 func BroadcastTime(g *Graph, src int32, p Protocol, maxRounds int, rng *Rand) int {
-	return radio.BroadcastTime(g, src, p, maxRounds, rng)
+	r, _ := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Protocol: p, MaxRounds: maxRounds}, rng)
+	return r
 }
 
 // RunProtocolOn is Run's protocol loop on a caller-owned engine: the
 // engine is reset and reused, so a loop of trials over one graph
-// allocates nothing per trial. Like Run (and unlike the deprecated
-// RunProtocol) it uses the sampled fast path when the protocol supports
-// it; call e.SetPerNodeSampling(true) for the per-node stream.
+// allocates nothing per trial beyond the Result. Like Run it uses the
+// sampled fast path when the protocol supports it; call
+// e.SetPerNodeSampling(true) for the per-node stream.
 func RunProtocolOn(e *Engine, p Protocol, maxRounds int, rng *Rand) Result {
-	return radio.RunProtocolOn(e, p, maxRounds, rng)
+	e.Reset()
+	res, _ := e.RunProtocolContext(context.Background(), p, maxRounds, rng)
+	return res
 }
 
 // BroadcastTimeOn is BroadcastTime on a caller-owned engine (reset first);
 // unlike RunProtocolOn it builds no Result, so a trial is allocation-free.
 func BroadcastTimeOn(e *Engine, p Protocol, maxRounds int, rng *Rand) int {
-	return radio.BroadcastTimeOn(e, p, maxRounds, rng)
+	r, _ := radio.BroadcastTimeOnContext(context.Background(), e, p, maxRounds, rng)
+	return r
 }
 
-// ExecuteScheduleOn is ExecuteSchedule on a caller-owned engine (reset
+// ExecuteScheduleOn replays a schedule on a caller-owned engine (reset
 // first), for replaying many schedules on one graph without reallocating.
 func ExecuteScheduleOn(e *Engine, s *Schedule) (Result, error) {
-	return radio.ExecuteScheduleOn(e, s)
+	e.Reset()
+	return radio.ExecuteScheduleOnContext(context.Background(), e, s)
 }
 
 // CentralizedBound returns the Theorem 5/6 bound ln n / ln d + ln d.

@@ -21,7 +21,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	}
 
 	// Distributed protocol.
-	res := Broadcast(g, 0, d, rng)
+	res, _ := Run(g, 0, WithDegree(d), WithRand(rng))
 	if !res.Completed {
 		t.Fatalf("distributed incomplete: %d/%d", res.Informed, n)
 	}
@@ -34,7 +34,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := ExecuteSchedule(g, 0, sched)
+	cres, err := Run(g, 0, WithSchedule(sched))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFacadeCustomProtocol(t *testing.T) {
 	p := ProtocolFunc(func(v int32, round int, informedAt int32, r *Rand) bool {
 		return r.Bernoulli(1.0 / 15)
 	})
-	res := RunProtocol(g, 0, p, 5000, rng)
+	res, _ := Run(g, 0, WithProtocol(p), WithMaxRounds(5000), WithRand(rng))
 	if res.Informed < 2 {
 		t.Fatal("custom protocol informed nobody")
 	}

@@ -1,20 +1,29 @@
 #!/bin/sh
 # archlint: enforce the execution-layer boundary (DESIGN.md section 10).
 #
-# Engine construction — lanes.NewEngine, radio.NewEngine,
-# radio.NewEngineMulti, repro.NewEngine — is the unified execution
-# layer's job. Consumers (the facade batch/run paths, sweep, campaign,
-# serve, cluster) must go through internal/exec so backend selection,
-# pooling and counters stay in one place. This script fails if any
-# non-test file in a consumer layer constructs an engine directly.
+# internal/exec is the one door into the engines: it picks the backend,
+# owns engine construction and pooling, and counts every run. Two scans
+# keep it that way; both skip _test.go files (tests build and drive
+# reference engines to diff against).
 #
-# Deliberately exempt:
-#   - internal/exec itself (the one legitimate construction site)
-#   - _test.go files (tests build reference engines to diff against)
-#   - internal/oracle (the differential oracle must build engines
-#     independently of the layer it is checking)
-#   - radio.go / deprecated.go facade constructors (NewEngine is public
-#     API; the lint guards the run paths, not the constructor export)
+# 1. Engine construction — lanes.NewEngine, radio.NewEngine,
+#    radio.NewEngineMulti, repro.NewEngine — must not appear in the
+#    consumer layers (the facade run paths, sweep, campaign, serve,
+#    cluster, cmd/radiosim); they go through internal/exec.
+#
+# 2. Run/replay entry points of internal/radio — BroadcastTimeOnContext,
+#    (*Engine).RunProtocolContext, ExecuteScheduleOnContext, and any
+#    radio.RunProtocol*/BroadcastTime*/ExecuteSchedule*/SourceSweep*
+#    that might come back — may only be called from:
+#      - internal/exec (the door itself)
+#      - internal/radio (the engine and its runners)
+#      - internal/oracle (the differential oracle checks the engine
+#        independently of the layer it is checking)
+#      - the engine-API functions of root radio.go (RunProtocolOn,
+#        BroadcastTimeOn, ExecuteScheduleOn drive a caller-owned engine)
+#    radio.RunCDProtocol is exempt: the collision-detection feedback
+#    model has no exec backend yet. bench/ is a separate module that
+#    times each layer on its own, the raw engine included.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -31,14 +40,37 @@ scan() {
 	return 1
 }
 
+# Calls of a radio run/replay entry point (bracket expressions keep the
+# pattern valid for both grep -E and awk).
+runners='radio[.](RunProtocol|BroadcastTime|ExecuteSchedule|SourceSweep)[A-Za-z]*[(]|[.]RunProtocolContext[(]'
+
+scan_runners() {
+	hits=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
+		! -path './internal/exec/*' ! -path './internal/radio/*' \
+		! -path './internal/oracle/*' ! -path './radio.go' \
+		-exec grep -nHE "$runners" {} + || true)
+	# Root radio.go: only its engine-API functions may call the runners.
+	hits="$hits$(awk -v re="$runners" '
+		/^func / { fn = $0 }
+		$0 ~ re && fn !~ /^func (RunProtocolOn|BroadcastTimeOn|ExecuteScheduleOn)[(]/ {
+			printf "\n%s:%d:%s", FILENAME, FNR, $0
+		}' radio.go)"
+	[ -z "$hits" ] && return 0
+	printf '%s\n' "$hits" | sed '/^$/d'
+	echo "archlint: radio run/replay entry points may only be called from internal/exec (see scripts/archlint.sh); route through internal/exec" >&2
+	return 1
+}
+
 fail=0
 scan "the facade run paths (batch.go, options.go)" batch.go options.go || fail=1
 scan "internal/sweep" internal/sweep || fail=1
 scan "internal/campaign" internal/campaign || fail=1
 scan "internal/serve" internal/serve || fail=1
 scan "internal/cluster" internal/cluster || fail=1
+scan "cmd/radiosim" cmd/radiosim || fail=1
+scan_runners || fail=1
 
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "archlint: ok (no engine construction outside internal/exec)"
+echo "archlint: ok (engines constructed and run only through internal/exec)"
