@@ -114,7 +114,7 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 			return nil, trace, fmt.Errorf("core: %w: vertex %d unreachable from source %d", radio.ErrScheduleMismatch, v, src)
 		}
 	}
-	layers := graph.Layers(g, src)
+	layers := graph.LayersFromDist(dist)
 	trace.Layers = len(layers)
 
 	// D*: the first layer of size >= n/d (the paper's first layer with

@@ -33,7 +33,7 @@ func BuildLayeredCoverSchedule(g *graph.Graph, src int32) (*radio.Schedule, erro
 			return nil, fmt.Errorf("core: %w: vertex %d unreachable from %d", radio.ErrScheduleMismatch, v, src)
 		}
 	}
-	layers := graph.Layers(g, src)
+	layers := graph.LayersFromDist(dist)
 	sched := &radio.Schedule{}
 	for i := 0; i+1 < len(layers); i++ {
 		cover := greedySetCover(g, layers[i], layers[i+1])

@@ -8,6 +8,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -76,11 +77,12 @@ func addBipartite(bld *graph.Builder, aStart, na, bStart, nb int, p float64, rng
 		return
 	}
 	total := int64(na) * int64(nb)
-	k := int64(rng.Geometric(p))
+	log1mp := math.Log1p(-p)
+	k := int64(rng.GeometricLog(log1mp))
 	for k < total {
 		i := k / int64(nb)
 		j := k % int64(nb)
 		bld.AddEdge(int32(aStart)+int32(i), int32(bStart)+int32(j))
-		k += 1 + int64(rng.Geometric(p))
+		k += 1 + int64(rng.GeometricLog(log1mp))
 	}
 }

@@ -13,6 +13,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Graph is an immutable simple undirected graph in CSR form. Memory use is
@@ -112,13 +113,33 @@ func NewBuilder(n int) *Builder {
 // N returns the number of vertices the builder was created with.
 func (b *Builder) N() int { return b.n }
 
+// edgePool recycles the edge lists of large builds: Grow takes a list
+// from it and Build hands the list back once the CSR arrays are filled.
+// The lists never escape a Builder, so reuse is invisible to callers; the
+// CSR arrays themselves are always fresh, because graphs are immutable.
+// Lists under poolMinEdges are not worth pooling.
+var edgePool sync.Pool // of *[]edge
+
+const poolMinEdges = 1 << 16
+
 // Grow reserves capacity for m additional edges.
 func (b *Builder) Grow(m int) {
-	if cap(b.edges)-len(b.edges) < m {
-		grown := make([]edge, len(b.edges), len(b.edges)+m)
-		copy(grown, b.edges)
-		b.edges = grown
+	need := len(b.edges) + m
+	if cap(b.edges) >= need {
+		return
 	}
+	var grown []edge
+	if need >= poolMinEdges {
+		// A pooled list too small for this build is left to the collector.
+		if p, _ := edgePool.Get().(*[]edge); p != nil && cap(*p) >= need {
+			grown = (*p)[:len(b.edges)]
+		}
+	}
+	if grown == nil {
+		grown = make([]edge, len(b.edges), need)
+	}
+	copy(grown, b.edges)
+	b.edges = grown
 }
 
 // AddEdge records the undirected edge {u, v}. Self-loops are ignored. It
@@ -223,6 +244,10 @@ func (b *Builder) Build() *Graph {
 		if b.sawChecked {
 			g.compactDuplicates()
 		}
+	}
+	if cap(b.edges) >= poolMinEdges {
+		spent := b.edges[:0]
+		edgePool.Put(&spent)
 	}
 	b.edges = nil
 	b.deg = nil

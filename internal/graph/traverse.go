@@ -8,38 +8,28 @@ package graph
 // reachable from the source.
 const Unreachable int32 = -1
 
-// BFS runs a breadth-first search from src and returns the distance of each
-// vertex (Unreachable for vertices in other components) and the BFS parent
-// of each vertex (-1 for src and unreachable vertices).
-func BFS(g *Graph, src int32) (dist, parent []int32) {
+// Distances runs a breadth-first search from src and returns the distance
+// of each vertex (Unreachable for vertices in other components).
+func Distances(g *Graph, src int32) []int32 {
 	n := g.N()
-	dist = make([]int32, n)
-	parent = make([]int32, n)
+	dist := make([]int32, n)
 	for i := range dist {
 		dist[i] = Unreachable
-		parent[i] = -1
 	}
-	queue := make([]int32, 0, n)
+	queue := make([]int32, 1, n)
+	queue[0] = src
 	dist[src] = 0
-	queue = append(queue, src)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		dv := dist[v]
+		dv := dist[v] + 1
 		for _, w := range g.Neighbors(v) {
 			if dist[w] == Unreachable {
-				dist[w] = dv + 1
-				parent[w] = v
+				dist[w] = dv
 				queue = append(queue, w)
 			}
 		}
 	}
-	return dist, parent
-}
-
-// Distances returns only the BFS distance array from src.
-func Distances(g *Graph, src int32) []int32 {
-	d, _ := BFS(g, src)
-	return d
+	return dist
 }
 
 // Layers returns the BFS layers T_0(u) = {u}, T_1(u), ..., where T_i(u) is
@@ -47,22 +37,33 @@ func Distances(g *Graph, src int32) []int32 {
 // paper. Unreachable vertices appear in no layer. Each layer slice is
 // sorted by vertex id.
 func Layers(g *Graph, src int32) [][]int32 {
-	dist := Distances(g, src)
+	return LayersFromDist(Distances(g, src))
+}
+
+// LayersFromDist buckets a BFS distance array (as returned by Distances)
+// into the layers Layers returns, for callers that already hold the
+// distances. All layers share one backing array; each is capped at its
+// own length, so appending to one cannot overwrite the next.
+func LayersFromDist(dist []int32) [][]int32 {
 	maxD := int32(0)
 	for _, d := range dist {
 		if d > maxD {
 			maxD = d
 		}
 	}
-	layers := make([][]int32, maxD+1)
-	counts := make([]int, maxD+1)
+	starts := make([]int, maxD+2)
 	for _, d := range dist {
 		if d >= 0 {
-			counts[d]++
+			starts[d+1]++
 		}
 	}
+	for i := 1; i < len(starts); i++ {
+		starts[i] += starts[i-1]
+	}
+	all := make([]int32, starts[maxD+1])
+	layers := make([][]int32, maxD+1)
 	for i := range layers {
-		layers[i] = make([]int32, 0, counts[i])
+		layers[i] = all[starts[i]:starts[i]:starts[i+1]]
 	}
 	for v, d := range dist {
 		if d >= 0 {
@@ -73,18 +74,25 @@ func Layers(g *Graph, src int32) [][]int32 {
 }
 
 // IsConnected reports whether g is connected. The empty graph is considered
-// connected; a one-vertex graph is connected.
+// connected; a one-vertex graph is connected. It runs one BFS from vertex 0
+// that keeps only a visited mark and the queue.
 func IsConnected(g *Graph) bool {
-	if g.N() == 0 {
+	n := g.N()
+	if n == 0 {
 		return true
 	}
-	dist := Distances(g, 0)
-	for _, d := range dist {
-		if d == Unreachable {
-			return false
+	visited := make([]bool, n)
+	queue := make([]int32, 1, n)
+	visited[0] = true
+	for head := 0; head < len(queue); head++ {
+		for _, w := range g.Neighbors(queue[head]) {
+			if !visited[w] {
+				visited[w] = true
+				queue = append(queue, w)
+			}
 		}
 	}
-	return true
+	return len(queue) == n
 }
 
 // Components returns the connected components of g, each sorted by vertex

@@ -13,8 +13,8 @@
 //     instance build it once.
 //   - Failures map onto transport status codes through the repro error
 //     sentinels (errors.Is), not string matching: ErrConflictingOptions
-//     and ErrNoSuchSource → 400, ErrScheduleMismatch and
-//     ErrGraphUnavailable → 422, deadline → 504, cancellation/shutdown →
+//     and ErrNoSuchSource → 400, ErrScheduleMismatch, ErrGraphUnavailable
+//     and ErrOverBudget → 422, deadline → 504, cancellation/shutdown →
 //     503, ErrBusy → 429.
 //   - Shutdown drains the queue for a grace period, then cancels running
 //     work through contexts; the engine checks between rounds, so
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -228,11 +229,8 @@ func (r *RunRequest) validate(cfg *Config) error {
 	default:
 		return fmt.Errorf("%w: unknown algo %q", repro.ErrConflictingOptions, r.Algo)
 	}
-	if r.N < 1 || r.N > cfg.MaxN {
-		return fmt.Errorf("%w: n %d outside [1, %d]", repro.ErrConflictingOptions, r.N, cfg.MaxN)
-	}
-	if r.D < 0 {
-		return fmt.Errorf("%w: negative degree %g", repro.ErrConflictingOptions, r.D)
+	if err := checkGraphSize(cfg, r.N, r.D); err != nil {
+		return err
 	}
 	if r.MaxRounds < 0 {
 		return fmt.Errorf("%w: negative max_rounds %d", repro.ErrConflictingOptions, r.MaxRounds)
@@ -249,6 +247,46 @@ func (r *RunRequest) validate(cfg *Config) error {
 	for _, src := range r.Sources {
 		if src < 0 || int(src) >= r.N {
 			return fmt.Errorf("%w: source %d outside [0,%d)", repro.ErrNoSuchSource, src, r.N)
+		}
+	}
+	return nil
+}
+
+// MaxExpectedEdges caps the expected edge count n·min(d, n−1)/2 of any
+// graph a request can make the server sample: one /v1/run graph, or one
+// trial graph of a campaign point or leased shard. At about 16 bytes per
+// edge while a graph is built, the cap bounds one sample near 1 GiB. It
+// is a constant, not a Config field, so no deployment can lift it by
+// accident.
+const MaxExpectedEdges = 1 << 26
+
+// ErrOverBudget reports a request whose graph would exceed
+// MaxExpectedEdges. The server maps it to 422: the request is well formed
+// but names more graph than the server samples.
+var ErrOverBudget = errors.New("serve: expected edge budget exceeded")
+
+// checkGraphSize is the size gate every entry point applies to a
+// requested G(n, d/n): n within [1, MaxN] and d non-negative (400), and
+// the expected edge count within MaxExpectedEdges (422).
+func checkGraphSize(cfg *Config, n int, d float64) error {
+	if n < 1 || n > cfg.MaxN {
+		return fmt.Errorf("%w: n %d outside [1, %d]", repro.ErrConflictingOptions, n, cfg.MaxN)
+	}
+	if !(d >= 0) {
+		return fmt.Errorf("%w: degree %g must be non-negative", repro.ErrConflictingOptions, d)
+	}
+	if edges := float64(n) * math.Min(d, float64(n-1)) / 2; edges > MaxExpectedEdges {
+		return fmt.Errorf("%w: n=%d d=%g expects %.3g edges, over the %d budget",
+			ErrOverBudget, n, d, edges, MaxExpectedEdges)
+	}
+	return nil
+}
+
+// checkPoints applies checkGraphSize to every campaign point in pts.
+func checkPoints(cfg *Config, pts []campaign.PointSpec) error {
+	for _, p := range pts {
+		if err := checkGraphSize(cfg, p.Trial.N, p.Trial.D); err != nil {
+			return fmt.Errorf("point %q: %w", p.ID, err)
 		}
 	}
 	return nil
@@ -522,6 +560,10 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("%w: %v", repro.ErrConflictingOptions, err))
 		return
 	}
+	if err := checkPoints(&s.cfg, spec.Points); err != nil {
+		s.writeError(w, err)
+		return
+	}
 	if s.campaignCtx.Err() != nil {
 		s.writeError(w, ErrClosed)
 		return
@@ -632,7 +674,7 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, repro.ErrConflictingOptions), errors.Is(err, repro.ErrNoSuchSource):
 		return http.StatusBadRequest
-	case errors.Is(err, repro.ErrScheduleMismatch), errors.Is(err, ErrGraphUnavailable):
+	case errors.Is(err, repro.ErrScheduleMismatch), errors.Is(err, ErrGraphUnavailable), errors.Is(err, ErrOverBudget):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout

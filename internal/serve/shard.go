@@ -50,6 +50,10 @@ func (s *Server) handleShardLease(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("%w: %v", repro.ErrConflictingOptions, err))
 		return
 	}
+	if err := checkPoints(&s.cfg, offer.Spec.Points[offer.PointLo:offer.PointHi]); err != nil {
+		s.writeError(w, err)
+		return
+	}
 	if s.campaignCtx.Err() != nil {
 		s.writeError(w, ErrClosed)
 		return

@@ -46,8 +46,8 @@ func (p *LayerProfile) Depth() int { return len(p.Layers) - 1 }
 // concern; for the graph sizes used in the experiments full counting is
 // affordable because layers stay near-tree-like.
 func AnalyzeLayers(g *graph.Graph, src int32) *LayerProfile {
-	layers := graph.Layers(g, src)
 	dist := graph.Distances(g, src)
+	layers := graph.LayersFromDist(dist)
 	p := &LayerProfile{Source: src, Layers: make([]LayerStat, len(layers))}
 	for i, layer := range layers {
 		st := LayerStat{Depth: i, Size: len(layer)}

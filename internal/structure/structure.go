@@ -10,6 +10,9 @@
 package structure
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/xrand"
 )
@@ -48,17 +51,16 @@ func RandomizedCover(g *graph.Graph, x, y []int32, q float64, rng *xrand.Rand) *
 }
 
 // EvaluateCover classifies each node of y by its number of neighbours in
-// the transmitter set s.
+// the transmitter set s. Membership in s is a binary search over a sorted
+// copy of s, so the scratch is O(|s|) whatever the size of g.
 func EvaluateCover(g *graph.Graph, s, y []int32) *Cover {
-	inS := make(map[int32]bool, len(s))
-	for _, v := range s {
-		inS[v] = true
-	}
+	sorted := slices.Clone(s)
+	slices.Sort(sorted)
 	c := &Cover{Transmitters: s}
 	for _, w := range y {
 		count := 0
 		for _, nb := range g.Neighbors(w) {
-			if inS[nb] {
+			if _, in := slices.BinarySearch(sorted, nb); in {
 				count++
 				if count >= 2 {
 					break
@@ -81,65 +83,77 @@ func EvaluateCover(g *graph.Graph, s, y []int32) *Cover {
 // covered node of Y has exactly one neighbour in X', greedily: candidates
 // from X are considered in order of decreasing number of yet-uncovered
 // exclusive neighbours in Y, and a candidate is accepted only if adding it
-// does not give any already-covered node a second neighbour. The result is
-// an independent covering of the covered subset of Y (Definition 1).
+// does not give any already-covered node a second neighbour. Ties go to
+// the candidate that comes first in x. The result is an independent
+// covering of the covered subset of Y (Definition 1).
 //
 // This deterministic construction is used by the tail of the centralized
 // schedule, where only a handful of nodes remain uninformed and the
 // randomized construction would waste rounds.
+//
+// The greedy works on the bipartite X–Y subgraph only: one pass over the
+// neighbours of Y, with a binary search over the sorted candidates, lists
+// each candidate's Y-neighbours, and each round rescans those short lists.
+// The scratch is O(|x| + |y| + e(X, Y)) whatever the size of g.
 func GreedyIndependentCover(g *graph.Graph, x, y []int32) *Cover {
-	inY := make(map[int32]int, len(y)) // y vertex -> #neighbours among accepted transmitters
-	for _, w := range y {
-		inY[w] = 0
+	targets := slices.Clone(y)
+	slices.Sort(targets)
+	targets = slices.Compact(targets)
+	// byVertex holds the positions of x sorted by vertex, ties by position,
+	// so a binary search finds a vertex's first position in x: the copy the
+	// first-in-x tie-break picks. Later copies get no arcs and never win.
+	byVertex := make([]int32, len(x))
+	for i := range byVertex {
+		byVertex[i] = int32(i)
 	}
-	accepted := make([]int32, 0, len(y))
-	acceptedSet := make(map[int32]bool)
-	// Repeatedly pick the candidate covering the most currently-uncovered
-	// y-nodes without touching any covered y-node. A simple quadratic
-	// greedy is fine: the tail sets are small.
-	remaining := make(map[int32]bool, len(y))
-	for _, w := range y {
-		remaining[w] = true
-	}
-	for len(remaining) > 0 {
-		var best int32 = -1
-		bestGain := 0
-		for _, cand := range x {
-			if acceptedSet[cand] {
-				continue
-			}
-			gain := 0
-			ok := true
-			for _, w := range g.Neighbors(cand) {
-				cnt, isY := inY[w]
-				if !isY {
-					continue
-				}
-				if cnt >= 1 {
-					// cand would give an already-covered y a second
-					// neighbour -> collision; reject.
-					ok = false
-					break
-				}
-				if remaining[w] {
-					gain++
-				}
-			}
-			if ok && gain > bestGain {
-				best, bestGain = cand, gain
+	slices.SortStableFunc(byVertex, func(a, b int32) int { return cmp.Compare(x[a], x[b]) })
+	// arcs are the X–Y edges as (position in x, index in targets), grouped
+	// by position in x order: each group is one candidate's Y-neighbours.
+	type arc struct{ pos, t int32 }
+	var arcs []arc
+	for t, w := range targets {
+		for _, nb := range g.Neighbors(w) {
+			if i, ok := slices.BinarySearchFunc(byVertex, nb, func(p, v int32) int { return cmp.Compare(x[p], v) }); ok {
+				arcs = append(arcs, arc{byVertex[i], int32(t)})
 			}
 		}
-		if best < 0 {
+	}
+	slices.SortFunc(arcs, func(a, b arc) int { return cmp.Compare(a.pos, b.pos) })
+
+	covered := make([]bool, len(targets))
+	accepted := make([]int32, 0, len(targets))
+	for remaining := len(targets); remaining > 0; {
+		// The candidate with the most Y-neighbours, none of them covered
+		// yet (which also rules out every candidate already accepted);
+		// ties go to the first in x.
+		best, bestEnd := 0, 0
+		for k := 0; k < len(arcs); {
+			end := k + 1
+			for end < len(arcs) && arcs[end].pos == arcs[k].pos {
+				end++
+			}
+			if end-k > bestEnd-best {
+				free := true
+				for _, a := range arcs[k:end] {
+					if covered[a.t] {
+						free = false
+						break
+					}
+				}
+				if free {
+					best, bestEnd = k, end
+				}
+			}
+			k = end
+		}
+		if bestEnd == 0 {
 			break // no candidate can extend the cover independently
 		}
-		accepted = append(accepted, best)
-		acceptedSet[best] = true
-		for _, w := range g.Neighbors(best) {
-			if _, isY := inY[w]; isY {
-				inY[w]++
-				delete(remaining, w)
-			}
+		accepted = append(accepted, x[arcs[best].pos])
+		for _, a := range arcs[best:bestEnd] {
+			covered[a.t] = true
 		}
+		remaining -= bestEnd - best
 	}
 	return EvaluateCover(g, accepted, y)
 }

@@ -2,6 +2,7 @@ package structure
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -377,5 +378,101 @@ func BenchmarkAnalyzeLayers(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = AnalyzeLayers(g, 0)
+	}
+}
+
+// mapGreedyIndependentCover is the original map-based greedy, kept as the
+// reference the map-free GreedyIndependentCover must reproduce exactly.
+func mapGreedyIndependentCover(g *graph.Graph, x, y []int32) []int32 {
+	inY := make(map[int32]int, len(y))
+	for _, w := range y {
+		inY[w] = 0
+	}
+	var accepted []int32
+	acceptedSet := make(map[int32]bool)
+	remaining := make(map[int32]bool, len(y))
+	for _, w := range y {
+		remaining[w] = true
+	}
+	for len(remaining) > 0 {
+		var best int32 = -1
+		bestGain := 0
+		for _, cand := range x {
+			if acceptedSet[cand] {
+				continue
+			}
+			gain := 0
+			ok := true
+			for _, w := range g.Neighbors(cand) {
+				cnt, isY := inY[w]
+				if !isY {
+					continue
+				}
+				if cnt >= 1 {
+					ok = false
+					break
+				}
+				if remaining[w] {
+					gain++
+				}
+			}
+			if ok && gain > bestGain {
+				best, bestGain = cand, gain
+			}
+		}
+		if best < 0 {
+			break
+		}
+		accepted = append(accepted, best)
+		acceptedSet[best] = true
+		for _, w := range g.Neighbors(best) {
+			if _, isY := inY[w]; isY {
+				inY[w]++
+				delete(remaining, w)
+			}
+		}
+	}
+	return accepted
+}
+
+// TestGreedyIndependentCoverMatchesMapReference compares the transmitter
+// list, and the cover classification, with the map-based reference on
+// random graphs and random (overlapping, duplicated, unsorted) X and Y.
+func TestGreedyIndependentCoverMatchesMapReference(t *testing.T) {
+	rng := xrand.New(12)
+	for trial := 0; trial < 300; trial++ {
+		n := 20 + rng.Intn(300)
+		g := gen.Gnp(n, (2+8*rng.Float64())/float64(n), rng)
+		pick := func(k int) []int32 {
+			s := make([]int32, k)
+			for i := range s {
+				s[i] = int32(rng.Intn(n))
+			}
+			return s
+		}
+		x, y := pick(rng.Intn(2*n/3+1)), pick(1+rng.Intn(70))
+		got := GreedyIndependentCover(g, x, y)
+		want := mapGreedyIndependentCover(g, x, y)
+		if !slices.Equal(got.Transmitters, want) {
+			t.Fatalf("trial %d: transmitters %v, reference %v", trial, got.Transmitters, want)
+		}
+		ref := EvaluateCover(g, want, y)
+		if !slices.Equal(got.Covered, ref.Covered) || !slices.Equal(got.Collided, ref.Collided) || !slices.Equal(got.Missed, ref.Missed) {
+			t.Fatalf("trial %d: classification differs from the reference", trial)
+		}
+	}
+}
+
+// TestEvaluateCoverDuplicates checks that repeated transmitters count
+// once, as they did with the set-based membership test.
+func TestEvaluateCoverDuplicates(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 2)
+	b.AddEdge(1, 2)
+	b.AddEdge(0, 3)
+	g := b.Build()
+	c := EvaluateCover(g, []int32{0, 0, 0}, []int32{2, 3})
+	if !slices.Equal(c.Covered, []int32{2, 3}) || len(c.Collided) != 0 {
+		t.Fatalf("covered %v collided %v, want [2 3] and none", c.Covered, c.Collided)
 	}
 }

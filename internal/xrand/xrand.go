@@ -195,9 +195,18 @@ func (r *Rand) Geometric(p float64) int {
 // log1mp = math.Log1p(-p). Hot loops that draw many skips for the same p
 // (the G(n,p) generator draws one per edge) hoist the invariant logarithm;
 // the result is bitwise identical to Geometric(p).
+//
+// The defining formula is floor(Log1p(-u)/log1mp). Most draws take a
+// table-driven logarithm instead and keep its floor only when a proven
+// error bound puts the quotient safely between two integers; the rest
+// evaluate the formula itself (see fastlog.go), so every result equals
+// the formula's.
 func (r *Rand) GeometricLog(log1mp float64) int {
 	u := r.Float64()
-	// Avoid log(0); Float64 is in [0,1) so 1-u is in (0,1].
+	if k, ok := fastSkip(u, log1mp); ok {
+		return k
+	}
+	// Float64 is in [0,1), so 1-u is in (0,1] and the log is finite.
 	return int(math.Floor(math.Log1p(-u) / log1mp))
 }
 
@@ -218,11 +227,12 @@ func (r *Rand) Binomial(n int, p float64) int {
 	if p > 0.5 {
 		return n - r.Binomial(n, 1-p)
 	}
+	log1mp := math.Log1p(-p)
 	count := 0
-	i := r.Geometric(p)
+	i := r.GeometricLog(log1mp)
 	for i < n {
 		count++
-		i += 1 + r.Geometric(p)
+		i += 1 + r.GeometricLog(log1mp)
 	}
 	return count
 }
@@ -357,10 +367,11 @@ func (r *Rand) SubsetEach(dst, s []int32, p float64) []int32 {
 	if p >= 1 {
 		return append(dst, s...)
 	}
-	i := r.Geometric(p)
+	log1mp := math.Log1p(-p)
+	i := r.GeometricLog(log1mp)
 	for i < len(s) {
 		dst = append(dst, s[i])
-		i += 1 + r.Geometric(p)
+		i += 1 + r.GeometricLog(log1mp)
 	}
 	return dst
 }
