@@ -28,8 +28,11 @@ bench-module:
 test:
 	go test ./...
 
+# The second line repeats the coordinator's wake/timer paths and the
+# worker's shard slot handling, where an ordering bug shows only sometimes.
 race:
 	go test -race ./...
+	go test -race -count=5 -run 'Cluster|Shard' ./internal/cluster/ ./internal/serve/
 
 cover:
 	go test -cover ./...

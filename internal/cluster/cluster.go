@@ -24,6 +24,14 @@
 //   - GET {coordinator}/v1/cluster/status — lease table, worker liveness
 //     and counters.
 //
+// Scheduling is event-driven, with no polling tick. The coordinator's
+// loop runs a pass when a result lands or a lease offer resolves, and
+// otherwise sleeps on one timer armed at the earliest live lease deadline
+// and, while a shard is pending, the earliest end of a worker's back-off.
+// An offer answered 400 or 422 means the worker judged the shard itself
+// invalid, so the shard fails for good; 429, 5xx and connection errors
+// back the worker off and re-offer.
+//
 // Determinism: shard assignment restricts WHICH (point, trial) cells a
 // worker computes, never HOW — per-trial seeds derive from (spec seed,
 // point index, trial index) alone, and the final report is built by the

@@ -7,6 +7,7 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -82,6 +83,28 @@ func reportJSON(t *testing.T, r *campaign.Report) string {
 	return string(b)
 }
 
+// runMatchesLocal runs coord within timeout and checks that it completes
+// with the report of a local campaign.Run of spec.
+func runMatchesLocal(t *testing.T, coord *cluster.Coordinator, spec *campaign.Spec, timeout time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	clustered, err := coord.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !clustered.Complete {
+		t.Fatalf("clustered report incomplete (counters %+v)", coord.Status().Counters)
+	}
+	local, err := campaign.Run(spec, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reportJSON(t, clustered), reportJSON(t, local); got != want {
+		t.Errorf("clustered report differs from local run:\n%s\nvs\n%s", got, want)
+	}
+}
+
 // TestPlan: the grid slices into consecutive, covering, deterministic
 // shards.
 func TestPlan(t *testing.T) {
@@ -115,22 +138,7 @@ func TestClusterMatchesLocalRun(t *testing.T) {
 		Workers:  []string{w1, w2},
 		LeaseTTL: 2 * time.Second,
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	clustered, err := coord.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !clustered.Complete {
-		t.Fatal("clustered report incomplete")
-	}
-	local, err := campaign.Run(spec, campaign.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := reportJSON(t, clustered), reportJSON(t, local); got != want {
-		t.Errorf("clustered report differs from local run:\n%s\nvs\n%s", got, want)
-	}
+	runMatchesLocal(t, coord, spec, 60*time.Second)
 	st := coord.Status()
 	if st.Counters.LeasesGranted != 2 || st.Counters.ShardsCompleted != 2 {
 		t.Errorf("counters %+v, want 2 granted / 2 completed", st.Counters)
@@ -218,19 +226,7 @@ func TestClusterBackpressureReoffer(t *testing.T) {
 		LeaseTTL:        2 * time.Second,
 		Backoff:         50 * time.Millisecond,
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	clustered, err := coord.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := campaign.Run(spec, campaign.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := reportJSON(t, clustered), reportJSON(t, local); got != want {
-		t.Errorf("report after backpressure differs from local run:\n%s\nvs\n%s", got, want)
-	}
+	runMatchesLocal(t, coord, spec, 60*time.Second)
 	st := coord.Status()
 	if st.Counters.OffersBusy < 1 {
 		t.Errorf("counters %+v: no offer was ever answered 429", st.Counters)
@@ -349,5 +345,152 @@ func TestClusterResume(t *testing.T) {
 	if int(st.Counters.LeasesGranted) >= len(cluster.Plan(spec, 0)) {
 		t.Errorf("resume granted %d leases for %d shards; completed shards were re-leased",
 			st.Counters.LeasesGranted, len(cluster.Plan(spec, 0)))
+	}
+}
+
+// gridSpec is a campaign of small distributed points, one shard each.
+func gridSpec(points int) *campaign.Spec {
+	spec := &campaign.Spec{Name: "cluster-grid", Seed: 23, Trials: 3}
+	for p := 0; p < points; p++ {
+		n := 40 + 5*p
+		spec.Points = append(spec.Points, campaign.PointSpec{
+			ID: fmt.Sprintf("p%02d", p), X: float64(n),
+			Trial: campaign.TrialSpec{Kind: "distributed", N: n, D: 8},
+		})
+	}
+	return spec
+}
+
+// TestClusterProgressesOnWakes: with lease deadlines and back-offs an
+// hour away, the coordinator's timer never fires within the run, so only
+// result and offer wakes can drive a 16-shard campaign to completion.
+func TestClusterProgressesOnWakes(t *testing.T) {
+	spec := gridSpec(16)
+	coord := newCoordinator(t, spec, cluster.Config{
+		Workers:  []string{newWorker(t, serve.Config{}), newWorker(t, serve.Config{})},
+		LeaseTTL: time.Hour,
+		Backoff:  time.Hour,
+	})
+	runMatchesLocal(t, coord, spec, 30*time.Second)
+	if st := coord.Status(); st.Counters.ShardsCompleted != 16 {
+		t.Errorf("counters %+v, want 16 shards completed", st.Counters)
+	}
+}
+
+// TestClusterOneSlotWorkersNeverBusy: a worker frees its shard slot
+// before it posts the result, so the coordinator's immediate re-offer
+// always finds the slot free and no offer bounces with a 429.
+func TestClusterOneSlotWorkersNeverBusy(t *testing.T) {
+	spec := gridSpec(10)
+	coord := newCoordinator(t, spec, cluster.Config{
+		Workers: []string{
+			newWorker(t, serve.Config{ShardWorkers: 1}),
+			newWorker(t, serve.Config{ShardWorkers: 1}),
+		},
+	})
+	runMatchesLocal(t, coord, spec, 60*time.Second)
+	if st := coord.Status(); st.Counters.OffersBusy != 0 {
+		t.Errorf("counters %+v: an offer reached a worker still holding its previous shard's slot", st.Counters)
+	}
+}
+
+// busyOnceWorker is a real worker whose first lease offer is answered
+// 429 with Retry-After: 1.
+func busyOnceWorker(t *testing.T) string {
+	t.Helper()
+	s := serve.NewServer(serve.Config{})
+	h := s.Handler()
+	var mu sync.Mutex
+	bounced := false
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shard/lease" {
+			mu.Lock()
+			first := !bounced
+			bounced = true
+			mu.Unlock()
+			if first {
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, `{"error":"busy"}`, http.StatusTooManyRequests)
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown(2 * time.Second)
+	})
+	return ts.URL
+}
+
+// TestClusterBackoffTimerReoffers: after a 429 the only pending shard
+// waits out the worker's Retry-After. Nothing pokes the loop then, so
+// the back-off timer alone must wake it to re-offer.
+func TestClusterBackoffTimerReoffers(t *testing.T) {
+	spec := gridSpec(1)
+	coord := newCoordinator(t, spec, cluster.Config{
+		Workers:  []string{busyOnceWorker(t)},
+		LeaseTTL: time.Hour,
+		Backoff:  time.Hour,
+	})
+	start := time.Now()
+	runMatchesLocal(t, coord, spec, 30*time.Second)
+	if elapsed := time.Since(start); elapsed < time.Second {
+		t.Errorf("run took %v; the 1 s Retry-After was not honored", elapsed)
+	}
+	if st := coord.Status(); st.Counters.OffersBusy != 1 || st.Counters.ShardsCompleted != 1 {
+		t.Errorf("counters %+v, want 1 busy offer and 1 completed shard", st.Counters)
+	}
+}
+
+// TestClusterRefusedOfferFailsShard: a worker that answers an offer 400
+// or 422 has judged the shard itself invalid. The coordinator fails the
+// shard at once instead of re-offering it until the context ends.
+func TestClusterRefusedOfferFailsShard(t *testing.T) {
+	overBudget := &campaign.Spec{
+		Name: "over-budget", Seed: 1, Trials: 1,
+		Points: []campaign.PointSpec{
+			{ID: "huge", X: 1, Trial: campaign.TrialSpec{Kind: "distributed", N: 20000, D: 10000}},
+		},
+	}
+	cases := []struct {
+		name   string
+		worker serve.Config
+		spec   *campaign.Spec
+		status string
+	}{
+		{"n over MaxN", serve.Config{MaxN: 50}, testSpec(), "status 400"},
+		{"edges over budget", serve.Config{}, overBudget, "status 422"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := newCoordinator(t, tc.spec, cluster.Config{
+				Workers: []string{newWorker(t, tc.worker)},
+				Backoff: 20 * time.Millisecond,
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			_, err := coord.Run(ctx)
+			if ctx.Err() != nil {
+				t.Fatalf("Run returned only at its context deadline (err %v)", err)
+			}
+			if err == nil {
+				t.Fatal("campaign with a refused shard succeeded")
+			}
+			if !strings.Contains(err.Error(), tc.status) {
+				t.Errorf("error %q does not mention %q", err, tc.status)
+			}
+			st := coord.Status()
+			if st.Counters.ShardsFailed < 1 {
+				t.Errorf("counters %+v, want a failed shard", st.Counters)
+			}
+			named := false
+			for _, sh := range st.Shards {
+				named = named || sh.State == cluster.ShardFailed && strings.Contains(err.Error(), "shard "+sh.ID+" ")
+			}
+			if !named {
+				t.Errorf("error %q names no failed shard (shards %+v)", err, st.Shards)
+			}
+		})
 	}
 }

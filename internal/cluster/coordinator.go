@@ -16,7 +16,9 @@ import (
 )
 
 // Config parameterizes a Coordinator. Workers and Advertise are
-// required; every other zero field takes the documented default.
+// required; every other zero field takes the documented default. There
+// is no scheduling cadence to tune: the coordinator wakes on results,
+// offer outcomes, lease deadlines and back-off ends (see Run).
 type Config struct {
 	// Workers are the worker base URLs ("http://host:8357"); trailing
 	// slashes are trimmed.
@@ -46,8 +48,6 @@ type Config struct {
 	// without a Retry-After hint; it doubles per consecutive failure of
 	// the same worker, capped at 32x (default 500ms).
 	Backoff time.Duration
-	// Tick is the scheduler loop cadence (default 25ms).
-	Tick time.Duration
 	// Dir is the coordinator checkpoint directory; "" disables
 	// durability. Resume reopens it and skips shards whose samples are
 	// already complete.
@@ -98,13 +98,6 @@ func (c *Config) backoff() time.Duration {
 	return 500 * time.Millisecond
 }
 
-func (c *Config) tick() time.Duration {
-	if c.Tick > 0 {
-		return c.Tick
-	}
-	return 25 * time.Millisecond
-}
-
 type shardState struct {
 	Shard
 	state    string
@@ -139,6 +132,9 @@ type Coordinator struct {
 	specHash string
 	cfg      Config
 	client   *http.Client
+	// wake is poked (without blocking) by every event that can make a
+	// shard grantable or end the run: a result, an offer's outcome.
+	wake chan struct{}
 
 	mu       sync.Mutex
 	shards   []*shardState
@@ -174,6 +170,7 @@ func NewCoordinator(spec *campaign.Spec, cfg Config) (*Coordinator, error) {
 		specHash: spec.Hash(),
 		cfg:      cfg,
 		client:   cfg.Client,
+		wake:     make(chan struct{}, 1),
 		byID:     make(map[string]*shardState),
 		leases:   make(map[string]*leaseRec),
 		set:      campaign.NewSampleSet(spec),
@@ -208,19 +205,25 @@ func (c *Coordinator) Handler() http.Handler {
 // (via Report.JSON/Text) to campaign.Run of the same spec. A canceled
 // context flushes the checkpoint and returns the partial report with nil
 // error, mirroring campaign.Run's interrupt contract; a shard exhausting
-// its lease budget or a sample conflict fails the run with the partial
-// report attached.
+// its lease budget, a worker refusing a shard as invalid (400/422) or a
+// sample conflict fails the run with the partial report attached.
+//
+// The loop does not poll. A pass runs when a result lands or an offer
+// resolves (both poke wake), or when the one timer fires at the next
+// lease deadline or worker back-off end (see nextWakeLocked).
 func (c *Coordinator) Run(ctx context.Context) (*campaign.Report, error) {
 	if err := c.openCheckpoint(); err != nil {
 		return nil, err
 	}
-	tick := time.NewTicker(c.cfg.tick())
-	defer tick.Stop()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	c.poke() // the first pass grants the initial leases
 	for {
 		select {
 		case <-ctx.Done():
 			return c.finish()
-		case <-tick.C:
+		case <-c.wake:
+		case <-timer.C:
 		}
 		now := time.Now()
 		for _, ev := range c.expire(now) {
@@ -238,6 +241,7 @@ func (c *Coordinator) Run(ctx context.Context) (*campaign.Report, error) {
 				break
 			}
 		}
+		next, armed := c.nextWakeLocked(now)
 		c.mu.Unlock()
 		if failed != nil {
 			rep, ferr := c.finish()
@@ -249,7 +253,57 @@ func (c *Coordinator) Run(ctx context.Context) (*campaign.Report, error) {
 		if done {
 			return c.finish()
 		}
+		// Stop-and-drain keeps a fire that raced this pass from waking
+		// the loop early (pre-Go 1.23 timer channels buffer it).
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		if armed {
+			timer.Reset(next.Sub(now))
+		}
 	}
+}
+
+// poke wakes Run for another pass; a pending wake already covers it.
+func (c *Coordinator) poke() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// nextWakeLocked returns when the loop must next run unprompted: the
+// earliest live lease deadline (expiry), and, while a shard is pending,
+// the earliest end of a worker's back-off. Every other change that can
+// make progress pokes wake. Heartbeats only push deadlines later, so the
+// timer firing early just re-arms it. Caller holds mu.
+func (c *Coordinator) nextWakeLocked(now time.Time) (time.Time, bool) {
+	var next time.Time
+	earliest := func(t time.Time) {
+		if next.IsZero() || t.Before(next) {
+			next = t
+		}
+	}
+	pending := false
+	for _, s := range c.shards {
+		switch s.state {
+		case ShardLeased:
+			earliest(s.deadline)
+		case ShardPending:
+			pending = true
+		}
+	}
+	if pending {
+		for _, w := range c.workers {
+			if w.backoffUntil.After(now) {
+				earliest(w.backoffUntil)
+			}
+		}
+	}
+	return next, !next.IsZero()
 }
 
 // openCheckpoint creates or resumes the coordinator checkpoint and marks
@@ -381,7 +435,7 @@ func (c *Coordinator) pickGrants(now time.Time) []grant {
 			break
 		}
 		if picked == nil {
-			break // every worker busy or backing off; retry next tick
+			break // every worker busy or backing off; a later wake retries
 		}
 		c.leaseSeq++
 		s.state = ShardOffering
@@ -395,7 +449,10 @@ func (c *Coordinator) pickGrants(now time.Time) []grant {
 }
 
 // offer performs one lease offer round trip and applies the outcome.
+// Every outcome pokes Run: an ack gives the loop a deadline to arm, and
+// a refusal frees the worker's charge and returns the shard to pending.
 func (c *Coordinator) offer(s *shardState, w *workerState) {
+	defer c.poke()
 	c.mu.Lock()
 	offer := LeaseOffer{
 		LeaseID:     s.leaseID,
@@ -418,12 +475,13 @@ func (c *Coordinator) offer(s *shardState, w *workerState) {
 	resp, err := c.client.Post(w.url+"/v1/shard/lease", "application/json", bytes.NewReader(body))
 	var status int
 	var retryAfter time.Duration
+	var answer []byte
 	if err == nil {
 		status = resp.StatusCode
 		if ra, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && ra >= 0 {
 			retryAfter = time.Duration(ra) * time.Second
 		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		answer, _ = io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 	}
 
@@ -468,10 +526,26 @@ func (c *Coordinator) offer(s *shardState, w *workerState) {
 		w.lastContact = now
 		c.counters.OffersBusy++
 		evs = append(evs, Event{Type: "busy", Shard: s.ID, Worker: w.url})
+	case err == nil && (status == http.StatusBadRequest || status == http.StatusUnprocessableEntity):
+		// The worker judged the shard itself invalid (malformed, spec
+		// mismatch, over its size budget). Every worker of one fleet
+		// would answer the same, so re-offering only spins: fail it.
+		c.uncharge(rec)
+		delete(c.leases, offer.LeaseID)
+		why := fmt.Sprintf("worker %s refused the offer with status %d: %s", w.url, status, errorText(answer))
+		s.state = ShardFailed
+		s.leaseID = ""
+		s.worker = nil
+		w.lastContact = now
+		c.counters.ShardsFailed++
+		if c.failure == nil {
+			c.failure = fmt.Errorf("cluster: shard %s (points [%d,%d)) failed: %s", s.ID, s.Lo, s.Hi, why)
+		}
+		evs = append(evs, Event{Type: "failed", Shard: s.ID, Worker: w.url, Attempt: s.attempts, Err: why})
 	default:
-		// Connection failure or an unexpected status: back the worker off
-		// exponentially and re-offer the shard. Neither consumes a lease
-		// attempt — the shard never started.
+		// Connection failure, 5xx or another unexpected status: back
+		// the worker off exponentially and re-offer the shard. Neither
+		// consumes a lease attempt — the shard never started.
 		c.uncharge(rec)
 		delete(c.leases, offer.LeaseID)
 		s.state = ShardPending
@@ -491,6 +565,18 @@ func (c *Coordinator) offer(s *shardState, w *workerState) {
 	for _, ev := range evs {
 		c.emit(ev)
 	}
+}
+
+// errorText extracts the error message from a worker's JSON error body,
+// falling back to the raw (already size-bounded) text.
+func errorText(body []byte) string {
+	var e struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(body, &e) == nil && e.Error != "" {
+		return e.Error
+	}
+	return strings.TrimSpace(string(body))
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -531,6 +617,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		res.LeaseID = id
 	}
 	status, body, evs := c.importResult(&res)
+	c.poke() // the result freed a worker slot, finished or re-queued a shard
 	for _, ev := range evs {
 		c.emit(ev)
 	}

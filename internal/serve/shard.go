@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"repro"
@@ -73,13 +74,7 @@ func (s *Server) handleShardLease(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.campaignWG.Add(1)
 	go func() {
-		defer func() {
-			<-s.shardSem
-			s.mu.Lock()
-			s.shardStats.Active--
-			s.mu.Unlock()
-			s.campaignWG.Done()
-		}()
+		defer s.campaignWG.Done()
 		s.runShard(&offer)
 	}()
 	writeJSON(w, http.StatusOK, cluster.LeaseAck{
@@ -118,10 +113,20 @@ func validateOffer(o *cluster.LeaseOffer) error {
 }
 
 // runShard executes one leased shard: heartbeat the lease, run the
-// campaign slice, deliver the samples. A lost lease (heartbeat 410) or
-// server shutdown cancels the run cooperatively and abandons the shard —
-// no result is posted, the coordinator's lease expiry handles the rest.
+// campaign slice, free the shard slot, deliver the samples. A lost lease
+// (heartbeat 410) or server shutdown cancels the run cooperatively and
+// abandons the shard — no result is posted, the coordinator's lease
+// expiry handles the rest.
+//
+// The slot is freed before the result is posted: the coordinator
+// re-offers the moment it imports the result, and that offer must find
+// the slot free rather than bounce off a 429 and its Retry-After.
 func (s *Server) runShard(offer *cluster.LeaseOffer) {
+	release := sync.OnceFunc(func() {
+		<-s.shardSem
+		s.countShard(func(st *ShardStats) { st.Active-- })
+	})
+	defer release()
 	ctx, cancel := context.WithCancel(s.campaignCtx)
 	defer cancel()
 	hbDone := make(chan struct{})
@@ -149,6 +154,7 @@ func (s *Server) runShard(offer *cluster.LeaseOffer) {
 		Workers: s.cfg.Workers,
 		Sink:    func(sm *campaign.Sample) { samples = append(samples, *sm) },
 	})
+	release()
 	if ctx.Err() != nil {
 		// Lease lost or shutting down: the run returned a partial report;
 		// recording it would race the replacement lease, so drop it.
