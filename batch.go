@@ -20,7 +20,7 @@ import (
 // RunBatch simulates `trials` independent broadcasts of a message from
 // src on g and returns each trial's completion round, in trial order; a
 // trial that does not finish within the round budget reports budget+1
-// (the BroadcastTimeOn sentinel), so Completed is rounds[i] <= budget.
+// (BroadcastTime's sentinel), so Completed is rounds[i] <= budget.
 //
 // Trial i draws its randomness from a private stream derived as
 // sweep.Seeds(trials, seed)[i] from the WithSeed base (default 1) — the

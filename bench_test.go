@@ -13,6 +13,7 @@ package repro
 // produces the Medium-scale tables recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -145,9 +146,9 @@ func BenchmarkBroadcast(b *testing.B) {
 }
 
 // BenchmarkBroadcastReuse is BenchmarkBroadcast on the engine-reuse fast
-// path: one caller-owned engine driven by BroadcastTimeOn, so steady-state
-// trials allocate nothing. Compare with BenchmarkBroadcast to see the
-// per-trial allocation cost the reuse API removes.
+// path: one caller-owned engine driven by radio.BroadcastTimeOnContext, so
+// steady-state trials allocate nothing. Compare with BenchmarkBroadcast to
+// see the per-trial allocation cost the reuse API removes.
 func BenchmarkBroadcastReuse(b *testing.B) {
 	rng := NewRand(13)
 	const n = 100000
@@ -162,11 +163,11 @@ func BenchmarkBroadcastReuse(b *testing.B) {
 	// One untimed warm trial grows the engine's lazily sized scratch, so
 	// B/op and allocs/op report the steady per-trial cost rather than
 	// set-up divided by b.N.
-	BroadcastTimeOn(e, p, budget, rng)
+	radio.BroadcastTimeOnContext(context.Background(), e, p, budget, rng)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if BroadcastTimeOn(e, p, budget, rng) > budget {
+		if r, _ := radio.BroadcastTimeOnContext(context.Background(), e, p, budget, rng); r > budget {
 			b.Fatal("incomplete")
 		}
 	}
@@ -193,11 +194,11 @@ func BenchmarkBroadcastReusePerNode(b *testing.B) {
 	// One untimed warm trial grows the engine's lazily sized scratch, so
 	// B/op and allocs/op report the steady per-trial cost rather than
 	// set-up divided by b.N.
-	BroadcastTimeOn(e, p, budget, rng)
+	radio.BroadcastTimeOnContext(context.Background(), e, p, budget, rng)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if BroadcastTimeOn(e, p, budget, rng) > budget {
+		if r, _ := radio.BroadcastTimeOnContext(context.Background(), e, p, budget, rng); r > budget {
 			b.Fatal("incomplete")
 		}
 	}
@@ -369,12 +370,12 @@ func BenchmarkBroadcastReuseObserved(b *testing.B) {
 	// One untimed warm trial grows the engine's lazily sized scratch, so
 	// B/op and allocs/op report the steady per-trial cost rather than
 	// set-up divided by b.N.
-	BroadcastTimeOn(e, p, budget, rng)
+	radio.BroadcastTimeOnContext(context.Background(), e, p, budget, rng)
 	c = Counters{}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if BroadcastTimeOn(e, p, budget, rng) > budget {
+		if r, _ := radio.BroadcastTimeOnContext(context.Background(), e, p, budget, rng); r > budget {
 			b.Fatal("incomplete")
 		}
 	}

@@ -33,25 +33,10 @@ func (s *Set) Set(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Clear clears bit i. It panics if i is out of range.
-func (s *Set) Clear(i int) {
-	s.check(i)
-	s.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
 // Test reports whether bit i is set. It panics if i is out of range.
 func (s *Set) Test(i int) bool {
 	s.check(i)
 	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// TestAndSet sets bit i and reports whether it was already set.
-func (s *Set) TestAndSet(i int) bool {
-	s.check(i)
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	old := s.words[w]&m != 0
-	s.words[w] |= m
-	return old
 }
 
 func (s *Set) check(i int) {
@@ -74,16 +59,6 @@ func (s *Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Any reports whether any bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Fill sets every bit in [0, Len()).
@@ -109,22 +84,6 @@ func (s *Set) Union(t *Set) {
 	}
 }
 
-// Intersect sets s = s ∩ t. Both sets must have the same capacity.
-func (s *Set) Intersect(t *Set) {
-	s.sameLen(t)
-	for i, w := range t.words {
-		s.words[i] &= w
-	}
-}
-
-// Subtract sets s = s \ t. Both sets must have the same capacity.
-func (s *Set) Subtract(t *Set) {
-	s.sameLen(t)
-	for i, w := range t.words {
-		s.words[i] &^= w
-	}
-}
-
 func (s *Set) sameLen(t *Set) {
 	if s.n != t.n {
 		panic("bitset: capacity mismatch")
@@ -136,12 +95,6 @@ func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
 	copy(c.words, s.words)
 	return c
-}
-
-// CopyFrom overwrites s with the contents of t. Capacities must match.
-func (s *Set) CopyFrom(t *Set) {
-	s.sameLen(t)
-	copy(s.words, t.words)
 }
 
 // ForEach calls fn for every set bit in increasing order. If fn returns
@@ -156,36 +109,4 @@ func (s *Set) ForEach(fn func(i int) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// AppendMembers appends the indices of all set bits to dst in increasing
-// order and returns the extended slice.
-func (s *Set) AppendMembers(dst []int32) []int32 {
-	s.ForEach(func(i int) bool {
-		dst = append(dst, int32(i))
-		return true
-	})
-	return dst
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1 if
-// there is none.
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i >> 6
-	w := s.words[wi] >> (uint(i) & 63)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*64 + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
 }

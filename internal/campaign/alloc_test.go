@@ -9,7 +9,7 @@ import (
 
 // Steady-state allocation regressions for the trial hot loops: a
 // fixed-graph runner builds its graph and engine once, so per-trial work
-// must not allocate — neither on the scalar path (BroadcastTimeOn
+// must not allocate — neither on the scalar path (BroadcastTimeOnContext
 // materialises no Result) nor on the lane batch path (the lane engine
 // reuses every buffer across Run calls).
 

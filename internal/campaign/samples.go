@@ -1,9 +1,6 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -11,13 +8,13 @@ import (
 // This file is the shard extraction/import layer the cluster subsystem
 // builds on: a SampleSet accumulates samples from many producers (local
 // runs, remote workers, checkpoint shards) with duplicate and conflict
-// detection, and Encode/DecodeSamples are the JSONL wire format a worker
-// streams its shard results back in. Everything here preserves the
-// campaign determinism contract: a sample is a pure function of (spec,
-// point, trial), so identical duplicates are merged silently while a
-// conflicting duplicate — same coordinates, different content — is
-// always an error, because it can only mean corruption or an engine
-// mismatch.
+// detection. Shard results themselves travel as one JSON body (the
+// cluster's ShardResult) whose samples are merged here. Everything here
+// preserves the campaign determinism contract: a sample is a pure
+// function of (spec, point, trial), so identical duplicates are merged
+// silently while a conflicting duplicate — same coordinates, different
+// content — is always an error, because it can only mean corruption or
+// an engine mismatch.
 
 // SampleSet is a deduplicating, conflict-checking collection of samples
 // recorded under one spec. It is not safe for concurrent use; callers
@@ -127,55 +124,6 @@ func (ss *SampleSet) RangeComplete(lo, hi int) bool {
 		}
 	}
 	return true
-}
-
-// AppendTo appends samples to an open checkpoint. The caller flushes.
-func (ss *SampleSet) AppendTo(ck *Checkpoint, samples []*Sample) {
-	for _, s := range samples {
-		ck.Append(s)
-	}
-}
-
-// EncodeSamples renders samples as JSON Lines — one Sample object per
-// line, in the order given — the wire format shard results travel in.
-// Encode(Sorted()) is deterministic for a given set.
-func EncodeSamples(samples []Sample) ([]byte, error) {
-	var buf bytes.Buffer
-	for i := range samples {
-		b, err := json.Marshal(&samples[i])
-		if err != nil {
-			return nil, fmt.Errorf("campaign: encoding sample: %w", err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSamples parses a JSONL sample stream. Unlike the torn-tail
-// tolerant checkpoint loader, the wire decoder is strict: a malformed
-// line fails the whole decode, because a shard result travels over HTTP
-// with its integrity intact or not at all.
-func DecodeSamples(b []byte) ([]Sample, error) {
-	var out []Sample
-	sc := bufio.NewScanner(bytes.NewReader(b))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var s Sample
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			return nil, fmt.Errorf("campaign: decoding sample line %d: %w", line, err)
-		}
-		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("campaign: scanning sample stream: %w", err)
-	}
-	return out, nil
 }
 
 // EngineTag returns the Manifest.Engine tag a run of spec with the given

@@ -81,36 +81,6 @@ func TestSampleSetRangeComplete(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeSamplesRoundTrip: the wire format is lossless and the
-// decoder is strict about malformed lines.
-func TestEncodeDecodeSamplesRoundTrip(t *testing.T) {
-	spec := cheapSpec(5, nil)
-	set := NewSampleSet(spec)
-	if _, err := Run(spec, Options{Sink: func(s *Sample) { set.Add(*s) }}); err != nil {
-		t.Fatal(err)
-	}
-	sorted := set.Sorted()
-	b, err := EncodeSamples(sorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeSamples(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != len(sorted) {
-		t.Fatalf("decoded %d samples, encoded %d", len(decoded), len(sorted))
-	}
-	for i := range sorted {
-		if decoded[i] != sorted[i] {
-			t.Fatalf("sample %d round-tripped to %+v, was %+v", i, decoded[i], sorted[i])
-		}
-	}
-	if _, err := DecodeSamples(append([]byte("{torn"), '\n')); err == nil {
-		t.Error("strict decoder accepted a malformed line")
-	}
-}
-
 // TestMergeRejectsOverlappingShards is the regression test for the old
 // silently-unioning merge: two checkpoints whose -points slices overlap
 // must fail a plain merge (the same range ran twice — wasted compute and

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -112,18 +111,6 @@ func KindRegistered(name string) bool {
 	defer kindMu.RUnlock()
 	_, ok := kinds[name]
 	return ok
-}
-
-// Kinds returns the registered kind names, sorted.
-func Kinds() []string {
-	kindMu.RLock()
-	defer kindMu.RUnlock()
-	out := make([]string, 0, len(kinds))
-	for k := range kinds {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // newRunner builds the Runner for a point.

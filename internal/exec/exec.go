@@ -5,15 +5,15 @@
 // campaign runners and the serving layer — dispatches through an
 // Executor instead of constructing or running radio or lane engines
 // itself, so backend selection, fallback and pooling have exactly one
-// implementation and one metrics surface, and a new backend (e.g. a
-// collision-detection feedback engine) plugs in here once.
+// implementation and one metrics surface. The collision-detection model
+// runs through the same door (Request.Feedback) on the scalar engine.
 // scripts/archlint.sh enforces the rule.
 //
 // Classification:
 //
 //	schedule replay            → BackendSchedule (deterministic, no rng)
 //	single trial / per-node /
-//	non-uniform                → BackendScalar (sampled fast path unless
+//	non-uniform / CD feedback  → BackendScalar (sampled fast path unless
 //	                             PerNode; the engine decides per round)
 //	trial batch of a protocol
 //	with a fully uniform
@@ -90,6 +90,12 @@ type Request struct {
 	Protocol  radio.Protocol
 	Schedule  *radio.Schedule
 	MaxRounds int
+
+	// Feedback, when non-nil, runs a collision-detection-model protocol
+	// instead of Protocol (single trials only, on the scalar engine):
+	// listeners tell silence, a message and a collision apart. Setting
+	// it together with Protocol or Schedule is an error.
+	Feedback radio.FeedbackProtocol
 
 	// PerNode opts out of the sampled-transmitter fast path (the
 	// WithPerNodeSampling stream). Per-node sampling is a single-trial
@@ -170,8 +176,8 @@ type poolEntry struct {
 
 // Executor classifies requests onto backends, pools scalar and lane
 // engines per graph, and counts every dispatch. The zero value is not
-// ready; use New (isolated, e.g. for tests) or Default (the
-// process-wide instance every layer shares).
+// ready; use New (isolated, e.g. for tests) or the package-level
+// functions, which share one process-wide instance.
 type Executor struct {
 	graphCap   int   // max graphs with pooled engines (LRU beyond)
 	engineCap  int   // max idle scalar engines kept per graph
@@ -209,29 +215,29 @@ func New() *Executor {
 	}
 }
 
+// std is the process-wide executor behind the package-level functions.
+// The facade, sweep, the campaign runner and the serving layer all
+// dispatch through it, so its Snapshot is the one metrics surface for
+// everything that ran.
 var std = New()
 
-// Default returns the process-wide executor. The facade, sweep, the
-// campaign runner and the serving layer all dispatch through it, so its
-// Snapshot is the one metrics surface for everything that ran.
-func Default() *Executor { return std }
-
-// Classify reports the backend a single-trial request executes on.
+// classify reports the backend a single-trial request executes on.
 // Single trials never use lanes (the lane engine is a different
 // randomness stream and only pays off across a batch): a schedule
-// replays, everything else runs the scalar engine.
-func Classify(req *Request) Backend {
+// replays, everything else (CD feedback included) runs the scalar
+// engine.
+func classify(req *Request) Backend {
 	if req.Schedule != nil {
 		return BackendSchedule
 	}
 	return BackendScalar
 }
 
-// ClassifyBatch reports the backend a trial batch of req executes on:
+// classifyBatch reports the backend a trial batch of req executes on:
 // the lane engine when the protocol declares a fully uniform schedule
 // over the round budget and nothing scalar-only (per-node, a caller
 // engine, ForceScalar) is requested; the scalar engine otherwise.
-func ClassifyBatch(req *Request) Backend {
+func classifyBatch(req *Request) Backend {
 	if req.Schedule != nil {
 		return BackendSchedule
 	}
@@ -243,19 +249,26 @@ func ClassifyBatch(req *Request) Backend {
 
 // Run executes one trial of req and returns the full Result on the
 // engine checkout resolves: schedules replay deterministically (rng
-// unused) under the engine's policy, protocols run the scalar engine
-// with rng. Cancellation is cooperative between rounds: a canceled ctx
-// returns the partial Result and an error wrapping radio.ErrCanceled.
+// unused) under the engine's policy, protocols and CD feedback
+// protocols run the scalar engine with rng. Cancellation is cooperative
+// between rounds: a canceled ctx returns the partial Result and an
+// error wrapping radio.ErrCanceled.
 func (x *Executor) Run(ctx context.Context, req *Request, rng *xrand.Rand) (radio.Result, error) {
+	if req.Feedback != nil && (req.Protocol != nil || req.Schedule != nil) {
+		return radio.Result{}, errFeedbackMixed
+	}
 	e, pooled := x.checkout(req)
-	b := Classify(req)
+	b := classify(req)
 	x.c[b].runs.Add(1)
 	x.c[b].trials.Add(1)
 	var res radio.Result
 	var err error
-	if req.Schedule != nil {
+	switch {
+	case req.Schedule != nil:
 		res, err = radio.ExecuteScheduleOnContext(ctx, e, req.Schedule)
-	} else {
+	case req.Feedback != nil:
+		res, err = radio.RunCDProtocolContext(ctx, e, req.Feedback, req.MaxRounds, rng)
+	default:
 		res, err = e.RunProtocolContext(ctx, req.Protocol, req.MaxRounds, rng)
 	}
 	if pooled {
@@ -266,10 +279,21 @@ func (x *Executor) Run(ctx context.Context, req *Request, rng *xrand.Rand) (radi
 	return res, err
 }
 
+// errFeedbackMixed refuses a request that sets a CD feedback protocol
+// next to a protocol or a schedule: exactly one of them runs.
+var errFeedbackMixed = errors.New("exec: Request.Feedback excludes Protocol and Schedule")
+
+// errFeedbackSingle refuses CD feedback requests on the timing and
+// batch paths, which run protocols only.
+var errFeedbackSingle = errors.New("exec: Time and RunSeeds run protocols only; run a CD feedback request with Run")
+
 // Time executes one trial of a protocol request and returns only the
 // completion round (maxRounds+1 if the broadcast did not finish) — the
 // allocation-free twin of Run for measurement loops.
 func (x *Executor) Time(ctx context.Context, req *Request, rng *xrand.Rand) (int, error) {
+	if req.Feedback != nil {
+		return 0, errFeedbackSingle
+	}
 	e, pooled := x.checkout(req)
 	x.c[BackendScalar].runs.Add(1)
 	x.c[BackendScalar].trials.Add(1)
@@ -303,14 +327,16 @@ func (x *Executor) RunSeedsObserved(ctx context.Context, req *Request, seeds []u
 	switch {
 	case req.Schedule != nil:
 		return BackendSchedule, fmt.Errorf("exec: schedule replay is single-trial; RunSeeds takes protocols")
+	case req.Feedback != nil:
+		return BackendScalar, errFeedbackSingle
 	case req.Observer != nil:
-		return ClassifyBatch(req), errBatchObserver
+		return classifyBatch(req), errBatchObserver
 	}
 	if err := checkSlots(seeds, obs, out); err != nil {
-		return ClassifyBatch(req), err
+		return classifyBatch(req), err
 	}
 	if len(seeds) == 0 {
-		return ClassifyBatch(req), nil
+		return classifyBatch(req), nil
 	}
 	if plan, ok := batchPlan(req); ok {
 		x.c[BackendLanes].runs.Add(1)
@@ -634,7 +660,7 @@ func (s *Session) Backend() Backend {
 	if s.plan != nil {
 		return BackendLanes
 	}
-	return Classify(&s.req)
+	return classify(&s.req)
 }
 
 // scalar returns the session's scalar engine, building it on first use.
@@ -726,7 +752,8 @@ func (s *Session) Close() {
 	s.engine, s.lane = nil, nil
 }
 
-// Package-level conveniences dispatching through Default().
+// Package-level conveniences dispatching through the process-wide
+// executor.
 
 // Run executes one trial on the default executor; see Executor.Run.
 func Run(ctx context.Context, req *Request, rng *xrand.Rand) (radio.Result, error) {

@@ -33,3 +33,10 @@ func (x *Executor) IdleLanes(g *graph.Graph) ([]*lanes.Engine, bool) {
 	}
 	return append([]*lanes.Engine(nil), el.Value.(*poolEntry).idleLanes...), true
 }
+
+// Classify and ClassifyBatch expose the classifiers to the external
+// test package.
+var (
+	Classify      = classify
+	ClassifyBatch = classifyBatch
+)

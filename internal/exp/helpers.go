@@ -62,6 +62,12 @@ func runProtocol(g *graph.Graph, sources []int32, p radio.Protocol, maxRounds in
 	return res
 }
 
+// runCD runs the CD-model protocol p once from node 0 on a fresh engine.
+func runCD(g *graph.Graph, p radio.FeedbackProtocol, maxRounds int, rng *xrand.Rand) radio.Result {
+	res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Feedback: p, MaxRounds: maxRounds}, rng)
+	return res
+}
+
 // replay replays s from node 0 on a fresh strict engine.
 func replay(g *graph.Graph, s *radio.Schedule) (radio.Result, error) {
 	return exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: s}, nil)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/protocols"
-	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/table"
@@ -67,8 +66,7 @@ func runE19(cfg Config) []*table.Table {
 			return float64(broadcastTime(g, protocols.NewDecay(n), budget, r))
 		}},
 		{"AIMD backoff", "nothing", "yes", func(r *xrand.Rand) float64 {
-			e := radio.NewEngine(g, 0, radio.StrictInformed)
-			res := radio.RunCDProtocol(e, protocols.NewBackoff(n), budget, r)
+			res := runCD(g, protocols.NewBackoff(n), budget, r)
 			if !res.Completed {
 				return float64(budget + 1)
 			}

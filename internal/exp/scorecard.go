@@ -220,8 +220,7 @@ func Scorecard(cfg Config) []Check {
 		rng := xrand.New(cfg.Seed + 109)
 		g := sampleConnected(n, d, rng)
 		budget := 40 * core.MaxRoundsFor(n)
-		e := radio.NewEngine(g, 0, radio.StrictInformed)
-		res := radio.RunCDProtocol(e, protocols.NewBackoff(n), budget, rng)
+		res := runCD(g, protocols.NewBackoff(n), budget, rng)
 		decay := broadcastTime(g, protocols.NewDecay(n), budget, rng.Derive(3))
 		pass := res.Completed && res.Rounds < budget && decay <= budget
 		add("E19", "knowledge-free AIMD backoff completes under CD", pass,

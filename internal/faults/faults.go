@@ -85,11 +85,3 @@ func (s *Scenario) ReachableFromSource() int {
 	}
 	return count
 }
-
-// SurvivorFraction returns |survivors| / n of the base graph.
-func (s *Scenario) SurvivorFraction(baseN int) float64 {
-	if baseN == 0 {
-		return 1
-	}
-	return float64(len(s.Survivors)) / float64(baseN)
-}

@@ -291,28 +291,6 @@ func Hypercube(dim int) *graph.Graph {
 	return b.Build()
 }
 
-// Torus returns the rows×cols 2-dimensional torus (wrap-around grid).
-func Torus(rows, cols int) *graph.Graph {
-	if rows < 1 || cols < 1 {
-		panic("gen: torus dimensions must be positive")
-	}
-	n := rows * cols
-	b := graph.NewBuilder(n)
-	b.Grow(2 * n)
-	id := func(r, c int) int32 { return int32(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if cols > 1 {
-				b.AddEdge(id(r, c), id(r, (c+1)%cols))
-			}
-			if rows > 1 {
-				b.AddEdge(id(r, c), id((r+1)%rows, c))
-			}
-		}
-	}
-	return b.Build()
-}
-
 // Path returns the path graph on n vertices.
 func Path(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
@@ -354,32 +332,6 @@ func Complete(n int) *graph.Graph {
 		}
 	}
 	return b.Build()
-}
-
-// RandomTree returns a uniformly random labelled tree on n vertices via a
-// random Prüfer-like attachment: vertex i (i >= 1) attaches to a uniform
-// earlier vertex. (This is the random recursive tree, adequate as a sparse
-// connected baseline; it is not the uniform labelled tree distribution.)
-func RandomTree(n int, rng *xrand.Rand) *graph.Graph {
-	b := graph.NewBuilder(n)
-	for i := 1; i < n; i++ {
-		b.AddEdgeUnchecked(rng.Int31n(int32(i)), int32(i))
-	}
-	return b.Build()
-}
-
-// ConnectivityThreshold returns the probability p = c·ln n / n. With
-// c > 1 the graph G(n,p) is connected w.h.p.; the paper assumes
-// p >= δ ln n / n with δ large enough for connectivity.
-func ConnectivityThreshold(n int, c float64) float64 {
-	if n < 2 {
-		return 1
-	}
-	p := c * math.Log(float64(n)) / float64(n)
-	if p > 1 {
-		p = 1
-	}
-	return p
 }
 
 // PForDegree returns the edge probability giving expected average degree d

@@ -81,7 +81,7 @@ func TestGnpDegreeConcentration(t *testing.T) {
 func TestGnpConnectedAboveThreshold(t *testing.T) {
 	rng := xrand.New(5)
 	const n = 2000
-	p := ConnectivityThreshold(n, 3)
+	p := 3 * math.Log(n) / n
 	for trial := 0; trial < 5; trial++ {
 		g := Gnp(n, p, rng)
 		if !graph.IsConnected(g) {
@@ -234,27 +234,6 @@ func TestHypercube(t *testing.T) {
 	}
 }
 
-func TestTorus(t *testing.T) {
-	g := Torus(4, 5)
-	if g.N() != 20 {
-		t.Fatalf("n = %d", g.N())
-	}
-	st := g.Degrees()
-	if st.Min != 4 || st.Max != 4 {
-		t.Fatalf("torus degrees %+v", st)
-	}
-	if !graph.IsConnected(g) {
-		t.Fatal("torus disconnected")
-	}
-	// Degenerate sizes.
-	if g := Torus(1, 1); g.M() != 0 {
-		t.Fatalf("1x1 torus m=%d", g.M())
-	}
-	if g := Torus(1, 4); !graph.IsConnected(g) {
-		t.Fatal("1x4 torus disconnected")
-	}
-}
-
 func TestDeterministicFamilies(t *testing.T) {
 	if g := Path(5); g.M() != 4 || graph.Diameter(g) != 4 {
 		t.Fatal("Path(5) malformed")
@@ -270,24 +249,9 @@ func TestDeterministicFamilies(t *testing.T) {
 	}
 }
 
-func TestRandomTree(t *testing.T) {
-	rng := xrand.New(10)
-	for _, n := range []int{1, 2, 10, 500} {
-		g := RandomTree(n, rng)
-		if g.M() != n-1 && n > 0 {
-			if !(n == 1 && g.M() == 0) {
-				t.Fatalf("RandomTree(%d) has %d edges", n, g.M())
-			}
-		}
-		if !graph.IsConnected(g) {
-			t.Fatalf("RandomTree(%d) disconnected", n)
-		}
-	}
-}
-
 func TestConnectedGnp(t *testing.T) {
 	rng := xrand.New(11)
-	g, tries, ok := ConnectedGnp(500, ConnectivityThreshold(500, 2), rng, 20)
+	g, tries, ok := ConnectedGnp(500, 2*math.Log(500)/500, rng, 20)
 	if !ok {
 		t.Fatal("ConnectedGnp failed above threshold")
 	}
@@ -316,17 +280,6 @@ func TestPForDegree(t *testing.T) {
 	}
 	if p := PForDegree(1, 5); p != 0 {
 		t.Fatalf("PForDegree n=1 = %v", p)
-	}
-}
-
-func TestConnectivityThreshold(t *testing.T) {
-	p := ConnectivityThreshold(1000, 2)
-	want := 2 * math.Log(1000) / 1000
-	if math.Abs(p-want) > 1e-12 {
-		t.Fatalf("threshold = %v, want %v", p, want)
-	}
-	if p := ConnectivityThreshold(1, 2); p != 1 {
-		t.Fatalf("threshold n=1 = %v", p)
 	}
 }
 

@@ -361,16 +361,6 @@ func sorted32(s []int32) bool {
 	return true
 }
 
-// FromEdges constructs a graph on n vertices from an explicit edge list.
-func FromEdges(n int, edges [][2]int32) *Graph {
-	b := NewBuilder(n)
-	b.Grow(len(edges))
-	for _, e := range edges {
-		b.AddEdge(e[0], e[1])
-	}
-	return b.Build()
-}
-
 // Subgraph returns the induced subgraph on the given vertices together with
 // the mapping from new indices to original vertex ids. Vertices may be
 // listed in any order; duplicates are rejected.

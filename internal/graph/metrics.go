@@ -68,21 +68,6 @@ func GlobalClustering(g *Graph) float64 {
 	return 3 * float64(Triangles(g)) / float64(wedges)
 }
 
-// DegreeHistogram returns counts[k] = number of vertices of degree k.
-func DegreeHistogram(g *Graph) []int {
-	maxDeg := 0
-	for v := int32(0); int(v) < g.N(); v++ {
-		if d := g.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	counts := make([]int, maxDeg+1)
-	for v := int32(0); int(v) < g.N(); v++ {
-		counts[g.Degree(v)]++
-	}
-	return counts
-}
-
 // WriteTo serialises g as a plain-text edge list: a header line
 // "graph <n> <m>" followed by one "u v" line per edge (u < v). The format
 // round-trips through ReadGraph.
@@ -150,77 +135,4 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: header says %d edges, parsed %d (after dedup)", m, g.M())
 	}
 	return g, nil
-}
-
-// CoreNumbers returns the k-core number of every vertex: the largest k
-// such that the vertex belongs to a subgraph in which every vertex has
-// degree at least k. Computed by the standard O(n + m) peeling
-// (Matula–Beck / Batagelj–Zaveršnik bucket algorithm).
-func CoreNumbers(g *Graph) []int {
-	n := g.N()
-	deg := make([]int, n)
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(int32(v))
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	// Bucket sort vertices by degree.
-	bin := make([]int, maxDeg+2)
-	for _, d := range deg {
-		bin[d]++
-	}
-	start := 0
-	for d := 0; d <= maxDeg; d++ {
-		count := bin[d]
-		bin[d] = start
-		start += count
-	}
-	pos := make([]int, n)  // position of vertex in vert
-	vert := make([]int, n) // vertices sorted by current degree
-	for v := 0; v < n; v++ {
-		pos[v] = bin[deg[v]]
-		vert[pos[v]] = v
-		bin[deg[v]]++
-	}
-	for d := maxDeg; d > 0; d-- {
-		bin[d] = bin[d-1]
-	}
-	bin[0] = 0
-
-	core := make([]int, n)
-	copy(core, deg)
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		for _, w := range g.Neighbors(int32(v)) {
-			if core[w] > core[v] {
-				// Move w one bucket down.
-				dw := core[w]
-				pw := pos[w]
-				ps := bin[dw]
-				s := vert[ps]
-				if int32(s) != w {
-					vert[pw] = s
-					pos[s] = pw
-					vert[ps] = int(w)
-					pos[w] = ps
-				}
-				bin[dw]++
-				core[w]--
-			}
-		}
-	}
-	return core
-}
-
-// Degeneracy returns the graph's degeneracy: the maximum core number.
-func Degeneracy(g *Graph) int {
-	maxCore := 0
-	for _, c := range CoreNumbers(g) {
-		if c > maxCore {
-			maxCore = c
-		}
-	}
-	return maxCore
 }

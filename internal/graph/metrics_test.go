@@ -81,21 +81,6 @@ func TestGlobalClusteringGnpNearP(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := path(4) // degrees 1,2,2,1
-	h := DegreeHistogram(g)
-	if len(h) != 3 || h[0] != 0 || h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram = %v", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != g.N() {
-		t.Fatalf("histogram sums to %d", total)
-	}
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	rng := xrand.New(3)
 	b := NewBuilder(50)
@@ -172,101 +157,5 @@ func BenchmarkTriangles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Triangles(g)
-	}
-}
-
-func TestCoreNumbersKnownGraphs(t *testing.T) {
-	// K5: every vertex has core number 4.
-	for _, c := range CoreNumbers(complete(5)) {
-		if c != 4 {
-			t.Fatalf("K5 core %d, want 4", c)
-		}
-	}
-	// Path: interior cores 1, all 1.
-	for _, c := range CoreNumbers(path(6)) {
-		if c != 1 {
-			t.Fatalf("path core %d, want 1", c)
-		}
-	}
-	// Cycle: all 2.
-	for _, c := range CoreNumbers(cycle(7)) {
-		if c != 2 {
-			t.Fatalf("cycle core %d, want 2", c)
-		}
-	}
-	// Empty graph on 3 vertices: all 0.
-	for _, c := range CoreNumbers(NewBuilder(3).Build()) {
-		if c != 0 {
-			t.Fatalf("isolated core %d, want 0", c)
-		}
-	}
-}
-
-func TestCoreNumbersTriangleWithTail(t *testing.T) {
-	// Triangle 0-1-2 plus a tail 2-3-4: triangle cores 2, tail cores 1.
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(0, 2)
-	b.AddEdge(2, 3)
-	b.AddEdge(3, 4)
-	g := b.Build()
-	cores := CoreNumbers(g)
-	want := []int{2, 2, 2, 1, 1}
-	for v, c := range cores {
-		if c != want[v] {
-			t.Fatalf("core[%d] = %d, want %d (all: %v)", v, c, want[v], cores)
-		}
-	}
-	if Degeneracy(g) != 2 {
-		t.Fatalf("degeneracy %d", Degeneracy(g))
-	}
-}
-
-func TestCoreNumbersMatchBruteForce(t *testing.T) {
-	// Brute-force core number: repeatedly peel vertices of degree < k.
-	brute := func(g *Graph, k int) []bool {
-		alive := make([]bool, g.N())
-		for i := range alive {
-			alive[i] = true
-		}
-		for changed := true; changed; {
-			changed = false
-			for v := 0; v < g.N(); v++ {
-				if !alive[v] {
-					continue
-				}
-				deg := 0
-				for _, w := range g.Neighbors(int32(v)) {
-					if alive[w] {
-						deg++
-					}
-				}
-				if deg < k {
-					alive[v] = false
-					changed = true
-				}
-			}
-		}
-		return alive
-	}
-	rng := xrand.New(11)
-	for trial := 0; trial < 10; trial++ {
-		n := 10 + rng.Intn(40)
-		b := NewBuilder(n)
-		for i := 0; i < 3*n; i++ {
-			b.AddEdge(rng.Int31n(int32(n)), rng.Int31n(int32(n)))
-		}
-		g := b.Build()
-		cores := CoreNumbers(g)
-		for k := 1; k <= 6; k++ {
-			inKCore := brute(g, k)
-			for v := 0; v < n; v++ {
-				if (cores[v] >= k) != inKCore[v] {
-					t.Fatalf("trial %d: vertex %d core=%d, brute force k=%d membership %v",
-						trial, v, cores[v], k, inKCore[v])
-				}
-			}
-		}
 	}
 }

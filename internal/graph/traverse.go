@@ -248,21 +248,3 @@ func CountEdgesWithin(g *Graph, set []int32) int {
 	}
 	return count
 }
-
-// CountEdgesBetween returns the number of edges with one endpoint in a and
-// the other in b. The sets are assumed disjoint.
-func CountEdgesBetween(g *Graph, a, b []int32) int {
-	inB := make(map[int32]bool, len(b))
-	for _, v := range b {
-		inB[v] = true
-	}
-	count := 0
-	for _, v := range a {
-		for _, w := range g.Neighbors(v) {
-			if inB[w] {
-				count++
-			}
-		}
-	}
-	return count
-}

@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -484,6 +485,55 @@ func TestDifferentialFeedback(t *testing.T) {
 						i, g, policy, r+1, v, fb[v], fbO[v], set)
 				}
 			}
+		}
+	}
+}
+
+// oracleCD drives the CD-model protocol p on the oracle from src the way
+// the engine's CD runner does — informed nodes decide in ascending index
+// order on their previous round's feedback (silence before round 1) —
+// with every observation computed naively by RoundFeedback.
+func oracleCD(g *graph.Graph, src int32, p radio.FeedbackProtocol, maxRounds int, rng *xrand.Rand) radio.Result {
+	o := New(g, []int32{src}, radio.StrictInformed)
+	prev := make([]radio.Feedback, g.N())
+	for v := range prev {
+		prev[v] = radio.FeedbackSilence
+	}
+	for o.RoundCount() < maxRounds && !o.Done() {
+		round := o.RoundCount() + 1
+		var tx []int32
+		for v := int32(0); int(v) < g.N(); v++ {
+			if o.Informed(v) && p.TransmitCD(v, round, o.InformedAt(v), prev[v], rng) {
+				tx = append(tx, v)
+			}
+		}
+		_, fb, err := o.RoundFeedback(tx)
+		if err != nil {
+			panic(err) // only informed nodes are offered
+		}
+		prev = fb
+	}
+	return o.Result()
+}
+
+// TestDifferentialCDRun cross-checks whole CD-model runs through
+// internal/exec (Request.Feedback) against the oracle-driven CD loop on
+// the same seeds: same decisions, same observations, same Result.
+func TestDifferentialCDRun(t *testing.T) {
+	base := xrand.New(diffBaseSeed + 9)
+	for i := 0; i < diffCases(150); i++ {
+		crng := base.Derive(uint64(i))
+		g, src, seed := randomCase(crng)
+		budget := 1 + crng.Intn(300)
+		got, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{src},
+			Feedback: protocols.NewBackoff(g.N()), MaxRounds: budget}, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracleCD(g, src, protocols.NewBackoff(g.N()), budget, xrand.New(seed))
+		if d := Compare(got, want); d != "" {
+			t.Fatalf("case %d (%v src=%d budget=%d seed=%d): exec CD run diverges from the oracle:\n%s",
+				i, g, src, budget, seed, d)
 		}
 	}
 }

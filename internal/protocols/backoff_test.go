@@ -16,8 +16,11 @@ func TestBackoffCompletesKnowledgeFree(t *testing.T) {
 	const n = 2000
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 1)
-	e := radio.NewEngine(g, 0, radio.StrictInformed)
-	res := radio.RunCDProtocol(e, NewBackoff(n), 20*core.MaxRoundsFor(n), xrand.New(2))
+	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0},
+		Feedback: NewBackoff(n), MaxRounds: 20 * core.MaxRoundsFor(n)}, xrand.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Completed {
 		t.Fatalf("backoff incomplete: %d/%d after %d rounds", res.Informed, n, res.Rounds)
 	}
@@ -43,8 +46,8 @@ func TestBackoffCompetitiveWithPaperProtocol(t *testing.T) {
 	}
 	budget := 20 * core.MaxRoundsFor(n)
 	backoff := med(func(seed uint64) int {
-		e := radio.NewEngine(g, 0, radio.StrictInformed)
-		res := radio.RunCDProtocol(e, NewBackoff(n), budget, xrand.New(100+seed))
+		res, _ := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0},
+			Feedback: NewBackoff(n), MaxRounds: budget}, xrand.New(100+seed))
 		if !res.Completed {
 			return budget + 1
 		}

@@ -4,12 +4,14 @@ package radio
 // listeners NO collision detection: a collision is indistinguishable from
 // silence. The CD variant — equally standard in the radio-network
 // literature — lets a listening node distinguish silence, a clean message
-// and a collision. RunCDProtocol simulates that model; protocols
+// and a collision. RunCDProtocolContext simulates that model; protocols
 // receive their previous round's observation and can adapt (see
 // protocols.Backoff for a knowledge-free protocol built on it, and
 // experiment E19 for the comparison).
 
 import (
+	"context"
+
 	"repro/internal/xrand"
 )
 
@@ -119,9 +121,16 @@ func (e *Engine) RoundWithFeedback(transmitters []int32, fb []Feedback) ([]int32
 	return newly, err
 }
 
-// RunCDProtocol simulates a CD-model protocol on the engine for at most
-// maxRounds rounds, stopping early on completion.
-func RunCDProtocol(e *Engine, p FeedbackProtocol, maxRounds int, rng *xrand.Rand) Result {
+// RunCDProtocolContext simulates a CD-model protocol on the engine's
+// CURRENT state — no reset — for at most maxRounds rounds, stopping early
+// on completion. Like the other runners it brackets the run with
+// BeginRun/EndRun for an attached observer and checks ctx between
+// rounds without consuming randomness; on cancellation the partial
+// Result is returned alongside an error wrapping ErrCanceled and the
+// context's cause.
+func RunCDProtocolContext(ctx context.Context, e *Engine, p FeedbackProtocol, maxRounds int, rng *xrand.Rand) (Result, error) {
+	e.observeBegin(maxRounds)
+	defer e.observeEnd()
 	n := e.g.N()
 	fb := make([]Feedback, n)
 	for i := range fb {
@@ -130,6 +139,9 @@ func RunCDProtocol(e *Engine, p FeedbackProtocol, maxRounds int, rng *xrand.Rand
 	next := make([]Feedback, n)
 	var tx []int32
 	for e.round < maxRounds && !e.Done() {
+		if ctx.Err() != nil {
+			return resultOf(e), Canceled(ctx)
+		}
 		tx = tx[:0]
 		round := e.round + 1
 		for v, inf := range e.informed {
@@ -145,5 +157,5 @@ func RunCDProtocol(e *Engine, p FeedbackProtocol, maxRounds int, rng *xrand.Rand
 		}
 		fb, next = next, fb
 	}
-	return resultOf(e)
+	return resultOf(e), nil
 }

@@ -1,10 +1,13 @@
 package radio
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -95,7 +98,10 @@ func TestRunCDProtocolDeliversFeedback(t *testing.T) {
 	// Path 0-1-2-3: echo forwarding moves the message one hop per round.
 	g := gen.Path(4)
 	e := NewEngine(g, 0, StrictInformed)
-	res := RunCDProtocol(e, &echoProtocol{fired: map[int32]bool{}}, 20, xrand.New(1))
+	res, err := RunCDProtocolContext(context.Background(), e, &echoProtocol{fired: map[int32]bool{}}, 20, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Completed {
 		t.Fatalf("echo relay incomplete: %d/4", res.Informed)
 	}
@@ -110,9 +116,24 @@ func TestRunCDProtocolRespectsBudget(t *testing.T) {
 	silent := cdFunc(func(v int32, round int, at int32, prev Feedback, rng *xrand.Rand) bool {
 		return false
 	})
-	res := RunCDProtocol(e, silent, 7, xrand.New(2))
-	if res.Completed || res.Rounds != 7 {
-		t.Fatalf("budget not respected: %+v", res.Rounds)
+	res, err := RunCDProtocolContext(context.Background(), e, silent, 7, xrand.New(2))
+	if err != nil || res.Completed || res.Rounds != 7 {
+		t.Fatalf("budget not respected: rounds %d, err %v", res.Rounds, err)
+	}
+}
+
+func TestRunCDProtocolCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := NewEngine(gen.Path(4), 0, StrictInformed)
+	var c trace.Counters
+	e.Attach(&c)
+	res, err := RunCDProtocolContext(ctx, e, &echoProtocol{fired: map[int32]bool{}}, 20, xrand.New(1))
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if res.Rounds != 0 || res.Informed != 1 || c.Runs != 1 || c.Rounds != 0 {
+		t.Fatalf("canceled before round 1: result %+v, counters %+v", res, c)
 	}
 }
 

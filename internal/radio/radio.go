@@ -18,8 +18,8 @@
 // node locally decides each round whether to transmit
 // (Engine.RunProtocolContext, and BroadcastTimeOnContext for the
 // completion round alone), schedule replay (ExecuteScheduleOnContext) and
-// the collision-detection variant (RunCDProtocol). Everything outside the
-// engine runs them through internal/exec.
+// the collision-detection variant (RunCDProtocolContext). Everything
+// outside the engine runs them through internal/exec.
 package radio
 
 import (
@@ -245,10 +245,11 @@ func (e *Engine) Counters() trace.Counters { return e.counters }
 
 // Attach sets the engine's observer: after every executed round the
 // engine sends it a trace.RoundRecord, and the runners
-// (RunProtocolContext, ExecuteScheduleOnContext, BroadcastTimeOnContext)
-// bracket each run with BeginRun/EndRun notifications. Attach(nil)
-// detaches. The attached observer survives Reset/ResetFor, so one
-// observer can aggregate across many trials on a reused engine.
+// (RunProtocolContext, ExecuteScheduleOnContext, BroadcastTimeOnContext,
+// RunCDProtocolContext) bracket each run with BeginRun/EndRun
+// notifications. Attach(nil) detaches. The attached observer survives
+// Reset/ResetFor, so one observer can aggregate across many trials on a
+// reused engine.
 //
 // With no observer attached the per-round overhead is a single nil check;
 // the allocation-free fast path is unchanged. An observer that also
@@ -655,9 +656,6 @@ type UniformProtocol interface {
 // fast path whenever the protocol declares uniform rounds. The setting
 // survives Reset/ResetFor, like an attached observer.
 func (e *Engine) SetPerNodeSampling(on bool) { e.perNode = on }
-
-// PerNodeSampling reports whether the sampled fast path is disabled.
-func (e *Engine) PerNodeSampling() bool { return e.perNode }
 
 // runProtocol drives the engine under the protocol from its current
 // state until completion, the round budget or cancellation, reusing the

@@ -1,10 +1,10 @@
 package stats
 
 // Online (streaming) aggregators for the campaign runner: Welford
-// mean/variance, Wilson score intervals for success probabilities, the P²
-// quantile estimator and reservoir sampling. All of them consume samples
-// one at a time in O(1) memory, so a campaign can aggregate millions of
-// trials per grid point without retaining raw sample slices.
+// mean/variance, Wilson score intervals for success probabilities and the
+// P² quantile estimator. All of them consume samples one at a time in O(1)
+// memory, so a campaign can aggregate millions of trials per grid point
+// without retaining raw sample slices.
 //
 // Determinism note: Welford and P² are exact functions of the *sequence*
 // of observations, not just the multiset — feeding the same samples in a
@@ -15,8 +15,6 @@ package stats
 import (
 	"math"
 	"sort"
-
-	"repro/internal/xrand"
 )
 
 // Welford accumulates count, mean and variance of a stream using
@@ -67,25 +65,6 @@ func (w *Welford) CI95HalfWidth() float64 {
 		return math.NaN()
 	}
 	return 1.96 * w.StdDev() / math.Sqrt(float64(w.n))
-}
-
-// Merge folds another accumulator into w (Chan et al. parallel update).
-// Merging is exact in real arithmetic but, like Add, not bit-for-bit
-// order-independent in floating point; order-sensitive callers should
-// feed one accumulator sequentially instead.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
 }
 
 // Wilson returns the Wilson score interval for a binomial success
@@ -230,51 +209,4 @@ func (e *P2) Value() float64 {
 		return quantileSorted(s, e.p)
 	}
 	return e.q[2]
-}
-
-// Reservoir keeps a uniform random sample of up to k elements of a stream
-// (Vitter's algorithm R) using the supplied deterministic generator, so
-// approximate quantiles of arbitrarily long streams can be read off a
-// bounded sample. The same (stream, seed) pair always retains the same
-// sample.
-type Reservoir struct {
-	rng  *xrand.Rand
-	buf  []float64
-	seen int64
-}
-
-// NewReservoir returns a reservoir of capacity k. It panics for k <= 0 or
-// a nil generator.
-func NewReservoir(k int, rng *xrand.Rand) *Reservoir {
-	if k <= 0 {
-		panic("stats: NewReservoir requires k > 0")
-	}
-	if rng == nil {
-		panic("stats: NewReservoir requires a generator")
-	}
-	return &Reservoir{rng: rng, buf: make([]float64, 0, k)}
-}
-
-// Add consumes one observation.
-func (r *Reservoir) Add(x float64) {
-	r.seen++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, x)
-		return
-	}
-	if j := r.rng.Uint64n(uint64(r.seen)); j < uint64(cap(r.buf)) {
-		r.buf[j] = x
-	}
-}
-
-// Seen returns the number of observations consumed.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Sample returns the retained sample (not a copy; do not mutate).
-func (r *Reservoir) Sample() []float64 { return r.buf }
-
-// Quantile returns the q-th quantile of the retained sample, or NaN when
-// the reservoir is empty.
-func (r *Reservoir) Quantile(q float64) float64 {
-	return Quantile(r.buf, q)
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/xrand"
@@ -42,41 +41,6 @@ func TestWelfordEdgeCases(t *testing.T) {
 	}
 	if !math.IsNaN(w.Variance()) || !math.IsNaN(w.CI95HalfWidth()) {
 		t.Error("single-element Welford dispersion must be NaN")
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	rng := xrand.New(5)
-	var all, a, b Welford
-	for i := 0; i < 500; i++ {
-		x := rng.Float64() * 10
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-12 {
-		t.Errorf("merged mean %v vs sequential %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Errorf("merged variance %v vs sequential %v", a.Variance(), all.Variance())
-	}
-	// Merging into/from empty accumulators is the identity.
-	var empty Welford
-	c := a
-	c.Merge(empty)
-	if c != a {
-		t.Error("merging an empty accumulator changed the receiver")
-	}
-	empty.Merge(a)
-	if empty != a {
-		t.Error("merging into an empty accumulator must copy")
 	}
 }
 
@@ -154,40 +118,6 @@ func TestP2Deterministic(t *testing.T) {
 	}
 	if a, b := feed(), feed(); a != b {
 		t.Errorf("P2 not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestReservoir(t *testing.T) {
-	r := NewReservoir(100, xrand.New(3))
-	if !math.IsNaN(r.Quantile(0.5)) {
-		t.Error("empty reservoir quantile must be NaN")
-	}
-	for i := 0; i < 10000; i++ {
-		r.Add(float64(i))
-	}
-	if r.Seen() != 10000 {
-		t.Fatalf("Seen = %d", r.Seen())
-	}
-	if len(r.Sample()) != 100 {
-		t.Fatalf("sample size = %d, want 100", len(r.Sample()))
-	}
-	// The retained sample of a uniform stream should have a median within
-	// a few hundred of the true median 5000 (binomial concentration).
-	if m := r.Quantile(0.5); m < 3500 || m > 6500 {
-		t.Errorf("reservoir median = %v, want near 5000", m)
-	}
-	// Deterministic for a fixed seed.
-	r2 := NewReservoir(100, xrand.New(3))
-	for i := 0; i < 10000; i++ {
-		r2.Add(float64(i))
-	}
-	a, b := append([]float64(nil), r.Sample()...), append([]float64(nil), r2.Sample()...)
-	sort.Float64s(a)
-	sort.Float64s(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("reservoir not deterministic for fixed seed")
-		}
 	}
 }
 

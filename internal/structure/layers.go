@@ -117,20 +117,3 @@ func (p *LayerProfile) BigLayerCount(n int, d float64) int {
 	}
 	return count
 }
-
-// LastSmallLayer returns the index of the last layer with fewer than
-// n/d nodes before the first big layer, i.e. the boundary D* where the
-// centralized algorithm switches from the tree phase to the selective
-// phase. It returns len(Layers)-1 if no layer reaches n/d.
-func (p *LayerProfile) LastSmallLayer(n int, d float64) int {
-	threshold := float64(n) / d
-	for i, st := range p.Layers {
-		if float64(st.Size) >= threshold {
-			if i == 0 {
-				return 0
-			}
-			return i - 1
-		}
-	}
-	return len(p.Layers) - 1
-}

@@ -335,20 +335,6 @@ func TestBigLayerCountConstant(t *testing.T) {
 	}
 }
 
-func TestLastSmallLayer(t *testing.T) {
-	p := &LayerProfile{Layers: []LayerStat{
-		{Depth: 0, Size: 1}, {Depth: 1, Size: 10}, {Depth: 2, Size: 100}, {Depth: 3, Size: 500},
-	}}
-	// n/d = 1000/20 = 50: first layer >= 50 is depth 2, so last small is 1.
-	if got := p.LastSmallLayer(1000, 20); got != 1 {
-		t.Fatalf("LastSmallLayer = %d, want 1", got)
-	}
-	// Threshold never reached.
-	if got := p.LastSmallLayer(1000000, 10); got != 3 {
-		t.Fatalf("LastSmallLayer = %d, want 3", got)
-	}
-}
-
 func TestGrowthRatiosEmptyAndNaN(t *testing.T) {
 	p := &LayerProfile{Layers: []LayerStat{{Size: 1}}}
 	if got := p.GrowthRatios(); got != nil {

@@ -96,9 +96,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -293,14 +290,6 @@ func (r *Rand) Shuffle32(s []int32) {
 	}
 }
 
-// ShuffleInts permutes s uniformly at random in place (Fisher–Yates).
-func (r *Rand) ShuffleInts(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // PartialShuffle performs the first k steps of a Fisher–Yates shuffle on
 // s: after the call, s[:k] is a uniformly random k-subset of the original
 // elements of s (in uniformly random order) and s[k:] holds the rest. It
@@ -389,16 +378,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential sample with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Ziggurat tables for ExpZiggurat (Marsaglia & Tsang, "The Ziggurat Method
 // for Generating Random Variables", 2000), computed once at init from the
 // published recurrence rather than pasted as opaque constants. 256 layers;
@@ -435,10 +414,10 @@ func init() {
 }
 
 // ExpZiggurat returns an Exp(1) sample using the ziggurat method: roughly
-// 2–3× cheaper than ExpFloat64 because ~98.9% of draws need one uniform,
-// one table lookup and one compare, with no logarithm. The stream differs
-// from ExpFloat64's, so switching a call site changes its sampled values
-// (but not their distribution). The parallel G(n,p) generator draws its
+// 2–3× cheaper than inversion (-log U) because ~98.9% of draws need one
+// uniform, one table lookup and one compare, with no logarithm. The
+// stream differs from inversion's, so switching a call site changes its
+// sampled values (but not their distribution). The parallel G(n,p) generator draws its
 // geometric skips as floor(ExpZiggurat()/λ), λ = -log(1-p).
 func (r *Rand) ExpZiggurat() float64 {
 	for {

@@ -369,18 +369,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(73)
-	sum := 0.0
-	const trials = 100000
-	for i := 0; i < trials; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / trials; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean %v", mean)
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64

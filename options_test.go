@@ -2,9 +2,12 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"repro/internal/radio"
 )
 
 func testGraph(t testing.TB, n int, d float64, seed uint64) *Graph {
@@ -22,7 +25,8 @@ func perNodeBroadcast(g *Graph, sources []int32, d float64, rng *Rand) Result {
 	e := NewEngine(g, sources[0])
 	e.SetSources(sources)
 	e.SetPerNodeSampling(true)
-	return RunProtocolOn(e, NewProtocol(g.N(), d), MaxRounds(g.N()), rng)
+	res, _ := e.RunProtocolContext(context.Background(), NewProtocol(g.N(), d), MaxRounds(g.N()), rng)
+	return res
 }
 
 // TestRunReproducesBroadcast is the facade acceptance check: the options
@@ -101,7 +105,7 @@ func TestRunSampledFastPath(t *testing.T) {
 }
 
 // TestRunScheduleMatchesExecuteSchedule: the schedule path of Run is
-// ExecuteScheduleOn on a fresh engine.
+// radio.ExecuteScheduleOnContext on a fresh engine.
 func TestRunScheduleMatchesExecuteSchedule(t *testing.T) {
 	const n = 1000
 	const d = 16.0
@@ -110,7 +114,7 @@ func TestRunScheduleMatchesExecuteSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ExecuteScheduleOn(NewEngine(g, 0), sched)
+	want, err := radio.ExecuteScheduleOnContext(context.Background(), NewEngine(g, 0), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestRunScheduleMatchesExecuteSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Completed != want.Completed || got.Rounds != want.Rounds || got.Stats != want.Stats {
-		t.Fatalf("Run schedule %+v != ExecuteScheduleOn %+v", got, want)
+		t.Fatalf("Run schedule %+v != ExecuteScheduleOnContext %+v", got, want)
 	}
 }
 

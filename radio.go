@@ -55,14 +55,14 @@
 //
 // Who uses which stream:
 //
-//   - Run (and RunProtocolOn, BroadcastTime, BroadcastTimeOn, the gossip
-//     runners) default to the sampled fast path; opt out per call with
+//   - Run (with or without WithEngine), BroadcastTime and the gossip
+//     runners default to the sampled fast path; opt out per call with
 //     WithPerNodeSampling, or per engine with Engine.SetPerNodeSampling.
 //   - Run(..., WithPerNodeSampling()) is the historical per-node stream,
 //     frozen bit-for-bit across releases (deprecated_stream_test.go pins
 //     it with the fingerprints the removed positional wrappers had).
-//   - Schedule replay (WithSchedule, ExecuteScheduleOn) and BuildSchedule
-//     take no per-round randomness from the engine and are unaffected.
+//   - Schedule replay (WithSchedule) and BuildSchedule take no per-round
+//     randomness from the engine and are unaffected.
 //
 // The runnable examples under examples/ exercise these entry points on the
 // scenarios from the paper's motivation; cmd/experiments regenerates every
@@ -181,31 +181,6 @@ func NewProtocol(n int, d float64) Protocol {
 func BroadcastTime(g *Graph, src int32, p Protocol, maxRounds int, rng *Rand) int {
 	r, _ := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Protocol: p, MaxRounds: maxRounds}, rng)
 	return r
-}
-
-// RunProtocolOn is Run's protocol loop on a caller-owned engine: the
-// engine is reset and reused, so a loop of trials over one graph
-// allocates nothing per trial beyond the Result. Like Run it uses the
-// sampled fast path when the protocol supports it; call
-// e.SetPerNodeSampling(true) for the per-node stream.
-func RunProtocolOn(e *Engine, p Protocol, maxRounds int, rng *Rand) Result {
-	e.Reset()
-	res, _ := e.RunProtocolContext(context.Background(), p, maxRounds, rng)
-	return res
-}
-
-// BroadcastTimeOn is BroadcastTime on a caller-owned engine (reset first);
-// unlike RunProtocolOn it builds no Result, so a trial is allocation-free.
-func BroadcastTimeOn(e *Engine, p Protocol, maxRounds int, rng *Rand) int {
-	r, _ := radio.BroadcastTimeOnContext(context.Background(), e, p, maxRounds, rng)
-	return r
-}
-
-// ExecuteScheduleOn replays a schedule on a caller-owned engine (reset
-// first), for replaying many schedules on one graph without reallocating.
-func ExecuteScheduleOn(e *Engine, s *Schedule) (Result, error) {
-	e.Reset()
-	return radio.ExecuteScheduleOnContext(context.Background(), e, s)
 }
 
 // CentralizedBound returns the Theorem 5/6 bound ln n / ln d + ln d.

@@ -9,21 +9,20 @@
 # 1. Engine construction — lanes.NewEngine, radio.NewEngine,
 #    radio.NewEngineMulti, repro.NewEngine — must not appear in the
 #    consumer layers (the facade run paths, sweep, campaign, serve,
-#    cluster, cmd/radiosim); they go through internal/exec.
+#    cluster, cmd/radiosim, the experiments); they go through
+#    internal/exec.
 #
 # 2. Run/replay entry points of internal/radio — BroadcastTimeOnContext,
-#    (*Engine).RunProtocolContext, ExecuteScheduleOnContext, and any
-#    radio.RunProtocol*/BroadcastTime*/ExecuteSchedule*/SourceSweep*
-#    that might come back — may only be called from:
+#    (*Engine).RunProtocolContext, ExecuteScheduleOnContext,
+#    RunCDProtocolContext, and any radio.RunProtocol*/BroadcastTime*/
+#    ExecuteSchedule*/SourceSweep*/RunCD* that might come back — may only
+#    be called from:
 #      - internal/exec (the door itself)
 #      - internal/radio (the engine and its runners)
 #      - internal/oracle (the differential oracle checks the engine
 #        independently of the layer it is checking)
-#      - the engine-API functions of root radio.go (RunProtocolOn,
-#        BroadcastTimeOn, ExecuteScheduleOn drive a caller-owned engine)
-#    radio.RunCDProtocol is exempt: the collision-detection feedback
-#    model has no exec backend yet. bench/ is a separate module that
-#    times each layer on its own, the raw engine included.
+#    bench/ is a separate module that times each layer on its own, the
+#    raw engine included.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -40,23 +39,16 @@ scan() {
 	return 1
 }
 
-# Calls of a radio run/replay entry point (bracket expressions keep the
-# pattern valid for both grep -E and awk).
-runners='radio[.](RunProtocol|BroadcastTime|ExecuteSchedule|SourceSweep)[A-Za-z]*[(]|[.]RunProtocolContext[(]'
+# Calls of a radio run/replay entry point.
+runners='radio[.](RunProtocol|BroadcastTime|ExecuteSchedule|SourceSweep|RunCD)[A-Za-z]*[(]|[.]RunProtocolContext[(]'
 
 scan_runners() {
 	hits=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
 		! -path './internal/exec/*' ! -path './internal/radio/*' \
-		! -path './internal/oracle/*' ! -path './radio.go' \
+		! -path './internal/oracle/*' \
 		-exec grep -nHE "$runners" {} + || true)
-	# Root radio.go: only its engine-API functions may call the runners.
-	hits="$hits$(awk -v re="$runners" '
-		/^func / { fn = $0 }
-		$0 ~ re && fn !~ /^func (RunProtocolOn|BroadcastTimeOn|ExecuteScheduleOn)[(]/ {
-			printf "\n%s:%d:%s", FILENAME, FNR, $0
-		}' radio.go)"
 	[ -z "$hits" ] && return 0
-	printf '%s\n' "$hits" | sed '/^$/d'
+	printf '%s\n' "$hits"
 	echo "archlint: radio run/replay entry points may only be called from internal/exec (see scripts/archlint.sh); route through internal/exec" >&2
 	return 1
 }
@@ -68,6 +60,7 @@ scan "internal/campaign" internal/campaign || fail=1
 scan "internal/serve" internal/serve || fail=1
 scan "internal/cluster" internal/cluster || fail=1
 scan "cmd/radiosim" cmd/radiosim || fail=1
+scan "internal/exp" internal/exp || fail=1
 scan_runners || fail=1
 
 if [ "$fail" -ne 0 ]; then

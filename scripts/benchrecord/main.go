@@ -62,7 +62,7 @@ type record struct {
 
 // whatFor annotates the benchmarks this repository records.
 var whatFor = map[string]string{
-	"BenchmarkBroadcastReuse":        "scalar reference: BroadcastTimeOn on a caller-owned engine, sampled fast path, one trial per op",
+	"BenchmarkBroadcastReuse":        "scalar reference: radio.BroadcastTimeOnContext on a caller-owned engine, sampled fast path, one trial per op",
 	"BenchmarkLaneBroadcast":         "bit-parallel lane engine: 64 trials per Engine.Run call on the same workload; ns/trial is the headline metric",
 	"BenchmarkLaneBroadcastSmall":    "lane engine at n=10000 d=25 for the EXPERIMENTS.md throughput table",
 	"BenchmarkBroadcastReusePerNode": "per-node sampling opt-out (pre-fast-path behaviour)",
