@@ -15,7 +15,9 @@ package repro
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exp"
@@ -233,18 +235,43 @@ func BenchmarkLaneBroadcastObserved(b *testing.B) {
 	benchLaneBroadcast(b, 100000, 25.0, true)
 }
 
+// BenchmarkLaneBroadcastParallel is BenchmarkLaneBroadcast with
+// GOMAXPROCS engines on the one graph, each running its own 64-lane
+// blocks concurrently — the shape of radiobench's batch-lanes, whose
+// engines share the machine's memory bandwidth. ns/trial is wall time
+// over all trials, so it shows the full effect of a memory-bound change
+// that a single engine understates.
+func BenchmarkLaneBroadcastParallel(b *testing.B) {
+	g, plan, budget := laneWorkload(b, 100000, 25.0)
+	parent := NewRand(1)
+	engines := make(chan *lanes.Engine, runtime.GOMAXPROCS(0))
+	for range cap(engines) {
+		engines <- warmLaneEngine(g, plan, parent)
+	}
+	var blocks atomic.Uint64
+	b.ResetTimer()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		e := <-engines
+		seeds := make([]uint64, lanes.Width)
+		out := make([]int, lanes.Width)
+		for pb.Next() {
+			blockSeeds(parent, seeds, (blocks.Add(1)-1)*lanes.Width)
+			e.Run(seeds, out)
+			for _, r := range out {
+				if r > budget {
+					b.Error("incomplete")
+					return
+				}
+			}
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*lanes.Width), "ns/trial")
+}
+
 func benchLaneBroadcast(b *testing.B, n int, d float64, observed bool) {
-	rng := NewRand(13)
-	g, ok := ConnectedGnpDegree(n, d, rng)
-	if !ok {
-		b.Fatal("no connected sample")
-	}
-	p := NewProtocol(n, d)
-	budget := MaxRounds(n)
-	plan, ok := lanes.NewPlan(p, budget)
-	if !ok {
-		b.Fatal("distributed protocol must be lane-uniform")
-	}
+	g, plan, budget := laneWorkload(b, n, d)
+	parent := NewRand(1)
 	e := lanes.NewEngine(g, []int32{0}, plan)
 	var counters [lanes.Width]Counters
 	if observed {
@@ -254,25 +281,14 @@ func benchLaneBroadcast(b *testing.B, n int, d float64, observed bool) {
 		}
 		e.Observe(obs)
 	}
-	parent := NewRand(1)
+	warmLane(e, parent)
+	counters = [lanes.Width]Counters{}
 	seeds := make([]uint64, lanes.Width)
 	out := make([]int, lanes.Width)
-	fill := func(base uint64) {
-		for j := range seeds {
-			seeds[j] = parent.DeriveSeed(base + uint64(j) + 1)
-		}
-	}
-	// One untimed warm block grows the per-lane eligible lists to their
-	// full size (about 130 MB of appends at n=1e5), so B/op and allocs/op
-	// report the steady per-block cost rather than set-up divided by b.N.
-	// Its seeds lie outside the timed iterations' range.
-	fill(1 << 40)
-	e.Run(seeds, out)
-	counters = [lanes.Width]Counters{}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fill(uint64(i) * lanes.Width)
+		blockSeeds(parent, seeds, uint64(i)*lanes.Width)
 		e.Run(seeds, out)
 		for _, r := range out {
 			if r > budget {
@@ -283,6 +299,48 @@ func benchLaneBroadcast(b *testing.B, n int, d float64, observed bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*lanes.Width), "ns/trial")
 	if observed && (counters[0].Runs != b.N || counters[0].Informed != n) {
 		b.Fatalf("lane 0 observer missed runs: %+v", counters[0])
+	}
+}
+
+// laneWorkload is the lane benchmarks' workload: the connected
+// G(n, d/n) sample of BenchmarkBroadcastReuse, the distributed
+// protocol's lane plan and its round budget.
+func laneWorkload(b *testing.B, n int, d float64) (*Graph, *lanes.Plan, int) {
+	g, ok := ConnectedGnpDegree(n, d, NewRand(13))
+	if !ok {
+		b.Fatal("no connected sample")
+	}
+	budget := MaxRounds(n)
+	plan, ok := lanes.NewPlan(NewProtocol(n, d), budget)
+	if !ok {
+		b.Fatal("distributed protocol must be lane-uniform")
+	}
+	return g, plan, budget
+}
+
+// warmLaneEngine returns a lane engine on g from source 0, warmed by
+// warmLane.
+func warmLaneEngine(g *Graph, plan *lanes.Plan, parent *Rand) *lanes.Engine {
+	e := lanes.NewEngine(g, []int32{0}, plan)
+	warmLane(e, parent)
+	return e
+}
+
+// warmLane runs one untimed block on e. It grows the per-lane eligible
+// lists to their full size (about 130 MB of appends at n=1e5), so B/op
+// and allocs/op report the steady per-block cost rather than set-up
+// divided by b.N. Its seeds lie outside the timed blocks' range.
+func warmLane(e *lanes.Engine, parent *Rand) {
+	seeds := make([]uint64, lanes.Width)
+	blockSeeds(parent, seeds, 1<<40)
+	e.Run(seeds, make([]int, lanes.Width))
+}
+
+// blockSeeds fills seeds with the trial seeds of the block starting at
+// trial base.
+func blockSeeds(parent *Rand, seeds []uint64, base uint64) {
+	for j := range seeds {
+		seeds[j] = parent.DeriveSeed(base + uint64(j) + 1)
 	}
 }
 

@@ -71,13 +71,16 @@ const replayWidth = 8
 
 // replayConfigs covers every lane-capable schedule shape: the paper's
 // protocol, a cohort-restricted one, Decay's halving probabilities,
-// Aloha's constant one and Flood's q = 1.
+// Aloha's constant one and Flood's q = 1. The last, Decay at n = 2000,
+// has q = 1/2 rounds that pick about 1000 vertices per lane, so each
+// lane's walk crosses several pick-chunk refills.
 var replayConfigs = []replayConfig{
 	{"distributed", 90, 6, []int32{0}, func(n int, d float64) radio.Protocol { return core.NewDistributedProtocol(n, d) }},
 	{"restricted-pool", 120, 8, []int32{0, 17, 17}, func(n int, d float64) radio.Protocol { return core.NewRestrictedPoolProtocol(n, d) }},
 	{"decay", 70, 5, []int32{0}, func(n int, d float64) radio.Protocol { return protocols.NewDecay(n) }},
 	{"aloha", 60, 4, []int32{0}, func(n int, d float64) radio.Protocol { return protocols.NewAloha(d) }},
 	{"flood", 40, 4, []int32{0}, func(n int, d float64) radio.Protocol { return protocols.Flood{} }},
+	{"decay-chunked", 2000, 10, []int32{0}, func(n int, d float64) radio.Protocol { return protocols.NewDecay(n) }},
 }
 
 // TestLaneVsOracleReplay observes every lane with a transmitter-recording
@@ -129,6 +132,43 @@ func checkReplay(t *testing.T, g *graph.Graph, sources []int32, maxRounds int, r
 		}
 		if rec.Summary != wantSum {
 			t.Errorf("lane %d: summary %+v, oracle %+v", lane, rec.Summary, wantSum)
+		}
+	}
+}
+
+// TestChunkedWalkDrawForDraw: the chunked pick walk that both
+// transmitter builds share makes exactly the straight walk's draws — the
+// first skip, one 1 + GeometricExp skip after every pick including the
+// one that overshoots the list, nothing for an empty list and nothing at
+// a chunk refill. For list lengths around and across chunk boundaries it
+// must pick the same vertices and leave the stream in the same state. At
+// q = 0.999 nearly every entry is picked, so the 255–257 lengths put the
+// pick count on a chunk boundary.
+func TestChunkedWalkDrawForDraw(t *testing.T) {
+	lengths := []int{0, 1, lanes.PickChunk - 1, lanes.PickChunk, lanes.PickChunk + 1, 2*lanes.PickChunk + 1, 10000}
+	qs := []float64{1e-3, 1.0 / 25, 0.5, 0.999}
+	for li, n := range lengths {
+		el := xrand.New(uint64(li) + 1).Perm(n + 7)[:n] // distinct, unordered vertices
+		for qi, q := range qs {
+			lam := -math.Log1p(-q)
+			for rep := uint64(0); rep < 20; rep++ {
+				seed := uint64(1000*li+100*qi) + rep
+				ref := xrand.New(seed)
+				var want []int32
+				if n > 0 {
+					for j := ref.GeometricExp(lam); j < n; j += 1 + ref.GeometricExp(lam) {
+						want = append(want, el[j])
+					}
+				}
+				rng := xrand.New(seed)
+				got := lanes.ChunkedWalk(el, rng, lam)
+				if !slices.Equal(got, want) {
+					t.Fatalf("len %d q %g seed %d: chunked walk picked %d vertices, straight walk %d (or a different sequence)", n, q, seed, len(got), len(want))
+				}
+				if a, b := rng.Uint64(), ref.Uint64(); a != b {
+					t.Fatalf("len %d q %g seed %d: stream state differs after the walk (%#x vs %#x)", n, q, seed, a, b)
+				}
+			}
 		}
 	}
 }

@@ -65,6 +65,7 @@ var whatFor = map[string]string{
 	"BenchmarkBroadcastReuse":        "scalar reference: radio.BroadcastTimeOnContext on a caller-owned engine, sampled fast path, one trial per op",
 	"BenchmarkLaneBroadcast":         "bit-parallel lane engine: 64 trials per Engine.Run call on the same workload; ns/trial is the headline metric",
 	"BenchmarkLaneBroadcastSmall":    "lane engine at n=10000 d=25 for the EXPERIMENTS.md throughput table",
+	"BenchmarkLaneBroadcastParallel": "GOMAXPROCS lane engines on one graph running 64-lane blocks concurrently (batch-lanes' shape); ns/trial is wall time over all trials",
 	"BenchmarkBroadcastReusePerNode": "per-node sampling opt-out (pre-fast-path behaviour)",
 	"BenchmarkFacadeRunBatch":        "facade RunBatch through the unified execution layer (internal/exec): classification, seed derivation and lane-engine construction included; ns/trial vs BenchmarkLaneBroadcast is the executor overhead",
 }
