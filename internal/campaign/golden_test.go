@@ -74,3 +74,49 @@ func TestFixedGraphCampaignGolden(t *testing.T) {
 		t.Errorf("report fingerprint %d, want %d\n%s", got, want, b)
 	}
 }
+
+// Golden fingerprint of the scalar engine on fixed graphs: one FixedGraph
+// point per built-in kind, the centralized schedule included, plus a
+// resampled collision-rate point. Lanes: 1 runs every trial on the scalar
+// engine and Lanes: 0 (auto) runs the lane-capable kinds in lane blocks,
+// so the two engines' streams are pinned side by side; both values were
+// recorded before the campaign runners moved to one block-of-seeds trial
+// method, which must leave either report byte-identical.
+func TestScalarFixedGraphCampaignGolden(t *testing.T) {
+	spec := &Spec{
+		Name:   "scalar-fixed-golden",
+		Seed:   2006,
+		Trials: 8,
+	}
+	for _, kind := range []string{"distributed", "decay", "aloha", "collision-rate", "centralized"} {
+		spec.Points = append(spec.Points, PointSpec{
+			ID: kind + "-n2000", X: 2000,
+			Trial: TrialSpec{Kind: kind, N: 2000, D: 10, FixedGraph: true},
+		})
+	}
+	spec.Points = append(spec.Points, PointSpec{
+		ID: "cr-resampled", X: 1,
+		Trial: TrialSpec{Kind: "collision-rate", N: 1500, D: 10},
+	})
+	for _, tc := range []struct {
+		lanes int
+		want  uint64
+	}{
+		{1, 15990996213644974131},
+		{0, 801294740501871929},
+	} {
+		rep, err := Run(spec, Options{Workers: 2, Lanes: tc.lanes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(b)
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("Lanes=%d: report fingerprint %d, want %d\n%s", tc.lanes, got, tc.want, b)
+		}
+	}
+}
