@@ -29,10 +29,12 @@ test:
 	go test ./...
 
 # The second line repeats the coordinator's wake/timer paths and the
-# worker's shard slot handling, where an ordering bug shows only sometimes.
+# worker's shard slot handling, where an ordering bug shows only sometimes;
+# the third does the same for the campaign's cancellation and lane paths.
 race:
 	go test -race ./...
 	go test -race -count=5 -run 'Cluster|Shard' ./internal/cluster/ ./internal/serve/
+	go test -race -count=5 -run 'Context|Cancel|Lane' ./internal/campaign/
 
 cover:
 	go test -cover ./...

@@ -298,7 +298,7 @@ func cmdMerge(args []string) error {
 	if len(srcs) == 0 {
 		return fmt.Errorf("merge: at least one source checkpoint directory is required")
 	}
-	m, err := campaign.MergeOverlapping(*out, srcs, *allowOverlap)
+	m, err := campaign.Merge(*out, srcs, *allowOverlap)
 	if err != nil {
 		return err
 	}

@@ -19,18 +19,21 @@ func fixedPoint(kind string) PointSpec {
 
 func TestFixedGraphTrialAllocs(t *testing.T) {
 	for _, kind := range []string{"distributed", "decay", "aloha", "collision-rate"} {
-		runner, err := newRunner(fixedPoint(kind), 7)
+		runner, err := newRunner(fixedPoint(kind), 7, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := xrand.New(1)
-		runner.RunTrial(rng) // warm up lazily grown engine scratch
-		allocs := testing.AllocsPerRun(20, func() {
-			rng.Reseed(99)
-			runner.RunTrial(rng)
-		})
-		if allocs > 0 {
-			t.Errorf("%s fixed-graph RunTrial allocates %.1f objects/trial, want 0", kind, allocs)
+		seeds := []uint64{1}
+		values, oks := make([]float64, 1), make([]bool, 1)
+		run := func() {
+			if err := runner.RunTrials(context.Background(), seeds, values, oks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm up lazily grown engine scratch
+		seeds[0] = 99
+		if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+			t.Errorf("%s fixed-graph scalar trial allocates %.1f objects/trial, want 0", kind, allocs)
 		}
 	}
 }
@@ -42,13 +45,9 @@ func TestLaneBatchSteadyStateAllocs(t *testing.T) {
 }
 
 func testLaneBatchSteadyStateAllocs(t *testing.T, kind string) {
-	runner, err := newRunner(fixedPoint(kind), 7)
+	runner, err := newRunner(fixedPoint(kind), 7, true)
 	if err != nil {
 		t.Fatal(err)
-	}
-	br, ok := runner.(BatchRunner)
-	if !ok {
-		t.Fatalf("fixed-graph %s runner must be a BatchRunner", kind)
 	}
 	const trials = 16
 	seeds := make([]uint64, trials)
@@ -61,16 +60,16 @@ func testLaneBatchSteadyStateAllocs(t *testing.T, kind string) {
 		}
 	}
 	fill(0)
-	if err := br.RunTrialBatch(context.Background(), seeds, values, oks); err != nil {
+	if err := runner.RunTrials(context.Background(), seeds, values, oks); err != nil {
 		t.Fatal(err) // warm up: builds the lane engine and its buffers
 	}
 	fill(trials)
-	if err := br.RunTrialBatch(context.Background(), seeds, values, oks); err != nil {
+	if err := runner.RunTrials(context.Background(), seeds, values, oks); err != nil {
 		t.Fatal(err) // second warm run settles amortized buffer growth
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		fill(2 * trials)
-		if err := br.RunTrialBatch(context.Background(), seeds, values, oks); err != nil {
+		if err := runner.RunTrials(context.Background(), seeds, values, oks); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -19,28 +20,35 @@ import (
 // "test-flaky" panics deterministically whenever its first draw is below
 // 0.3 and otherwise returns the second draw — the fault-tolerance kinds.
 func init() {
-	RegisterKind("test-cheap", func(p PointSpec, _ uint64) (Runner, error) {
+	RegisterKind("test-cheap", func(p PointSpec, _ uint64, _ bool) (Runner, error) {
 		return cheapRunner{scale: p.Trial.D}, nil
 	})
-	RegisterKind("test-flaky", func(p PointSpec, _ uint64) (Runner, error) {
+	RegisterKind("test-flaky", func(p PointSpec, _ uint64, _ bool) (Runner, error) {
 		return flakyRunner{}, nil
 	})
 }
 
 type cheapRunner struct{ scale float64 }
 
-func (r cheapRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	v := rng.Float64() * r.scale
-	return v, v > 1
+func (r cheapRunner) RunTrials(_ context.Context, seeds []uint64, values []float64, oks []bool) error {
+	for i, seed := range seeds {
+		values[i] = xrand.New(seed).Float64() * r.scale
+		oks[i] = values[i] > 1
+	}
+	return nil
 }
 
 type flakyRunner struct{}
 
-func (flakyRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	if rng.Float64() < 0.3 {
-		panic("test-flaky: deterministic failure")
+func (flakyRunner) RunTrials(_ context.Context, seeds []uint64, values []float64, oks []bool) error {
+	for i, seed := range seeds {
+		rng := xrand.New(seed)
+		if rng.Float64() < 0.3 {
+			panic("test-flaky: deterministic failure")
+		}
+		values[i], oks[i] = rng.Float64(), true
 	}
-	return rng.Float64(), true
+	return nil
 }
 
 // cheapSpec builds a small pure-rng campaign spec.
@@ -321,7 +329,7 @@ func TestMergeShardedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Merge(merged, []string{d0, d1})
+	m, err := Merge(merged, []string{d0, d1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +349,7 @@ func TestMergeShardedRuns(t *testing.T) {
 	if _, err := Run(other, Options{Dir: dOther}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Merge(filepath.Join(base, "bad"), []string{d0, dOther}); err == nil {
+	if _, err := Merge(filepath.Join(base, "bad"), []string{d0, dOther}, false); err == nil {
 		t.Error("merging different specs must fail")
 	}
 }

@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,44 +13,43 @@ import (
 )
 
 // ctxGate coordinates the "test-ctx" kind with the cancellation tests:
-// each RunTrialContext call sends one token to started (if a test is
-// listening) and then blocks until release is closed or the context is
-// canceled. RunTrial — the path used when a campaign has no Context —
-// never touches the gate.
+// while a test has set it, each trial sends one token to started (if
+// there is room) and then blocks until release is closed or the context
+// is canceled. Every trial takes this path, with or without
+// Options.Context, so a test resets the gate before any run it does not
+// mean to block.
 var ctxGate struct {
 	started chan struct{}
 	release chan struct{}
 }
 
 func init() {
-	RegisterKind("test-ctx", func(p PointSpec, _ uint64) (Runner, error) {
+	RegisterKind("test-ctx", func(p PointSpec, _ uint64, _ bool) (Runner, error) {
 		return ctxAwareRunner{scale: p.Trial.D}, nil
 	})
 }
 
 type ctxAwareRunner struct{ scale float64 }
 
-func (r ctxAwareRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	v := rng.Float64() * r.scale
-	return v, v > 1
-}
-
-func (r ctxAwareRunner) RunTrialContext(ctx context.Context, rng *xrand.Rand) (float64, bool, error) {
-	if ctxGate.started != nil {
-		select {
-		case ctxGate.started <- struct{}{}:
-		default:
+func (r ctxAwareRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	for i, seed := range seeds {
+		if ctxGate.started != nil {
+			select {
+			case ctxGate.started <- struct{}{}:
+			default:
+			}
 		}
-	}
-	if ctxGate.release != nil {
-		select {
-		case <-ctxGate.release:
-		case <-ctx.Done():
-			return 0, false, radio.Canceled(ctx)
+		if ctxGate.release != nil {
+			select {
+			case <-ctxGate.release:
+			case <-ctx.Done():
+				return radio.Canceled(ctx)
+			}
 		}
+		values[i] = xrand.New(seed).Float64() * r.scale
+		oks[i] = values[i] > 1
 	}
-	v := rng.Float64() * r.scale
-	return v, v > 1, nil
+	return nil
 }
 
 func ctxSpec(trials int) *Spec {
@@ -88,7 +89,7 @@ func TestContextCancelDropsInFlightTrialsAndResumes(t *testing.T) {
 		outCh <- runOut{rep, err}
 	}()
 
-	// Both workers are now blocked inside RunTrialContext; cancel lands
+	// Both workers are now blocked inside RunTrials; cancel lands
 	// mid-trial.
 	for i := 0; i < 2; i++ {
 		select {
@@ -116,8 +117,9 @@ func TestContextCancelDropsInFlightTrialsAndResumes(t *testing.T) {
 		}
 	}
 
-	// Resume without a context (gate unused) and compare against a fresh
-	// uninterrupted run: byte-identical reports.
+	// Reset the gate, resume without a context and compare against a
+	// fresh uninterrupted run: byte-identical reports.
+	ctxGate.started, ctxGate.release = nil, nil
 	resumed, err := Run(spec, Options{Workers: 2, Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +142,9 @@ func TestContextCancelDropsInFlightTrialsAndResumes(t *testing.T) {
 }
 
 // TestContextUncanceledMatchesPlainRun: running under a live (never
-// canceled) context dispatches through RunTrialContext yet produces the
-// byte-identical report of a context-free run — the ContextRunner
-// contract that an uncanceled context-aware trial equals RunTrial.
+// canceled) context produces the byte-identical report of a context-free
+// run — the Runner contract that an uncanceled ctx consumes no
+// randomness.
 func TestContextUncanceledMatchesPlainRun(t *testing.T) {
 	spec := ctxSpec(16)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -166,5 +168,33 @@ func TestContextUncanceledMatchesPlainRun(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("context-aware run differs from plain run:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestRunTrialsCanceledContext: every built-in kind, on a fixed or a
+// resampled graph and on either engine, answers an already-canceled
+// context with an error wrapping radio.ErrCanceled, so a campaign
+// shutdown never waits out a block.
+func TestRunTrialsCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	seeds := []uint64{11, 12, 13}
+	for _, kind := range []string{"distributed", "decay", "aloha", "collision-rate", "centralized"} {
+		for _, fixed := range []bool{false, true} {
+			for _, lanes := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/fixed=%v/lanes=%v", kind, fixed, lanes), func(t *testing.T) {
+					p := PointSpec{ID: "p", X: 1, Trial: TrialSpec{Kind: kind, N: 400, D: 12, FixedGraph: fixed}}
+					runner, err := newRunner(p, 7, lanes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					values := make([]float64, len(seeds))
+					oks := make([]bool, len(seeds))
+					if err := runner.RunTrials(ctx, seeds, values, oks); !errors.Is(err, radio.ErrCanceled) {
+						t.Fatalf("RunTrials under a canceled context returned %v, want radio.ErrCanceled", err)
+					}
+				})
+			}
+		}
 	}
 }

@@ -357,20 +357,13 @@ func (c *Checkpoint) Close() error {
 // are expected to cover DISJOINT shard ranges: a (point, trial) recorded
 // by two different sources means overlapping -points slices (wasted
 // compute, probably a sharding mistake) and Merge reports it as an error
-// instead of silently unioning. MergeOverlapping relaxes that for
-// identical duplicates; a conflicting duplicate — same coordinates,
-// different content — is always an error, since samples are pure
-// functions of their coordinates and a divergence means corruption or an
-// engine mismatch.
-func Merge(dst string, srcs []string) (*Manifest, error) {
-	return MergeOverlapping(dst, srcs, false)
-}
-
-// MergeOverlapping is Merge with an explicit overlap policy: with
-// allowOverlap, identical duplicate records across sources are merged
-// silently (useful when re-merging a superset, or after re-running a
-// shard for verification); conflicting duplicates still fail.
-func MergeOverlapping(dst string, srcs []string, allowOverlap bool) (*Manifest, error) {
+// instead of silently unioning. allowOverlap relaxes that for identical
+// duplicates, which are then merged silently (useful when re-merging a
+// superset, or after re-running a shard for verification); a conflicting
+// duplicate — same coordinates, different content — is always an error,
+// since samples are pure functions of their coordinates and a divergence
+// means corruption or an engine mismatch.
+func Merge(dst string, srcs []string, allowOverlap bool) (*Manifest, error) {
 	if len(srcs) == 0 {
 		return nil, errors.New("campaign: merge needs at least one source")
 	}
@@ -433,24 +426,4 @@ func MergeOverlapping(dst string, srcs []string, allowOverlap bool) (*Manifest, 
 		return nil, err
 	}
 	return ReadManifest(dst)
-}
-
-// campaignComplete reports whether the recorded samples complete the
-// campaign: every point either has its full budget or stops adaptively
-// on the in-order prefix it does have.
-func campaignComplete(spec *Spec, samples map[key]*Sample) bool {
-	for p := range spec.Points {
-		agg := newPointAgg(spec)
-		for t := 0; t < spec.Trials; t++ {
-			s, ok := samples[key{p, t}]
-			if !ok {
-				break
-			}
-			agg.feed(s)
-		}
-		if !agg.stopped && agg.consumed < spec.Trials {
-			return false
-		}
-	}
-	return true
 }

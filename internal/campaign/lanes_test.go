@@ -69,7 +69,7 @@ func TestCollisionRateLaneInvariance(t *testing.T) {
 	spec := &Spec{Name: "collision-rate-fixed", Seed: 2006, Trials: 70, Points: []PointSpec{
 		{ID: "cr-n300", X: 300, Trial: TrialSpec{Kind: "collision-rate", N: 300, D: 10, FixedGraph: true}},
 	}}
-	if tag := engineTag(spec, 64); tag != EngineLanes {
+	if tag := EngineTag(spec, 64); tag != EngineLanes {
 		t.Fatalf("engine tag %q, want %q", tag, EngineLanes)
 	}
 	var base string

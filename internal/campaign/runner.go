@@ -44,12 +44,13 @@ type Options struct {
 	// flushed, and Run returns the partial report. Wire ^C to it.
 	Interrupt <-chan struct{}
 	// Context, when non-nil, cancels the run cooperatively: dispatching
-	// stops (like Interrupt), and in-flight trials whose runners implement
-	// ContextRunner are canceled mid-run via the context instead of being
-	// run to completion. Canceled trials are DISCARDED, not recorded —
-	// a cancellation-timing-dependent sample would break the byte-identical
-	// resume guarantee — so a resumed run simply re-runs them. The
-	// checkpoint is still flushed and the partial report returned.
+	// stops (like Interrupt), and in-flight trial blocks are canceled
+	// mid-run through the context every Runner.RunTrials call receives
+	// instead of being run to completion. Canceled trials are DISCARDED,
+	// not recorded — a cancellation-timing-dependent sample would break
+	// the byte-identical resume guarantee — so a resumed run simply
+	// re-runs them. The checkpoint is still flushed and the partial
+	// report returned.
 	Context context.Context
 	// PointLo/PointHi restrict this run to grid points [PointLo, PointHi)
 	// for sharding a campaign across machines; (0, 0) means the whole
@@ -88,40 +89,40 @@ func (o *Options) flushEvery() int {
 	return 64
 }
 
-func (o *Options) lanes() int {
+// laneWidth resolves an Options.Lanes setting to the lane block size:
+// exec.Width for auto (0) or anything wider, 1 (scalar) below 1.
+func laneWidth(lanes int) int {
 	switch {
-	case o.Lanes == 0 || o.Lanes > exec.Width:
+	case lanes == 0 || lanes > exec.Width:
 		return exec.Width
-	case o.Lanes < 1:
+	case lanes < 1:
 		return 1
 	default:
-		return o.Lanes
+		return lanes
 	}
 }
 
-// engineTag returns the Manifest.Engine value of a run: "lanes" when the
-// bit-parallel lane engine will produce samples for at least one point of
-// the spec, "" when everything runs scalar. Lane-insensitive specs always
-// tag "" — the engine choice cannot change their values.
-func engineTag(spec *Spec, lanesN int) string {
-	if lanesN > 1 && spec.laneSensitive() {
+// EngineTag returns the Manifest.Engine tag a run of spec with the given
+// Options.Lanes setting records: "lanes" when the bit-parallel lane
+// engine will produce samples for at least one point of the spec, ""
+// when everything runs scalar. Lane-insensitive specs always tag "" —
+// the engine choice cannot change their values. A cluster coordinator
+// hands this tag to its workers (and stamps it on its own checkpoint) so
+// every shard of a distributed campaign draws the same randomness stream.
+func EngineTag(spec *Spec, lanes int) string {
+	if laneWidth(lanes) > 1 && spec.laneSensitive() {
 		return EngineLanes
 	}
 	return EngineScalar
 }
 
 // workItem is one dispatch: a block of trials of one point. Scalar
-// dispatches carry a single trial; lane-capable points carry up to
+// points carry a single trial; lane-dispatched points carry up to
 // Options.Lanes consecutive missing trials with their seeds.
 type workItem struct {
 	point  int
 	trials []int
 	seeds  []uint64
-	// batch routes the item through the runner's BatchRunner capability.
-	// It is set for every block of a lane-dispatched point — including a
-	// trailing block of one trial — so a trial's engine (and therefore its
-	// randomness stream) never depends on where the block boundaries fall.
-	batch bool
 }
 
 // Run executes a campaign. The returned report is byte-identical (via
@@ -157,7 +158,7 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 		pointSeeds[p] = parent.DeriveSeed(uint64(p) + 1)
 	}
 
-	engine := engineTag(spec, opt.lanes())
+	engine := EngineTag(spec, opt.Lanes)
 	samples := make(map[key]*Sample)
 	var ck *Checkpoint
 	var err error
@@ -198,7 +199,12 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 	// Blocking only changes dispatch granularity: every sample remains a
 	// pure function of its own seed, and the aggregator consumes samples
 	// in trial order, so the report is independent of the block size.
-	lanesN := opt.lanes()
+	// The engine is a property of the point, not of the block: every
+	// block of a lane-dispatched point — a trailing one-trial block
+	// included — runs on its runner's lane engine, so a trial's
+	// randomness stream never depends on where block boundaries fall.
+	lanesN := laneWidth(opt.Lanes)
+	lanePoint := func(p int) bool { return lanesN > 1 && batchablePoint(spec.Points[p]) }
 	perPoint := make([][]workItem, 0, hi-lo)
 	maxBlocks := 0
 	for p := lo; p < hi; p++ {
@@ -209,14 +215,13 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 			}
 		}
 		size := 1
-		batch := lanesN > 1 && batchablePoint(spec.Points[p])
-		if batch {
+		if lanePoint(p) {
 			size = lanesN
 		}
 		var blocks []workItem
 		for len(missing) > 0 {
 			k := min(size, len(missing))
-			it := workItem{point: p, trials: missing[:k:k], batch: batch}
+			it := workItem{point: p, trials: missing[:k:k]}
 			for _, t := range it.trials {
 				it.seeds = append(it.seeds, trialSeeds[p][t])
 			}
@@ -256,6 +261,7 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 		}()
 	}
 
+	build := func(p int) (Runner, error) { return newRunner(spec.Points[p], pointSeeds[p], lanePoint(p)) }
 	workCh := make(chan workItem)
 	resCh := make(chan *Sample, opt.workers())
 	go func() { // dispatcher
@@ -281,7 +287,7 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runWorker(ctx, spec, pointSeeds, workCh, resCh)
+			runWorker(ctx, spec, build, workCh, resCh)
 		}()
 	}
 	go func() {
@@ -361,11 +367,11 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 // retried up to spec.MaxRetries times, and a still-failing trial is
 // recorded as a failed sample rather than killing the pool.
 //
-// A trial canceled via ctx (see Options.Context and ContextRunner) is
-// dropped entirely: no sample is emitted, no retry attempted — its value
-// would depend on when cancellation landed, which must never reach a
-// checkpoint.
-func runWorker(ctx context.Context, spec *Spec, pointSeeds []uint64, workCh <-chan workItem, resCh chan<- *Sample) {
+// A block canceled via ctx (see Options.Context) is dropped entirely: no
+// sample is emitted, no retry attempted — its values would depend on
+// when cancellation landed, which must never reach a checkpoint. build
+// constructs a point's runner.
+func runWorker(ctx context.Context, spec *Spec, build func(point int) (Runner, error), workCh <-chan workItem, resCh chan<- *Sample) {
 	runners := make(map[int]Runner)
 	for it := range workCh {
 		var (
@@ -377,7 +383,7 @@ func runWorker(ctx context.Context, spec *Spec, pointSeeds []uint64, workCh <-ch
 		)
 		for attempt := 0; ; attempt++ {
 			var err error
-			values, oks, err = attemptItem(ctx, spec, pointSeeds, runners, it)
+			values, oks, err = attemptItem(ctx, build, runners, it)
 			if errors.Is(err, radio.ErrCanceled) {
 				canceled = true
 				break
@@ -432,15 +438,11 @@ func runWorker(ctx context.Context, spec *Spec, pointSeeds []uint64, workCh <-ch
 }
 
 // attemptItem runs one attempt of one work item (a single trial or a
-// lane block), converting panics (in runner construction or the trials
-// themselves) into errors. Multi-trial items go through the runner's
-// BatchRunner capability when it has one and fall back to per-seed
-// single trials otherwise (seed purity makes the two identical for
-// scalar runners). Runners that implement ContextRunner get the worker's
-// context so a campaign shutdown cancels them mid-run; a resulting
-// cancellation error is returned as-is (wrapped in radio.ErrCanceled)
-// for the caller to drop.
-func attemptItem(ctx context.Context, spec *Spec, pointSeeds []uint64, runners map[int]Runner, it workItem) (values []float64, oks []bool, err error) {
+// lane block) as one RunTrials call, converting panics (in runner
+// construction or the trials themselves) into errors. A cancellation
+// error is returned as-is (wrapping radio.ErrCanceled) for the caller to
+// drop.
+func attemptItem(ctx context.Context, build func(point int) (Runner, error), runners map[int]Runner, it workItem) (values []float64, oks []bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
@@ -448,7 +450,7 @@ func attemptItem(ctx context.Context, spec *Spec, pointSeeds []uint64, runners m
 	}()
 	runner, cached := runners[it.point]
 	if !cached {
-		runner, err = newRunner(spec.Points[it.point], pointSeeds[it.point])
+		runner, err = build(it.point)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -456,23 +458,8 @@ func attemptItem(ctx context.Context, spec *Spec, pointSeeds []uint64, runners m
 	}
 	values = make([]float64, len(it.seeds))
 	oks = make([]bool, len(it.seeds))
-	if br, isBatch := runner.(BatchRunner); isBatch && it.batch {
-		if err := br.RunTrialBatch(ctx, it.seeds, values, oks); err != nil {
-			return nil, nil, err
-		}
-		return values, oks, nil
-	}
-	cr, isCtx := runner.(ContextRunner)
-	for i, seed := range it.seeds {
-		if isCtx && ctx.Done() != nil {
-			v, ok, err := cr.RunTrialContext(ctx, xrand.New(seed))
-			if err != nil {
-				return nil, nil, err
-			}
-			values[i], oks[i] = v, ok
-		} else {
-			values[i], oks[i] = runner.RunTrial(xrand.New(seed))
-		}
+	if err := runner.RunTrials(ctx, it.seeds, values, oks); err != nil {
+		return nil, nil, err
 	}
 	return values, oks, nil
 }

@@ -103,7 +103,7 @@ func (ss *SampleSet) Report() *Report { return BuildReport(ss.spec, ss.m) }
 // Complete reports whether the recorded samples finish the whole
 // campaign (every point's budget exhausted or adaptively stopped on its
 // in-order prefix).
-func (ss *SampleSet) Complete() bool { return campaignComplete(ss.spec, ss.m) }
+func (ss *SampleSet) Complete() bool { return ss.RangeComplete(0, len(ss.spec.Points)) }
 
 // RangeComplete reports whether every point in [lo, hi) needs no more
 // trials given the recorded in-order prefix. This is the shard
@@ -124,13 +124,4 @@ func (ss *SampleSet) RangeComplete(lo, hi int) bool {
 		}
 	}
 	return true
-}
-
-// EngineTag returns the Manifest.Engine tag a run of spec with the given
-// Options.Lanes setting records — the value a cluster coordinator must
-// hand its workers (and stamp on its own checkpoint) so every shard of a
-// distributed campaign draws the same randomness stream.
-func EngineTag(spec *Spec, lanesOpt int) string {
-	o := Options{Lanes: lanesOpt}
-	return engineTag(spec, o.lanes())
 }

@@ -96,7 +96,7 @@ func TestMergeRejectsOverlappingShards(t *testing.T) {
 	if _, err := Run(spec, Options{Dir: d1, PointLo: 1, PointHi: 3}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Merge(filepath.Join(base, "strict"), []string{d0, d1})
+	_, err := Merge(filepath.Join(base, "strict"), []string{d0, d1}, false)
 	if err == nil {
 		t.Fatal("merging overlapping slices [0,2) and [1,3) succeeded, want overlap error")
 	}
@@ -106,7 +106,7 @@ func TestMergeRejectsOverlappingShards(t *testing.T) {
 		}
 	}
 	merged := filepath.Join(base, "union")
-	m, err := MergeOverlapping(merged, []string{d0, d1}, true)
+	m, err := Merge(merged, []string{d0, d1}, true)
 	if err != nil {
 		t.Fatalf("-allow-overlap merge: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestMergeRejectsConflictingDuplicates(t *testing.T) {
 	mk(d0, 0.25)
 	mk(d1, 0.75)
 	for _, allow := range []bool{false, true} {
-		_, err := MergeOverlapping(filepath.Join(base, fmt.Sprintf("bad-%v", allow)), []string{d0, d1}, allow)
+		_, err := Merge(filepath.Join(base, fmt.Sprintf("bad-%v", allow)), []string{d0, d1}, allow)
 		if err == nil || !strings.Contains(err.Error(), "conflicting duplicate") {
 			t.Errorf("allowOverlap=%v: err=%v, want conflicting-duplicate error", allow, err)
 		}

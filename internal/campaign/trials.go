@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -17,44 +18,23 @@ import (
 
 // Runner executes the trials of one grid point. A runner is created once
 // per (worker, point) pair and may cache expensive state — graphs,
-// engines, scratch buffers — between trials, the sweep.RunWith reuse
+// engines, scratch buffers — between calls, the sweep.RunWith reuse
 // contract: a trial must reset any result-relevant state at its start and
-// draw randomness exclusively from the per-trial rng, so its result is a
-// pure function of the seed, independent of which worker ran it or what
-// ran before.
+// draw randomness exclusively from its own seed, so its result is a pure
+// function of the seed, independent of which worker ran it, which block
+// it shared or what ran before.
 type Runner interface {
-	// RunTrial executes one trial: value is the scalar measurement, ok
-	// reports trial-level success (e.g. the broadcast completed within
-	// budget).
-	RunTrial(rng *xrand.Rand) (value float64, ok bool)
-}
-
-// ContextRunner is an optional Runner capability: a runner implements it
-// to support cooperative mid-trial cancellation. When a campaign runs
-// with Options.Context, workers call RunTrialContext instead of RunTrial;
-// a canceled trial must return an error wrapping radio.ErrCanceled, and
-// the worker then discards it (recording a partially-run trial would make
-// checkpoints depend on cancellation timing). An uncanceled
-// RunTrialContext must return exactly RunTrial's (value, ok) for the same
-// rng — the cancellation check consumes no randomness.
-type ContextRunner interface {
-	Runner
-	RunTrialContext(ctx context.Context, rng *xrand.Rand) (value float64, ok bool, err error)
-}
-
-// BatchRunner is an optional Runner capability: a runner implements it to
-// execute a block of trials in one call — the bit-parallel lane engine's
-// entry point. seeds[i] is trial i's derived seed and values[i]/oks[i]
-// receive its result; len(seeds) never exceeds lanes.Width. Each trial's
-// result must be a pure function of its own seed (lane purity), so a
-// batched campaign records byte-identical reports no matter how trials
-// are blocked — but batch results come from the lane engine's randomness
-// stream, which is distributionally identical to, not bit-identical to,
-// the scalar RunTrial stream; checkpoints record which engine produced
-// them (Manifest.Engine) and refuse to mix the two.
-type BatchRunner interface {
-	Runner
-	RunTrialBatch(ctx context.Context, seeds []uint64, values []float64, oks []bool) error
+	// RunTrials executes one trial per seed: seeds[i] is trial i's derived
+	// seed, values[i] receives its scalar measurement and oks[i] its
+	// trial-level success (e.g. the broadcast completed within budget).
+	// A block never holds more than exec.Width seeds; scalar points run
+	// one-trial blocks. Cancellation is cooperative: a block canceled via
+	// ctx returns an error wrapping radio.ErrCanceled and the worker drops
+	// it whole (recording a partially-run trial would make checkpoints
+	// depend on cancellation timing). An uncanceled ctx consumes no
+	// randomness, so the results never depend on whether a campaign runs
+	// with Options.Context.
+	RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error
 }
 
 // batchKinds are the built-in trial kinds the lane engine accelerates:
@@ -86,7 +66,13 @@ func (s *Spec) laneSensitive() bool {
 // derived base seed; runners that pin state to the point (FixedGraph)
 // must derive it from pointSeed with ids outside 1..Trials (the trial
 // ids), conventionally id 0, so every worker builds identical state.
-type NewRunnerFunc func(p PointSpec, pointSeed uint64) (Runner, error)
+// lanes picks the engine, once for the runner's lifetime: it is true
+// iff the run dispatches this point in lane blocks (Options.Lanes > 1
+// and batchablePoint), and a lane-capable runner then runs its blocks on
+// the bit-parallel lane engine, otherwise on the scalar engine. The two
+// engines draw distributionally identical but different streams, which
+// is why checkpoints record the engine (Manifest.Engine).
+type NewRunnerFunc func(p PointSpec, pointSeed uint64, lanes bool) (Runner, error)
 
 var (
 	kindMu sync.RWMutex
@@ -114,28 +100,28 @@ func KindRegistered(name string) bool {
 }
 
 // newRunner builds the Runner for a point.
-func newRunner(p PointSpec, pointSeed uint64) (Runner, error) {
+func newRunner(p PointSpec, pointSeed uint64, lanes bool) (Runner, error) {
 	kindMu.RLock()
 	fn, ok := kinds[p.Trial.Kind]
 	kindMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("campaign: unknown trial kind %q", p.Trial.Kind)
 	}
-	return fn(p, pointSeed)
+	return fn(p, pointSeed, lanes)
 }
 
 func init() {
-	RegisterKind("distributed", newProtocolKind(func(t TrialSpec) radio.Protocol {
-		return core.NewDistributedProtocol(t.N, t.D)
-	}))
+	distributed := func(t TrialSpec) radio.Protocol { return core.NewDistributedProtocol(t.N, t.D) }
+	RegisterKind("distributed", newProtocolKind(distributed, false))
 	RegisterKind("decay", newProtocolKind(func(t TrialSpec) radio.Protocol {
 		return protocols.NewDecay(t.N)
-	}))
+	}, false))
 	RegisterKind("aloha", newProtocolKind(func(t TrialSpec) radio.Protocol {
 		return protocols.NewAloha(t.D)
-	}))
+	}, false))
 	RegisterKind("centralized", newCentralizedRunner)
-	RegisterKind("collision-rate", newCollisionRateRunner)
+	// collision-rate is the distributed protocol observed per trial.
+	RegisterKind("collision-rate", newProtocolKind(distributed, true))
 }
 
 // maxRounds returns the effective round budget of a trial spec.
@@ -162,175 +148,94 @@ func sampleConnected(n int, d float64, rng *xrand.Rand) *graph.Graph {
 	return g
 }
 
-// protocolRunner measures the completion round of a randomized protocol:
-// value is the round the broadcast completed (maxRounds+1 if it did not),
-// ok reports completion. With FixedGraph the graph is sampled once per
-// worker from the point seed and pinned in an exec.Session, which owns
-// the engines (scalar engine reset per trial, lane engine built lazily
-// on the first batched block); otherwise each trial samples a fresh
-// connected G(n,p) from its own rng and dispatches one-shot.
+// protocolRunner measures one broadcast of a randomized protocol per
+// trial. Unobserved, value is the round the broadcast completed
+// (maxRounds+1 if it did not); observed (collision-rate), value is the
+// fraction of listener-rounds lost to collisions, read off one
+// trace.Counters per trial. ok reports completion either way.
+//
+// With FixedGraph the graph is sampled once per runner from the point
+// seed and pinned in an exec.Session, which owns the engines: a lane
+// runner's blocks run on the lane engine, any other runner's seeds run
+// one by one on the session's reset scalar engine. Without it each
+// trial samples a fresh connected G(n,p) from its own stream and
+// dispatches one-shot.
 type protocolRunner struct {
-	spec      TrialSpec
-	proto     radio.Protocol
-	maxRounds int
-	sess      *exec.Session // non-nil iff FixedGraph
-	batchOut  []int
+	spec TrialSpec
+	req  exec.Request  // resampled trials: Graph set per trial
+	sess *exec.Session // non-nil iff FixedGraph
+	rng  xrand.Rand    // reseeded per resampled trial
+	out  [exec.Width]int
+
+	// counters/obs are allocated for observed kinds only: obs[i] =
+	// &counters[i] observes trial i of a block.
+	counters *[exec.Width]trace.Counters
+	obs      []trace.Observer
 }
 
-func newProtocolKind(proto func(TrialSpec) radio.Protocol) NewRunnerFunc {
-	return func(p PointSpec, pointSeed uint64) (Runner, error) {
-		r := &protocolRunner{spec: p.Trial, proto: proto(p.Trial), maxRounds: p.Trial.maxRounds()}
+func newProtocolKind(proto func(TrialSpec) radio.Protocol, observed bool) NewRunnerFunc {
+	return func(p PointSpec, pointSeed uint64, lanes bool) (Runner, error) {
+		r := &protocolRunner{spec: p.Trial, req: exec.Request{
+			Sources: []int32{0}, Protocol: proto(p.Trial), MaxRounds: p.Trial.maxRounds(),
+		}}
+		if observed {
+			r.counters = new([exec.Width]trace.Counters)
+			r.obs = make([]trace.Observer, exec.Width)
+			for i := range r.obs {
+				r.obs[i] = &r.counters[i]
+			}
+		}
 		if p.Trial.FixedGraph {
-			g := sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
-			r.sess = exec.Open(&exec.Request{Graph: g, Sources: []int32{0}, Protocol: r.proto, MaxRounds: r.maxRounds})
+			req := r.req
+			req.Graph = sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
+			req.ForceScalar = !lanes
+			r.sess = exec.Open(&req)
 		}
 		return r, nil
 	}
 }
 
-// oneShot is the request for a trial on a freshly sampled graph.
-func (r *protocolRunner) oneShot(g *graph.Graph) *exec.Request {
-	return &exec.Request{Graph: g, Sources: []int32{0}, Protocol: r.proto, MaxRounds: r.maxRounds}
-}
-
-func (r *protocolRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	var rounds int
-	if r.sess != nil {
-		rounds, _ = r.sess.Time(context.Background(), rng)
-	} else {
-		g := sampleConnected(r.spec.N, r.spec.D, rng)
-		rounds, _ = exec.Time(context.Background(), r.oneShot(g), rng)
+func (r *protocolRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	k := len(seeds)
+	out := r.out[:k]
+	var obs []trace.Observer
+	if r.counters != nil {
+		clear(r.counters[:k])
+		obs = r.obs[:k]
 	}
-	return float64(rounds), rounds <= r.maxRounds
-}
-
-// RunTrialContext implements ContextRunner: the engine's round loop checks
-// ctx between rounds, so a campaign shutdown cancels the trial mid-run
-// instead of waiting out the round budget. Uncanceled, it is bit-identical
-// to RunTrial (the check consumes no randomness).
-func (r *protocolRunner) RunTrialContext(ctx context.Context, rng *xrand.Rand) (float64, bool, error) {
-	var rounds int
-	var err error
 	if r.sess != nil {
-		rounds, err = r.sess.Time(ctx, rng)
-	} else {
-		if err := ctx.Err(); err != nil {
-			return 0, false, radio.Canceled(ctx)
+		if err := r.sess.RunSeedsObserved(ctx, seeds, obs, out); err != nil {
+			return err
 		}
-		g := sampleConnected(r.spec.N, r.spec.D, rng)
-		rounds, err = exec.Time(ctx, r.oneShot(g), rng)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return float64(rounds), rounds <= r.maxRounds, nil
-}
-
-// RunTrialBatch implements BatchRunner: the session advances every
-// trial of the block through the point's fixed graph simultaneously on
-// the lane engine, or falls back to per-seed scalar trials (identical
-// to single dispatch) when the protocol declared no uniform schedule.
-// The non-fixed-graph guard stays here — the work list only batches
-// batchablePoint points, so it is a guard, not a steady state.
-func (r *protocolRunner) RunTrialBatch(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
-	if r.sess == nil {
+	} else {
 		for i, seed := range seeds {
-			v, ok, err := r.RunTrialContext(ctx, xrand.New(seed))
+			if ctx.Err() != nil {
+				return radio.Canceled(ctx)
+			}
+			r.rng.Reseed(seed)
+			req := r.req
+			req.Graph = sampleConnected(r.spec.N, r.spec.D, &r.rng)
+			if obs != nil {
+				req.Observer = obs[i]
+			}
+			rounds, err := exec.Time(ctx, &req, &r.rng)
 			if err != nil {
 				return err
 			}
-			values[i], oks[i] = v, ok
+			out[i] = rounds
 		}
-		return nil
-	}
-	if r.batchOut == nil {
-		r.batchOut = make([]int, exec.Width)
-	}
-	out := r.batchOut[:len(seeds)]
-	if err := r.sess.RunSeeds(ctx, seeds, out); err != nil {
-		return err
 	}
 	for i, rounds := range out {
-		values[i] = float64(rounds)
-		oks[i] = rounds <= r.maxRounds
+		values[i], oks[i] = float64(rounds), rounds <= r.req.MaxRounds
+		if r.counters != nil {
+			values[i] = collisionRate(&r.counters[i])
+		}
 	}
 	return nil
 }
 
-// centralizedRunner measures the replayed length of the Theorem 5
-// centralized schedule: value is the executed rounds, ok reports
-// completion. Each trial samples a fresh graph and builds a fresh
-// schedule seeded from the trial rng; with FixedGraph the graph is pinned
-// to the point seed and only the schedule seed varies per trial (a
-// fixed-graph fixed-schedule replay would be the same deterministic
-// number every trial).
-type centralizedRunner struct {
-	spec  TrialSpec
-	fixed *graph.Graph // non-nil iff FixedGraph
-}
-
-func newCentralizedRunner(p PointSpec, pointSeed uint64) (Runner, error) {
-	r := &centralizedRunner{spec: p.Trial}
-	if p.Trial.FixedGraph {
-		r.fixed = sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
-	}
-	return r, nil
-}
-
-func (r *centralizedRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	g := r.fixed
-	if g == nil {
-		g = sampleConnected(r.spec.N, r.spec.D, rng)
-	}
-	sched, _, err := core.BuildCentralizedSchedule(g, 0, r.spec.D, core.DefaultCentralizedConfig(rng.Uint64()))
-	if err != nil {
-		panic(fmt.Sprintf("campaign: building centralized schedule: %v", err))
-	}
-	// Schedule replay is deterministic (no rng): the schedule backend.
-	res, err := exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
-	if err != nil {
-		panic(fmt.Sprintf("campaign: replaying centralized schedule: %v", err))
-	}
-	return float64(res.Rounds), res.Completed
-}
-
-// collisionRateRunner measures the fraction of listener-rounds lost to
-// collisions during one distributed broadcast (the E23-style aggregate):
-// value = collisions / (successes + collisions + silent), ok reports
-// completion. A per-runner trace.Counters observer is reset each trial;
-// a lane block observes each trial through its own entry of batch.
-type collisionRateRunner struct {
-	spec      TrialSpec
-	maxRounds int
-	proto     radio.Protocol // hoisted: one construction per runner, not per trial
-	counters  trace.Counters
-	sess      *exec.Session // non-nil iff FixedGraph; engine observed by counters
-
-	batch    [exec.Width]trace.Counters
-	batchObs [exec.Width]trace.Observer // batchObs[i] = &batch[i]
-	batchOut [exec.Width]int
-}
-
-func newCollisionRateRunner(p PointSpec, pointSeed uint64) (Runner, error) {
-	r := &collisionRateRunner{
-		spec:      p.Trial,
-		maxRounds: p.Trial.maxRounds(),
-		proto:     core.NewDistributedProtocol(p.Trial.N, p.Trial.D),
-	}
-	for i := range r.batch {
-		r.batchObs[i] = &r.batch[i]
-	}
-	if p.Trial.FixedGraph {
-		g := sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
-		r.sess = exec.Open(&exec.Request{
-			Graph: g, Sources: []int32{0}, Protocol: r.proto,
-			MaxRounds: r.maxRounds, Observer: &r.counters,
-		})
-	}
-	return r, nil
-}
-
-// collisionRate is the measured value of one observed trial.
+// collisionRate is the measured value of one observed trial:
+// collisions / (successes + collisions + silent).
 func collisionRate(c *trace.Counters) float64 {
 	listens := c.Successes + c.Collisions + c.Silent
 	if listens == 0 {
@@ -339,42 +244,49 @@ func collisionRate(c *trace.Counters) float64 {
 	return float64(c.Collisions) / float64(listens)
 }
 
-// RunTrialBatch implements BatchRunner: the session runs the block on
-// the lane engine with one Counters observer per lane. Without a fixed
-// graph there is nothing to share, and the trials run one by one.
-func (r *collisionRateRunner) RunTrialBatch(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
-	if r.sess == nil {
-		for i, seed := range seeds {
-			values[i], oks[i] = r.RunTrial(xrand.New(seed))
-		}
-		return nil
-	}
-	k := len(seeds)
-	clear(r.batch[:k])
-	if err := r.sess.RunSeedsObserved(ctx, seeds, r.batchObs[:k], r.batchOut[:k]); err != nil {
-		return err
-	}
-	for i, rounds := range r.batchOut[:k] {
-		values[i] = collisionRate(&r.batch[i])
-		oks[i] = rounds <= r.maxRounds
-	}
-	return nil
+// centralizedRunner measures the replayed length of the Theorem 5
+// centralized schedule: value is the executed rounds, ok reports
+// completion. Each trial samples a fresh graph and builds a fresh
+// schedule seeded from the trial's stream; with FixedGraph the graph is
+// pinned to the point seed and only the schedule seed varies per trial
+// (a fixed-graph fixed-schedule replay would be the same deterministic
+// number every trial).
+type centralizedRunner struct {
+	spec  TrialSpec
+	fixed *graph.Graph // non-nil iff FixedGraph
+	rng   xrand.Rand
 }
 
-func (r *collisionRateRunner) RunTrial(rng *xrand.Rand) (float64, bool) {
-	r.counters = trace.Counters{}
-	// Session.Time drives the identical round stream a full protocol run does
-	// but materialises no Result (whose InformedAt slice was an n-sized
-	// allocation per trial); the counters observer carries the aggregate.
-	var rounds int
-	if r.sess != nil {
-		rounds, _ = r.sess.Time(context.Background(), rng)
-	} else {
-		g := sampleConnected(r.spec.N, r.spec.D, rng)
-		rounds, _ = exec.Time(context.Background(), &exec.Request{
-			Graph: g, Sources: []int32{0}, Protocol: r.proto,
-			MaxRounds: r.maxRounds, Observer: &r.counters,
-		}, rng)
+func newCentralizedRunner(p PointSpec, pointSeed uint64, _ bool) (Runner, error) {
+	r := &centralizedRunner{spec: p.Trial}
+	if p.Trial.FixedGraph {
+		r.fixed = sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
 	}
-	return collisionRate(&r.counters), rounds <= r.maxRounds
+	return r, nil
+}
+
+func (r *centralizedRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	for i, seed := range seeds {
+		if ctx.Err() != nil {
+			return radio.Canceled(ctx)
+		}
+		r.rng.Reseed(seed)
+		g := r.fixed
+		if g == nil {
+			g = sampleConnected(r.spec.N, r.spec.D, &r.rng)
+		}
+		sched, _, err := core.BuildCentralizedSchedule(g, 0, r.spec.D, core.DefaultCentralizedConfig(r.rng.Uint64()))
+		if err != nil {
+			panic(fmt.Sprintf("campaign: building centralized schedule: %v", err))
+		}
+		// Schedule replay is deterministic (no rng): the schedule backend.
+		res, err := exec.Run(ctx, &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
+		if errors.Is(err, radio.ErrCanceled) {
+			return err
+		} else if err != nil {
+			panic(fmt.Sprintf("campaign: replaying centralized schedule: %v", err))
+		}
+		values[i], oks[i] = float64(res.Rounds), res.Completed
+	}
+	return nil
 }

@@ -631,7 +631,7 @@ func (x *Executor) Snapshot() Stats {
 // pure functions of their rng/seed, so which session ran a trial never
 // shows in the results. Sessions never use the executor's engine pool —
 // their engines live for the session and are abandoned to the GC with
-// it (Close is optional and only drops references).
+// it.
 type Session struct {
 	x    *Executor
 	req  Request
@@ -639,6 +639,7 @@ type Session struct {
 
 	engine *radio.Engine // lazily built scalar engine
 	lane   *lanes.Engine // lazily built lane engine
+	rng    xrand.Rand    // reseeded per scalar batch trial
 }
 
 // Open prepares a session for req. The request is captured by value
@@ -651,16 +652,6 @@ func (x *Executor) Open(req *Request) *Session {
 		s.plan, _ = batchPlan(&s.req)
 	}
 	return s
-}
-
-// Backend reports where batches of this session execute: BackendLanes
-// when the plan probe succeeded, BackendScalar otherwise (single-trial
-// Time calls are always scalar).
-func (s *Session) Backend() Backend {
-	if s.plan != nil {
-		return BackendLanes
-	}
-	return classify(&s.req)
 }
 
 // scalar returns the session's scalar engine, building it on first use.
@@ -719,7 +710,8 @@ func (s *Session) RunSeedsObserved(ctx context.Context, seeds []uint64, obs []tr
 		defer e.Attach(s.req.Observer)
 		for i, seed := range seeds {
 			e.Attach(observer(obs, i))
-			r, err := radio.BroadcastTimeOnContext(ctx, e, s.req.Protocol, s.req.MaxRounds, xrand.New(seed))
+			s.rng.Reseed(seed)
+			r, err := radio.BroadcastTimeOnContext(ctx, e, s.req.Protocol, s.req.MaxRounds, &s.rng)
 			if err != nil {
 				return err
 			}
@@ -744,12 +736,6 @@ func (s *Session) RunSeedsObserved(ctx context.Context, seeds []uint64, obs []tr
 		}
 	}
 	return nil
-}
-
-// Close drops the session's engine references. Optional: sessions own
-// their engines outright, so the GC reclaims them either way.
-func (s *Session) Close() {
-	s.engine, s.lane = nil, nil
 }
 
 // Package-level conveniences dispatching through the process-wide

@@ -569,13 +569,13 @@ func TestSessionRunSeeds(t *testing.T) {
 	g := testGraph(t, 8)
 	req := protoReq(g)
 	sess := x.Open(req)
-	if sess.Backend() != exec.BackendLanes {
-		t.Fatalf("session backend = %v, want lanes", sess.Backend())
-	}
 	seeds := sweep.Seeds(3*exec.Width/2, 17) // forces >1 lane block
 	got := make([]int, len(seeds))
 	if err := sess.RunSeeds(context.Background(), seeds, got); err != nil {
 		t.Fatal(err)
+	}
+	if st := x.Snapshot(); st.Lanes.Runs != 1 || st.Scalar.Fallbacks != 0 {
+		t.Fatalf("session batch ran %d lane dispatches and %d scalar fallbacks, want 1 and 0", st.Lanes.Runs, st.Scalar.Fallbacks)
 	}
 	want := make([]int, len(seeds))
 	if _, err := x.RunSeeds(context.Background(), protoReq(g), seeds, want); err != nil {
@@ -598,13 +598,13 @@ func TestSessionScalarFallback(t *testing.T) {
 	req.Protocol = &protocols.RoundRobin{N: g.N()}
 	req.MaxRounds = 4 * g.N()
 	sess := x.Open(req)
-	if sess.Backend() != exec.BackendScalar {
-		t.Fatalf("session backend = %v, want scalar", sess.Backend())
-	}
 	seeds := sweep.Seeds(7, 23)
 	got := make([]int, len(seeds))
 	if err := sess.RunSeeds(context.Background(), seeds, got); err != nil {
 		t.Fatal(err)
+	}
+	if st := x.Snapshot(); st.Lanes.Runs != 0 || st.Scalar.Fallbacks != 1 {
+		t.Fatalf("session batch ran %d lane dispatches and %d scalar fallbacks, want 0 and 1", st.Lanes.Runs, st.Scalar.Fallbacks)
 	}
 	ref := x.Open(req)
 	for i, seed := range seeds {
