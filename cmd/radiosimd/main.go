@@ -13,7 +13,8 @@
 //	POST /v1/run          run one simulation, JSON in/out
 //	POST /v1/run/stream   same, streaming per-round records as JSON Lines
 //	POST /v1/campaign     submit a campaign spec; returns an id to poll
-//	GET  /v1/campaign/{id} campaign state and, once done, the report
+//	GET  /v1/campaign/{id} campaign state and, once done, the report (the
+//	                      256 most recently finished campaigns are kept)
 //	POST /v1/shard/lease  accept a cluster coordinator's shard lease offer
 //	                      (429 + Retry-After when every shard slot is busy;
 //	                      see 'campaign cluster' and internal/cluster)

@@ -280,9 +280,9 @@ func engineResult(e *radio.Engine) radio.Result {
 	}
 }
 
-// sameSet compares two vertex lists as sets (the engine's dense and
-// sparse strategies emit newly-informed lists in different orders, which
-// no caller may rely on).
+// sameSet compares two vertex lists as sets (the engine's sparse rounds
+// list newly informed nodes in first-touch order, the oracle in ascending
+// order; radio's TestNewlyOrder pins the engine's order).
 func sameSet(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -588,11 +588,107 @@ func TestDenseBoundaryExact(t *testing.T) {
 	}
 }
 
-// TestDenseSaturation checks hit-counter saturation on stars: with k
-// leaves transmitting into the hub the engine's dense path caps its
-// uint8 hit counters at 2, which must still classify k >= 2 as a
-// collision — including k well above 255, where an uncapped uint8
-// counter would wrap around to 0 (silence) or 1 (spurious delivery).
+// wordBoundaryGraph builds a random graph on n nodes for the word-boundary
+// diff: about four random edges per node, plus a listener (node n-1, in
+// the last plane word) wired to one random node of every word, so its
+// transmitting neighbours can sit in several words at once.
+func wordBoundaryGraph(n int, rng *xrand.Rand) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for i := 0; i < 2*n; i++ {
+		b.AddEdge(rng.Int31n(int32(n)), rng.Int31n(int32(n)))
+	}
+	for lo := 0; lo < n; lo += 64 {
+		b.AddEdge(int32(n-1), int32(lo+rng.Intn(min(64, n-lo))))
+	}
+	return b.Build()
+}
+
+// TestDifferentialWordBoundaries diffs Engine.Round against the oracle,
+// round by round, at node counts on and around the 64-bit word boundaries
+// of the engine's once/twice reception planes. Most rounds' sets include
+// a node of the last (possibly partial) word, set sizes range from none
+// to all n nodes so both classification sides run, and the suite asserts
+// that some listener collided on hits from more than one word.
+// Dense rounds must return the oracle's ascending newly-informed list
+// exactly.
+func TestDifferentialWordBoundaries(t *testing.T) {
+	base := xrand.New(diffBaseSeed + 9)
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 200} {
+		last := (n - 1) &^ 63 // first node of the last plane word
+		dense, sparse, multiWord := 0, 0, 0
+		for c := 0; c < diffCases(12); c++ {
+			crng := base.Derive(uint64(n)<<16 | uint64(c))
+			g := wordBoundaryGraph(n, crng)
+			e := radio.NewEngine(g, 0, radio.MagicTransmitters)
+			rec := &trace.Recorder{}
+			e.Attach(rec)
+			o := New(g, []int32{0}, radio.MagicTransmitters)
+			for r := 0; r < 8; r++ {
+				k := crng.Intn(n + 1)
+				if crng.Bool() {
+					k = crng.Intn(min(n, 4) + 1)
+				}
+				set := crng.Sample(n, k)
+				if crng.Intn(4) != 0 {
+					set = append(set, int32(last+crng.Intn(n-last)))
+				}
+				tx := make(map[int32]bool)
+				visits := 0
+				for _, v := range set {
+					if !tx[v] {
+						tx[v] = true
+						visits += g.Degree(v)
+					}
+				}
+				isDense := 2*visits >= n
+				if isDense {
+					dense++
+				} else {
+					sparse++
+				}
+				for w := int32(0); int(w) < n; w++ {
+					words := make(map[int32]bool)
+					for _, v := range g.Neighbors(w) {
+						if tx[v] {
+							words[v>>6] = true
+						}
+					}
+					if !tx[w] && len(words) > 1 {
+						multiWord++
+					}
+				}
+				newlyE, errE := e.Round(set)
+				newlyO, errO := o.Round(set)
+				if errE != nil || errO != nil {
+					t.Fatalf("n=%d case %d round %d: errs %v / %v", n, c, r+1, errE, errO)
+				}
+				if !sameSet(newlyE, newlyO) || (isDense && fmt.Sprint(newlyE) != fmt.Sprint(newlyO)) {
+					t.Fatalf("n=%d case %d round %d (dense=%v, set %v): newly differ: engine %v, oracle %v",
+						n, c, r+1, isDense, set, newlyE, newlyO)
+				}
+			}
+			if d := CompareRecords(rec.Records, o.Records); d != "" {
+				t.Fatalf("n=%d case %d: records diverge:\n%s", n, c, d)
+			}
+			if d := Compare(engineResult(e), o.Result()); d != "" {
+				t.Fatalf("n=%d case %d: final state diverges:\n%s", n, c, d)
+			}
+		}
+		if sparse == 0 || (n > 1 && dense == 0) {
+			t.Fatalf("n=%d: classification coverage %d dense, %d sparse rounds", n, dense, sparse)
+		}
+		if n > 64 && multiWord == 0 {
+			t.Fatalf("n=%d: no listener heard transmitters from more than one word", n)
+		}
+	}
+}
+
+// TestDenseSaturation checks collision classification on stars: with k
+// leaves transmitting into the hub, the engine's dense path sets the
+// hub's twice bit from the second hit on and leaves it set through every
+// later hit, so any k >= 2 must classify as a collision. The k list keeps
+// values around 255, where a byte counter that wrapped would read 0
+// (silence) or 1 (spurious delivery), and well above them.
 func TestDenseSaturation(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 254, 255, 256, 257, 300} {
 		b := graph.NewBuilder(k + 1)

@@ -6,7 +6,7 @@
 //
 // The oracle implements the model straight from the paper's definition
 // (§1.1) with none of the engine's machinery — no CSR scatter tricks, no
-// saturating hit counters, no touched lists, no dense/sparse round
+// reception bitplanes, no touched lists, no dense/sparse round
 // classification, no sampled-transmitter draws, no scratch reuse. Each
 // round costs O(n · |tx| · log Δ): for every listening node it counts its
 // transmitting neighbours one HasEdge probe at a time and applies the

@@ -25,6 +25,7 @@ package radio
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/trace"
@@ -79,12 +80,13 @@ type Engine struct {
 	// source), or NotInformed.
 	informedAt  []int32
 	numInformed int
-	// hits counts transmitting neighbours this round, saturating at 2:
-	// delivery classification only distinguishes 0 / exactly 1 / >=2, and a
-	// byte array keeps the randomly-accessed working set 4x smaller than
-	// int32 counters (the engine's round loop is memory-bound on it).
-	hits         []uint8
-	touched      []int32 // vertices with nonzero hits, for O(deg) reset (sparse rounds)
+	// once and twice are carry-save bitplanes over the nodes (bit w&63 of
+	// word w>>6): once marks "at least one transmitting neighbour this
+	// round", twice "at least two". Reception only distinguishes 0 / 1 /
+	// >=2 hits, so two bits per node replace a counter; this is the lane
+	// engine's once/twice rule at width 1.
+	once, twice  []uint64
+	touched      []int32 // first-touch order of nodes hit this round (sparse rounds)
 	transmitting []bool
 	txList       []int32
 	round        int
@@ -140,7 +142,8 @@ func NewEngine(g *graph.Graph, src int32, policy TransmitterPolicy) *Engine {
 		policy:       policy,
 		informed:     make([]bool, n),
 		informedAt:   make([]int32, n),
-		hits:         make([]uint8, n),
+		once:         make([]uint64, (n+63)/64),
+		twice:        make([]uint64, (n+63)/64),
 		transmitting: make([]bool, n),
 	}
 	for i := range e.informedAt {
@@ -178,10 +181,7 @@ func (e *Engine) Reset() {
 	e.eligAllOK, e.eligCohortOK = false, false
 	// Per-round scratch is empty after any completed or failed Round, but
 	// clear it anyway so Reset restores a pristine engine unconditionally.
-	for _, w := range e.touched {
-		e.hits[w] = 0
-	}
-	e.touched = e.touched[:0]
+	e.clearHits()
 	e.clearTransmitMarks()
 }
 
@@ -360,12 +360,11 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 	}
 
 	// The exact neighbour-visit count picks the classification strategy:
-	// dense rounds (visits >= n/2) skip the touched-list bookkeeping in the
-	// counting loop and classify by a cache-friendly linear scan over all
-	// nodes; sparse rounds keep the O(visits) touched list so tiny rounds
-	// never pay an O(n) pass. Both strategies produce identical informed
-	// sets and counters (the newly-informed list order differs — visit
-	// order vs index order — which no caller observes).
+	// dense rounds (visits >= n/2) scatter without bookkeeping and classify
+	// word by word over the whole planes; sparse rounds keep the O(visits)
+	// touched list so tiny rounds never pay an O(n) pass. Both produce the
+	// same informed sets and counters; newly-informed order is ascending on
+	// dense rounds and first-touch on sparse ones.
 	n := e.g.N()
 	visits := 0
 	for _, v := range e.txList {
@@ -373,49 +372,54 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 	}
 	e.newly = e.newly[:0]
 	successes, collisions := 0, 0
+	once := e.once
+	twice := e.twice[:len(once)] // equal lengths: one bounds check per visit
 	if 2*visits >= n {
-		hits := e.hits
 		for _, v := range e.txList {
 			for _, w := range e.g.Neighbors(v) {
-				if hits[w] < 2 {
-					hits[w]++
-				}
+				k, b := w>>6, uint64(1)<<(w&63)
+				o := once[k]
+				twice[k] |= o & b
+				once[k] = o | b
 			}
 		}
-		// Transmitting nodes do not listen: zero their counters up front so
-		// the classify scan treats them as untouched and never needs to
-		// read the transmitting marks (one fewer byte stream per scan).
+		// Transmitting nodes do not listen: clear their bits up front so the
+		// word walk never reads the transmitting marks.
 		for _, v := range e.txList {
-			hits[v] = 0
+			k, b := v>>6, uint64(1)<<(v&63)
+			once[k] &^= b
+			twice[k] &^= b
 		}
 		informed := e.informed
-		for w, h := range hits {
-			if h == 0 {
+		for k, o := range once {
+			if o == 0 {
 				continue
 			}
-			hits[w] = 0
-			if h == 1 {
-				successes++
+			t := twice[k]
+			once[k], twice[k] = 0, 0
+			collisions += bits.OnesCount64(t)
+			succ := o &^ t
+			successes += bits.OnesCount64(succ)
+			for ; succ != 0; succ &= succ - 1 {
+				w := k<<6 | bits.TrailingZeros64(succ)
 				if !informed[w] {
 					informed[w] = true
 					e.informedAt[w] = int32(e.round)
 					e.numInformed++
 					e.newly = append(e.newly, int32(w))
 				}
-			} else {
-				collisions++
 			}
 		}
 	} else {
-		// Count transmitting neighbours of every node touched.
 		for _, v := range e.txList {
 			for _, w := range e.g.Neighbors(v) {
-				if e.hits[w] == 0 {
+				k, b := w>>6, uint64(1)<<(w&63)
+				o := once[k]
+				if o&b == 0 {
 					e.touched = append(e.touched, w)
 				}
-				if e.hits[w] < 2 {
-					e.hits[w]++
-				}
+				twice[k] |= o & b
+				once[k] = o | b
 			}
 		}
 		// Deliveries: listening nodes with exactly one transmitting
@@ -424,7 +428,7 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 			if e.transmitting[w] {
 				continue // transmitting node does not listen
 			}
-			if e.hits[w] == 1 {
+			if twice[w>>6]&(uint64(1)<<(w&63)) == 0 {
 				successes++
 				if !e.informed[w] {
 					e.informed[w] = true
@@ -455,13 +459,19 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 		e.obs.Round(rec)
 	}
 
-	// Reset per-round scratch.
-	for _, w := range e.touched {
-		e.hits[w] = 0
-	}
-	e.touched = e.touched[:0]
+	e.clearHits()
 	e.clearTransmitMarks()
 	return e.newly, nil
+}
+
+// clearHits zeroes the plane words of every touched node. Only touched
+// nodes have bits set after a sparse round (a dense round's walk zeroes
+// the planes itself), so clearing whole words is exact.
+func (e *Engine) clearHits() {
+	for _, w := range e.touched {
+		e.once[w>>6], e.twice[w>>6] = 0, 0
+	}
+	e.touched = e.touched[:0]
 }
 
 // observeBegin notifies an attached observer that a run is starting; the

@@ -3,6 +3,7 @@ package radio
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -391,7 +392,7 @@ func TestDeliveriesToAlreadyInformed(t *testing.T) {
 }
 
 func TestEngineScratchIsolationAcrossRounds(t *testing.T) {
-	// The hit counters must be fully reset between rounds; otherwise a
+	// The reception planes must be fully reset between rounds; otherwise a
 	// second identical round would see phantom collisions.
 	g := star(6)
 	e := NewEngine(g, 0, StrictInformed)
@@ -404,8 +405,88 @@ func TestEngineScratchIsolationAcrossRounds(t *testing.T) {
 	}
 	// Node 0 hears leaf 1 alone: no collision.
 	if e.Stats().Collisions != before {
-		t.Fatal("stale hit counters caused phantom collision")
+		t.Fatal("stale reception planes caused phantom collision")
 	}
+}
+
+// TestNewlyOrder pins the order of Round's newly-informed list, which the
+// sampled runner appends to its eligible list and so feeds PartialShuffle:
+// ascending on dense rounds (2·visits >= n), first-touch on sparse ones
+// (distinct transmitters in set order, each one's neighbours in adjacency
+// order).
+func TestNewlyOrder(t *testing.T) {
+	rng := xrand.New(21)
+	dense, sparse := 0, 0
+	for c := 0; c < 40; c++ {
+		n := 2 + rng.Intn(200)
+		g := smallRandomGraph(n, n, rng.Uint64())
+		e := NewEngine(g, 0, MagicTransmitters)
+		for r := 0; r < 6; r++ {
+			k := rng.Intn(n/8 + 1)
+			if rng.Bool() {
+				k = rng.Intn(n + 1)
+			}
+			set := rng.Sample(n, k)
+			if k > 0 {
+				set = append(set, set[0]) // a duplicate must not move anything
+			}
+			want, isDense := wantNewly(e, set)
+			if isDense {
+				dense++
+			} else {
+				sparse++
+			}
+			got, err := e.Round(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("case %d round %d (n=%d, dense=%v): newly %v, want %v", c, r+1, n, isDense, got, want)
+			}
+		}
+	}
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("coverage: %d dense, %d sparse rounds", dense, sparse)
+	}
+}
+
+// wantNewly derives from the model alone the nodes set newly informs on
+// e, in the order Round must list them, and whether the round is dense.
+func wantNewly(e *Engine, set []int32) ([]int32, bool) {
+	g := e.Graph()
+	tx := make(map[int32]bool)
+	hits := make([]int, g.N())
+	var touched []int32
+	visits := 0
+	for _, v := range set {
+		if tx[v] {
+			continue
+		}
+		tx[v] = true
+		for _, w := range g.Neighbors(v) {
+			visits++
+			if hits[w] == 0 {
+				touched = append(touched, w)
+			}
+			hits[w]++
+		}
+	}
+	dense := 2*visits >= g.N()
+	if dense {
+		touched = touched[:0]
+		for w, h := range hits {
+			if h > 0 {
+				touched = append(touched, int32(w))
+			}
+		}
+	}
+	var want []int32
+	for _, w := range touched {
+		if hits[w] == 1 && !tx[w] && !e.Informed(w) {
+			want = append(want, w)
+		}
+	}
+	return want, dense
 }
 
 func TestRandomGraphFloodingProgress(t *testing.T) {

@@ -405,6 +405,73 @@ func TestCampaignEndpointRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// TestCampaignRegistryEvictsFinished: past maxFinishedCampaigns finished
+// campaigns, the ones that finished first answer 404, while every later
+// one and a campaign still in flight keep answering 200.
+func TestCampaignRegistryEvictsFinished(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// A job in flight, registered the way handleCampaignSubmit does; it
+	// never finishes, so no eviction may touch it.
+	s.mu.Lock()
+	s.campaigns["c0000-inflight"] = &campaignJob{id: "c0000-inflight", state: "running"}
+	s.mu.Unlock()
+	spec := map[string]any{
+		"name":   "evict",
+		"seed":   1,
+		"trials": 1,
+		"points": []map[string]any{
+			{"id": "a", "x": 6, "trial": map[string]any{"kind": "distributed", "n": 30, "d": 6}},
+		},
+	}
+	get := func(id string) (int, CampaignStatus) {
+		resp, err := http.Get(ts.URL + "/v1/campaign/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			return resp.StatusCode, CampaignStatus{}
+		}
+		return resp.StatusCode, decodeBody[CampaignStatus](t, resp)
+	}
+	// Submit one at a time and wait for each to finish, so finishing
+	// order is submission order.
+	const evicted = 3
+	var ids []string
+	for i := 0; i < maxFinishedCampaigns+evicted; i++ {
+		resp := postJSON(t, ts.URL+"/v1/campaign", spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+		}
+		id := decodeBody[map[string]string](t, resp)["id"]
+		ids = append(ids, id)
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			code, st := get(id)
+			if code != http.StatusOK {
+				t.Fatalf("campaign %s: status %d while in flight", id, code)
+			}
+			if st.State == "done" {
+				break
+			}
+			if (st.State != "queued" && st.State != "running") || time.Now().After(deadline) {
+				t.Fatalf("campaign %s: state %s %s", id, st.State, st.Error)
+			}
+		}
+	}
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < evicted {
+			want = http.StatusNotFound
+		}
+		if code, _ := get(id); code != want {
+			t.Fatalf("campaign %d (%s): status %d, want %d", i, id, code, want)
+		}
+	}
+	if code, st := get("c0000-inflight"); code != http.StatusOK || st.State != "running" {
+		t.Fatalf("in-flight campaign: status %d state %q, want 200 running", code, st.State)
+	}
+}
+
 // TestHealthz is trivial but keeps the probe honest.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

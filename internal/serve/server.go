@@ -120,6 +120,7 @@ type Server struct {
 
 	mu         sync.Mutex
 	campaigns  map[string]*campaignJob
+	finished   []string // ids of finished campaigns still in campaigns, oldest first
 	nextID     int
 	shardStats ShardStats
 
@@ -516,6 +517,13 @@ func (f *flushingObserver) flush() {
 	}
 }
 
+// maxFinishedCampaigns caps how many finished campaigns (done, failed or
+// canceled) the registry keeps for status polls. Past it the campaign that
+// finished first is forgotten and its id answers 404. Queued and running
+// campaigns are never evicted, so the registry holds at most this many
+// jobs plus the ones still in flight.
+const maxFinishedCampaigns = 256
+
 // campaignJob tracks one submitted campaign through its lifecycle.
 type campaignJob struct {
 	mu     sync.Mutex
@@ -583,18 +591,18 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		case s.campaignSem <- struct{}{}:
 			defer func() { <-s.campaignSem }()
 		case <-s.campaignCtx.Done():
-			job.set("canceled", "server shutting down", nil)
+			s.finish(job, "canceled", "server shutting down", nil)
 			return
 		}
 		job.set("running", "", nil)
 		report, err := campaign.Run(spec, campaign.Options{Context: s.campaignCtx})
 		switch {
 		case err != nil:
-			job.set("failed", err.Error(), nil)
+			s.finish(job, "failed", err.Error(), nil)
 		case s.campaignCtx.Err() != nil && !report.Complete:
-			job.set("canceled", "server shutting down", report)
+			s.finish(job, "canceled", "server shutting down", report)
 		default:
-			job.set("done", "", report)
+			s.finish(job, "done", "", report)
 		}
 	}()
 
@@ -603,6 +611,19 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		"state":      "queued",
 		"status_url": "/v1/campaign/" + id,
 	})
+}
+
+// finish moves job to a terminal state and evicts the oldest finished
+// campaigns beyond maxFinishedCampaigns.
+func (s *Server) finish(job *campaignJob, state, errMsg string, report *campaign.Report) {
+	job.set(state, errMsg, report)
+	s.mu.Lock()
+	s.finished = append(s.finished, job.id)
+	for len(s.finished) > maxFinishedCampaigns {
+		delete(s.campaigns, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+	s.mu.Unlock()
 }
 
 func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
