@@ -108,6 +108,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzGraphBuild$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzSubgraph$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzReadSchedule$$' -fuzztime 10s ./internal/radio/
+	go test -run '^$$' -fuzz '^FuzzReception$$' -fuzztime 10s ./internal/radio/
 	go test -run '^$$' -fuzz '^FuzzLoadSamples$$' -fuzztime 10s ./internal/campaign/
 	go test -run '^$$' -fuzz '^FuzzGeometricLog$$' -fuzztime 10s ./internal/xrand/
 

@@ -405,11 +405,10 @@ func BenchmarkGossipPhased(b *testing.B) {
 	if !ok {
 		b.Fatal("no connected sample")
 	}
-	p := NewPhasedGossip(n, d)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := GossipWith(g, p, 100000, rng)
+		res := Gossip(g, d, 100000, rng)
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}

@@ -20,34 +20,13 @@ import (
 // GossipResult reports an all-to-all dissemination run.
 type GossipResult = gossip.Result
 
-// GossipProtocol decides, per node and round, whether to transmit during
-// gossiping (all-to-all dissemination). See internal/gossip for the stock
-// protocols (RoundRobin, Uniform, Phased).
-type GossipProtocol = gossip.Protocol
-
-// NewPhasedGossip returns the Theorem-7-style phased gossip protocol
-// sized for n nodes with expected degree d: flood for ~log_d n rounds,
-// then transmit with probability 1/d.
-func NewPhasedGossip(n int, d float64) GossipProtocol {
-	return gossip.NewPhased(n, d)
-}
-
-// GossipWith runs all-to-all rumor dissemination on g under an arbitrary
-// gossip protocol — the gossip analogue of RunProtocol, symmetric with
-// KBroadcast's protocol parameter. Optional observers receive one
-// RoundRecord per round (Successes = clean receptions, NewlyInformed =
-// nodes that completed their rumor set this round).
-func GossipWith(g *Graph, p GossipProtocol, maxRounds int, rng *Rand, obs ...Observer) GossipResult {
-	return gossip.RunObserved(g, p, maxRounds, rng, MultiObserver(obs...))
-}
-
 // Gossip runs all-to-all rumor dissemination on g under the radio model:
 // every node starts with its own rumor, transmissions carry all known
 // rumors, and the run ends when every node knows every rumor (or after
 // maxRounds). The protocol is the Theorem-7-style phased protocol sized
-// for expected degree d; use GossipWith to substitute another protocol.
+// for expected degree d.
 func Gossip(g *Graph, d float64, maxRounds int, rng *Rand) GossipResult {
-	return GossipWith(g, NewPhasedGossip(g.N(), d), maxRounds, rng)
+	return gossip.Run(g, gossip.NewPhased(g.N(), d), maxRounds, rng)
 }
 
 // CrashScenario is a crash-fault pattern applied to a graph.

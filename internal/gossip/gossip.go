@@ -5,9 +5,12 @@
 // currently knows, and the task completes when every node knows every
 // rumor.
 //
-// Collision semantics are identical to broadcasting (package radio): a
-// listening node receives the transmission iff exactly one of its
-// neighbours transmits.
+// Collision semantics are identical to broadcasting, and so is the code
+// that applies them: each round runs the engine's reception kernel
+// (radio.Reception), so a listening node receives the transmission iff
+// exactly one of its neighbours transmits, and a transmitter hears
+// nothing. The package keeps only its own delivery rule: the listener
+// merges its sender's rumor set into its own.
 //
 // The package provides the simulation engine plus three protocols:
 //
@@ -30,6 +33,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
+	"repro/internal/radio"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -155,6 +159,12 @@ func Run(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand) Result {
 // NewlyInformed counts nodes that completed their rumor set this round,
 // and Informed is the cumulative count of such complete nodes.
 func RunObserved(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs trace.Observer) Result {
+	res, _ := run(g, p, maxRounds, rng, obs)
+	return res
+}
+
+// run is RunObserved that also returns every node's final rumor set.
+func run(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs trace.Observer) (Result, []*bitset.Set) {
 	n := g.N()
 	know := make([]*bitset.Set, n)
 	counts := make([]int, n)
@@ -173,9 +183,8 @@ func RunObserved(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs
 	}
 	txBuf := make([]int32, 0, n)
 	transmitting := make([]bool, n)
-	hits := make([]int32, n)
-	from := make([]int32, n) // sole transmitting neighbour per receiver
-	var touched []int32
+	rx := radio.NewReception(g)
+	var heard []int32
 	// Sampled-transmitter fast path: for protocols declaring uniform
 	// rounds, elig holds all n nodes (every node owns a rumor and may
 	// transmit) and each uniform round takes a Binomial(n, q) prefix of a
@@ -221,46 +230,30 @@ func RunObserved(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs
 		for _, v := range tx {
 			transmitting[v] = true
 		}
-		for _, v := range tx {
-			for _, w := range g.Neighbors(v) {
-				if hits[w] == 0 {
-					touched = append(touched, w)
+		rx.Scatter(tx)
+		var collisions int
+		heard, collisions = rx.Collect(tx, heard[:0])
+		newlyComplete := 0
+		for _, w := range heard {
+			if counts[w] < n {
+				know[w].Union(know[rx.Sender(w, transmitting)])
+				c := know[w].Count()
+				if c == n {
+					complete++
+					newlyComplete++
 				}
-				hits[w]++
-				from[w] = v
+				counts[w] = c
 			}
 		}
-		successes, collisions, newlyComplete := 0, 0, 0
-		for _, w := range touched {
-			if !transmitting[w] {
-				if hits[w] == 1 {
-					successes++
-					src := from[w]
-					if counts[w] < n {
-						know[w].Union(know[src])
-						c := know[w].Count()
-						if c == n && counts[w] != n {
-							complete++
-							newlyComplete++
-						}
-						counts[w] = c
-					}
-				} else {
-					collisions++
-				}
-			}
-			hits[w] = 0
-		}
-		touched = touched[:0]
 		for _, v := range tx {
 			transmitting[v] = false
 		}
 		rec := trace.RoundRecord{
 			Round:         round,
 			Transmitters:  len(tx),
-			Successes:     successes,
+			Successes:     len(heard),
 			Collisions:    collisions,
-			Silent:        n - len(tx) - successes - collisions,
+			Silent:        n - len(tx) - len(heard) - collisions,
 			NewlyInformed: newlyComplete,
 			Informed:      complete,
 		}
@@ -293,7 +286,7 @@ func RunObserved(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs
 		res.MinKnown = 0
 		res.Completed = true
 	}
-	return res
+	return res, know
 }
 
 // Time runs the protocol and returns the completion round, or maxRounds+1

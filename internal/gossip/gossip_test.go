@@ -168,20 +168,25 @@ func BenchmarkPhasedGossip(b *testing.B) {
 }
 
 // referenceGossipRound is a naive oracle for one gossip round: given
-// per-node rumor sets and the transmitter set, return the updated rumor
-// sets under the radio semantics.
-func referenceGossipRound(g *graph.Graph, know [][]bool, tx []int32) [][]bool {
+// per-node rumor sets and the transmitter set, it counts each listener's
+// transmitting neighbours from its own adjacency and returns the updated
+// rumor sets, the round's trace record (Informed left for the caller) and
+// whether the engine takes the dense side for this set.
+func referenceGossipRound(g *graph.Graph, know [][]bool, tx []int32) ([][]bool, trace.RoundRecord, bool) {
 	n := g.N()
-	inTx := make(map[int32]bool)
+	inTx := make([]bool, n)
+	visits := 0
 	for _, v := range tx {
 		inTx[v] = true
+		visits += len(g.Neighbors(v))
 	}
 	next := make([][]bool, n)
 	for v := range next {
 		next[v] = append([]bool{}, know[v]...)
 	}
+	rec := trace.RoundRecord{Transmitters: len(tx)}
 	for w := 0; w < n; w++ {
-		if inTx[int32(w)] {
+		if inTx[w] {
 			continue
 		}
 		var sender int32 = -1
@@ -192,44 +197,51 @@ func referenceGossipRound(g *graph.Graph, know [][]bool, tx []int32) [][]bool {
 				sender = nb
 			}
 		}
-		if count == 1 {
+		switch {
+		case count == 1:
+			rec.Successes++
 			for m, has := range know[sender] {
 				if has {
 					next[w][m] = true
 				}
 			}
+		case count >= 2:
+			rec.Collisions++
 		}
 	}
-	return next
+	rec.Silent = n - len(tx) - rec.Successes - rec.Collisions
+	return next, rec, 2*visits >= n
 }
 
 // scriptedGossip transmits according to a precomputed per-round set.
-type scriptedGossip struct{ rounds [][]int32 }
+type scriptedGossip struct{ rounds [][]bool }
 
 func (s scriptedGossip) Transmit(v int32, round int, rng *xrand.Rand) bool {
-	if round-1 >= len(s.rounds) {
-		return false
-	}
-	for _, u := range s.rounds[round-1] {
-		if u == v {
-			return true
-		}
-	}
-	return false
+	return round-1 < len(s.rounds) && s.rounds[round-1][v]
 }
 
+// TestGossipMatchesReferenceImplementation diffs scripted runs against the
+// naive reference node by node and round by round, on graphs of up to 200
+// nodes so rounds cross plane words and take both reception sides.
 func TestGossipMatchesReferenceImplementation(t *testing.T) {
 	rng := xrand.New(99)
-	for trial := 0; trial < 15; trial++ {
-		n := 5 + rng.Intn(25)
-		g := gen.Gnp(n, 0.3, rng)
-		// Script random transmitter sets.
-		const rounds = 10
-		script := make([][]int32, rounds)
+	dense, sparse := 0, 0
+	for trial := 0; trial < 40; trial++ {
+		n := 5 + rng.Intn(196)
+		g := gen.Gnp(n, float64(1+rng.Intn(12))/float64(n), rng)
+		// Script random transmitter sets, from a single node to all of them.
+		const rounds = 12
+		script := make([][]bool, rounds)
+		sets := make([][]int32, rounds)
 		for r := range script {
-			script[r] = rng.Sample(n, 1+rng.Intn(n))
+			sets[r] = rng.Sample(n, 1+rng.Intn(n))
+			script[r] = make([]bool, n)
+			for _, v := range sets[r] {
+				script[r][v] = true
+			}
 		}
-		res := Run(g, scriptedGossip{script}, rounds, xrand.New(1))
+		var obs trace.Recorder
+		res, got := run(g, scriptedGossip{script}, rounds, xrand.New(1), &obs)
 
 		// Reference trajectory.
 		know := make([][]bool, n)
@@ -237,28 +249,64 @@ func TestGossipMatchesReferenceImplementation(t *testing.T) {
 			know[v] = make([]bool, n)
 			know[v][v] = true
 		}
-		for r := 0; r < rounds; r++ {
-			know = referenceGossipRound(g, know, script[r])
+		complete := 0
+		for r := 0; r < rounds && complete < n; r++ {
+			var rec trace.RoundRecord
+			var isDense bool
+			prev := know
+			know, rec, isDense = referenceGossipRound(g, know, sets[r])
+			if isDense {
+				dense++
+			} else {
+				sparse++
+			}
+			rec.Round = r + 1
+			for v := range know {
+				if countTrue(know[v]) == n && countTrue(prev[v]) < n {
+					rec.NewlyInformed++
+				}
+			}
+			complete += rec.NewlyInformed
+			rec.Informed = complete
+			if r >= len(obs.Records) || obs.Records[r] != rec {
+				t.Fatalf("trial %d (n=%d) round %d: engine records %+v, reference %+v", trial, n, r+1, obs.Records, rec)
+			}
+		}
+		if res.Rounds != len(obs.Records) {
+			t.Fatalf("trial %d: %d rounds, %d records", trial, res.Rounds, len(obs.Records))
 		}
 		var wantTotal int64
 		wantMin := n
 		for v := range know {
-			c := 0
-			for _, has := range know[v] {
-				if has {
-					c++
+			for m, has := range know[v] {
+				if got[v].Test(m) != has {
+					t.Fatalf("trial %d (n=%d): node %d rumor %d: engine %v, reference %v", trial, n, v, m, got[v].Test(m), has)
 				}
 			}
+			c := countTrue(know[v])
 			wantTotal += int64(c)
-			if c < wantMin {
-				wantMin = c
-			}
+			wantMin = min(wantMin, c)
 		}
+		// KnownTotal and MinKnown come from the engine's running counts,
+		// not from the sets compared above, so check them as well.
 		if res.KnownTotal != wantTotal || res.MinKnown != wantMin {
-			t.Fatalf("trial %d: engine (total=%d min=%d) != reference (total=%d min=%d)",
-				trial, res.KnownTotal, res.MinKnown, wantTotal, wantMin)
+			t.Fatalf("trial %d (n=%d): engine (total=%d min=%d) != reference (total=%d min=%d)",
+				trial, n, res.KnownTotal, res.MinKnown, wantTotal, wantMin)
 		}
 	}
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("coverage: %d dense, %d sparse rounds", dense, sparse)
+	}
+}
+
+func countTrue(bs []bool) int {
+	c := 0
+	for _, b := range bs {
+		if b {
+			c++
+		}
+	}
+	return c
 }
 
 func TestRunObservedMatchesRun(t *testing.T) {

@@ -450,9 +450,8 @@ func TestDifferentialFaulted(t *testing.T) {
 
 // TestDifferentialFeedback cross-checks RoundWithFeedback (the CD-model
 // variant) against the oracle's naive feedback computation, under the
-// FilterUninformed policy where transmit-set filtering must agree
-// between the feedback pre-pass and Round itself (regression: the
-// pre-pass used to count phantom hits from filtered transmitters).
+// FilterUninformed policy, where a filtered transmitter must neither hand
+// its neighbours a hit nor observe FeedbackNone itself.
 func TestDifferentialFeedback(t *testing.T) {
 	base := xrand.New(diffBaseSeed + 6)
 	policies := []radio.TransmitterPolicy{radio.FilterUninformed, radio.MagicTransmitters}

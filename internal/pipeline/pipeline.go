@@ -6,6 +6,11 @@
 // message pays the usual Θ(ln n) latency, how much extra time does each
 // additional message cost?
 //
+// Reception is the engine's (radio.Reception): a listener receives iff
+// exactly one neighbour transmits, and a transmitter hears nothing. The
+// package keeps only its own delivery rule: the listener learns the one
+// message its sender chose this round.
+//
 // This is the natural throughput follow-up to the paper's single-message
 // results (its conclusions point at communication primitives beyond
 // one-shot broadcast); experiment E20 measures T(k) and fits the
@@ -15,6 +20,7 @@ package pipeline
 import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
+	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -102,15 +108,10 @@ func Run(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds 
 	}
 
 	// Per-round scratch.
-	hits := make([]int32, n)
-	from := make([]int32, n)
-	var touched []int32
-	var tx []int32
+	rx := radio.NewReception(g)
+	var tx, heard []int32
 	carrying := make([]int32, n)    // message carried by transmitter v this round
 	transmitting := make([]bool, n) // tx membership, cleared after each round
-
-	globalKnown := make([]int, k)
-	copy(globalKnown, completeCount)
 
 	round := 0
 	for round < maxRounds && done < k {
@@ -126,41 +127,29 @@ func Run(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds 
 		}
 		// Choose each transmitter's message.
 		for _, v := range tx {
-			carrying[v] = chooseMessage(know[v], counts[v], k, int(v), round, sel, globalKnown, rng)
+			carrying[v] = chooseMessage(know[v], counts[v], int(v), round, sel, completeCount, rng)
 		}
 		for _, v := range tx {
 			transmitting[v] = true
 		}
-		for _, v := range tx {
-			for _, w := range g.Neighbors(v) {
-				if hits[w] == 0 {
-					touched = append(touched, w)
+		rx.Scatter(tx)
+		heard, _ = rx.Collect(tx, heard[:0])
+		for _, w := range heard {
+			m := carrying[rx.Sender(w, transmitting)]
+			if !know[w].Test(int(m)) {
+				know[w].Set(int(m))
+				counts[w]++
+				res.Delivered++
+				if counts[w] == 1 {
+					informedAt[w] = int32(round)
 				}
-				hits[w]++
-				from[w] = v
-			}
-		}
-		for _, w := range touched {
-			if hits[w] == 1 && !transmitting[w] {
-				m := carrying[from[w]]
-				if !know[w].Test(int(m)) {
-					know[w].Set(int(m))
-					counts[w]++
-					res.Delivered++
-					if counts[w] == 1 {
-						informedAt[w] = int32(round)
-					}
-					completeCount[m]++
-					globalKnown[m]++
-					if completeCount[m] == n {
-						res.FirstComplete[m] = round
-						done++
-					}
+				completeCount[m]++
+				if completeCount[m] == n {
+					res.FirstComplete[m] = round
+					done++
 				}
 			}
-			hits[w] = 0
 		}
-		touched = touched[:0]
 		for _, v := range tx {
 			transmitting[v] = false
 		}
@@ -172,7 +161,7 @@ func Run(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds 
 
 // chooseMessage implements the selection policies over the sender's known
 // set.
-func chooseMessage(known *bitset.Set, count, k, v, round int, sel Selection, globalKnown []int, rng *xrand.Rand) int32 {
+func chooseMessage(known *bitset.Set, count, v, round int, sel Selection, globalKnown []int, rng *xrand.Rand) int32 {
 	switch sel {
 	case RandomMsg:
 		idx := rng.Intn(count)

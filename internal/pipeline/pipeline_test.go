@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -178,5 +179,145 @@ func BenchmarkPipeline(b *testing.B) {
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}
+	}
+}
+
+// referenceRun is a naive k-broadcast: per-node []bool message sets, its
+// own selection code, and reception counted at each listener from its own
+// adjacency. It consumes rng exactly like Run (one Transmit call per
+// informed node in index order, then one selection per transmitter), so
+// the two must agree bit for bit. It also reports how many rounds fall on
+// each reception side of the engine's kernel.
+func referenceRun(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds int, rng *xrand.Rand) (res Result, dense, sparse int) {
+	n := g.N()
+	know := make([][]bool, n)
+	for v := range know {
+		know[v] = make([]bool, k)
+	}
+	informedAt := make([]int32, n)
+	for v := range informedAt {
+		informedAt[v] = -1
+	}
+	informedAt[src] = 0
+	holders := make([]int, k) // nodes knowing each message
+	res.FirstComplete = make([]int, k)
+	for m := range know[src] {
+		know[src][m] = true
+		holders[m] = 1
+		res.FirstComplete[m] = -1
+		if n == 1 {
+			res.FirstComplete[m] = 0
+		}
+	}
+	known := func(v int) []int {
+		var ms []int
+		for m, has := range know[v] {
+			if has {
+				ms = append(ms, m)
+			}
+		}
+		return ms
+	}
+	allDone := func() bool {
+		for _, r := range res.FirstComplete {
+			if r < 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for res.Rounds < maxRounds && !allDone() {
+		res.Rounds++
+		round := res.Rounds
+		carrying := make(map[int32]int)
+		var tx []int32
+		for v := 0; v < n; v++ {
+			if informedAt[v] >= 0 && p.Transmit(int32(v), round, informedAt[v], rng) {
+				tx = append(tx, int32(v))
+			}
+		}
+		visits := 0
+		for _, v := range tx {
+			visits += len(g.Neighbors(v))
+			ms := known(int(v))
+			switch sel {
+			case RandomMsg:
+				carrying[v] = ms[rng.Intn(len(ms))]
+			case RarestFirst:
+				best := ms[0]
+				for _, m := range ms {
+					if holders[m] < holders[best] {
+						best = m
+					}
+				}
+				carrying[v] = best
+			default:
+				carrying[v] = ms[(round+int(v))%len(ms)]
+			}
+		}
+		if 2*visits >= n {
+			dense++
+		} else {
+			sparse++
+		}
+		type delivery struct{ w, m int }
+		var got []delivery
+		for w := 0; w < n; w++ {
+			if _, isTx := carrying[int32(w)]; isTx {
+				continue
+			}
+			var senders []int32
+			for _, v := range g.Neighbors(int32(w)) {
+				if _, isTx := carrying[v]; isTx {
+					senders = append(senders, v)
+				}
+			}
+			if len(senders) == 1 {
+				got = append(got, delivery{w, carrying[senders[0]]})
+			}
+		}
+		for _, d := range got {
+			if know[d.w][d.m] {
+				continue
+			}
+			know[d.w][d.m] = true
+			res.Delivered++
+			if informedAt[d.w] < 0 {
+				informedAt[d.w] = int32(round)
+			}
+			if holders[d.m]++; holders[d.m] == n {
+				res.FirstComplete[d.m] = round
+			}
+		}
+	}
+	res.Completed = allDone()
+	return res, dense, sparse
+}
+
+// TestPipelineMatchesReference diffs Run against the naive reference for
+// every selection policy on random graphs of up to 200 nodes, so rounds
+// cross plane words and take both reception sides.
+func TestPipelineMatchesReference(t *testing.T) {
+	crng := xrand.New(77)
+	dense, sparse := 0, 0
+	for c := 0; c < 30; c++ {
+		n := 2 + crng.Intn(199)
+		g := gen.Gnp(n, float64(1+crng.Intn(10))/float64(n), crng)
+		src := int32(crng.Intn(n))
+		k := 1 + crng.Intn(6)
+		p := alohaLike{0.05 + 0.5*crng.Float64()}
+		seed := crng.Uint64()
+		for _, sel := range []Selection{RoundRobinMsg, RandomMsg, RarestFirst} {
+			got := Run(g, src, k, p, sel, 80, xrand.New(seed))
+			want, d, s := referenceRun(g, src, k, p, sel, 80, xrand.New(seed))
+			dense += d
+			sparse += s
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("case %d (n=%d k=%d %v): engine %+v, reference %+v", c, n, k, sel, got, want)
+			}
+		}
+	}
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("coverage: %d dense, %d sparse rounds", dense, sparse)
 	}
 }

@@ -57,68 +57,14 @@ type FeedbackProtocol interface {
 }
 
 // RoundWithFeedback executes one round like Round and additionally fills
-// fb (length n) with every node's observation. It returns the newly
-// informed nodes.
+// fb (length n) with every node's observation, read from the same
+// reception planes that decide the round. It returns the newly informed
+// nodes. A rejected round leaves fb unchanged.
 func (e *Engine) RoundWithFeedback(transmitters []int32, fb []Feedback) ([]int32, error) {
-	n := e.g.N()
-	if len(fb) != n {
+	if len(fb) != e.g.N() {
 		panic("radio: feedback slice has wrong length")
 	}
-	for i := range fb {
-		fb[i] = FeedbackSilence
-	}
-	// Count transmitting neighbours with dedicated scratch (the engine's
-	// own counters are reset inside Round).
-	if e.cdHits == nil {
-		e.cdHits = make([]int32, n)
-		e.cdMark = make([]bool, n)
-	}
-	e.cdTx = e.cdTx[:0]
-	for _, v := range transmitters {
-		if v < 0 || int(v) >= n || e.cdMark[v] {
-			continue
-		}
-		if !e.informed[v] && e.policy == FilterUninformed {
-			// Round drops this transmitter; counting it here would hand
-			// listeners phantom hits (a collision from a node that never
-			// transmitted) and mark the node FeedbackNone though it
-			// listened. Mirror Round's filtering exactly.
-			continue
-		}
-		e.cdMark[v] = true
-		e.cdTx = append(e.cdTx, v)
-	}
-	e.cdTouched = e.cdTouched[:0]
-	for _, v := range e.cdTx {
-		for _, w := range e.g.Neighbors(v) {
-			if e.cdHits[w] == 0 {
-				e.cdTouched = append(e.cdTouched, w)
-			}
-			e.cdHits[w]++
-		}
-	}
-	newly, err := e.Round(transmitters)
-	if err == nil {
-		for _, w := range e.cdTouched {
-			if !e.cdMark[w] {
-				if e.cdHits[w] == 1 {
-					fb[w] = FeedbackMessage
-				} else {
-					fb[w] = FeedbackCollision
-				}
-			}
-		}
-		for _, v := range e.cdTx {
-			fb[v] = FeedbackNone
-		}
-	}
-	for _, w := range e.cdTouched {
-		e.cdHits[w] = 0
-	}
-	for _, v := range e.cdTx {
-		e.cdMark[v] = false
-	}
-	return newly, err
+	return e.step(transmitters, fb)
 }
 
 // RunCDProtocolContext simulates a CD-model protocol on the engine's

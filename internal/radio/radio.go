@@ -19,13 +19,14 @@
 // (Engine.RunProtocolContext, and BroadcastTimeOnContext for the
 // completion round alone), schedule replay (ExecuteScheduleOnContext) and
 // the collision-detection variant (RunCDProtocolContext). Everything
-// outside the engine runs them through internal/exec.
+// outside the engine runs them through internal/exec. Every round's
+// reception step is the Reception kernel, which the gossip and
+// k-broadcast simulators share.
 package radio
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/trace"
@@ -80,13 +81,8 @@ type Engine struct {
 	// source), or NotInformed.
 	informedAt  []int32
 	numInformed int
-	// once and twice are carry-save bitplanes over the nodes (bit w&63 of
-	// word w>>6): once marks "at least one transmitting neighbour this
-	// round", twice "at least two". Reception only distinguishes 0 / 1 /
-	// >=2 hits, so two bits per node replace a counter; this is the lane
-	// engine's once/twice rule at width 1.
-	once, twice  []uint64
-	touched      []int32 // first-touch order of nodes hit this round (sparse rounds)
+	// rx is the reception step every round runs (see Reception).
+	rx           *Reception
 	transmitting []bool
 	txList       []int32
 	round        int
@@ -118,11 +114,6 @@ type Engine struct {
 	eligCohort   []int32 // informed nodes with informedAt <= eligCutoff
 	eligCutoff   int32
 	eligCohortOK bool
-	// Scratch for RoundWithFeedback (allocated lazily).
-	cdHits    []int32
-	cdMark    []bool
-	cdTx      []int32
-	cdTouched []int32
 	// Result-buffer reuse (see SetResultReuse): when on, resultOf fills
 	// Result.InformedAt from resultBuf instead of a fresh per-run copy.
 	reuseResult bool
@@ -142,9 +133,12 @@ func NewEngine(g *graph.Graph, src int32, policy TransmitterPolicy) *Engine {
 		policy:       policy,
 		informed:     make([]bool, n),
 		informedAt:   make([]int32, n),
-		once:         make([]uint64, (n+63)/64),
-		twice:        make([]uint64, (n+63)/64),
+		rx:           NewReception(g),
 		transmitting: make([]bool, n),
+		// Round lists every listener that heard the message in newly before
+		// filtering it in place, so it may need all n slots; sizing it once
+		// here keeps rounds from growing it step by step.
+		newly: make([]int32, 0, n),
 	}
 	for i := range e.informedAt {
 		e.informedAt[i] = NotInformed
@@ -179,9 +173,8 @@ func (e *Engine) Reset() {
 	// Eligible lists describe a run that is over; the next protocol run
 	// rebuilds them from the informed set.
 	e.eligAllOK, e.eligCohortOK = false, false
-	// Per-round scratch is empty after any completed or failed Round, but
-	// clear it anyway so Reset restores a pristine engine unconditionally.
-	e.clearHits()
+	// The transmit marks are empty after any completed or failed Round, but
+	// clear them anyway so Reset restores a pristine engine unconditionally.
 	e.clearTransmitMarks()
 }
 
@@ -320,9 +313,17 @@ var ErrUninformedTransmitter = fmt.Errorf("%w: schedule uses uninformed transmit
 // transmitters transmit (subject to the engine's TransmitterPolicy) and
 // every other node listens. It returns the list of nodes that became
 // informed in this round; the returned slice is reused by the next call.
+// The list is ascending on dense rounds and in first-touch order on sparse
+// ones (see Reception).
 //
 // Duplicate entries in transmitters are tolerated (a node transmits once).
 func (e *Engine) Round(transmitters []int32) ([]int32, error) {
+	return e.step(transmitters, nil)
+}
+
+// step is Round that, when fb is non-nil, also fills fb with every node's
+// observation (see RoundWithFeedback) from the same reception planes.
+func (e *Engine) step(transmitters []int32, fb []Feedback) ([]int32, error) {
 	// Mark transmitters, applying the policy. The round is not committed
 	// (round counter, stats) until the whole set validates, and both error
 	// returns clear the transmit marks, so a failed call leaves the engine
@@ -359,88 +360,31 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 		e.txObs.RoundTransmitters(e.round, e.txList)
 	}
 
-	// The exact neighbour-visit count picks the classification strategy:
-	// dense rounds (visits >= n/2) scatter without bookkeeping and classify
-	// word by word over the whole planes; sparse rounds keep the O(visits)
-	// touched list so tiny rounds never pay an O(n) pass. Both produce the
-	// same informed sets and counters; newly-informed order is ascending on
-	// dense rounds and first-touch on sparse ones.
-	n := e.g.N()
-	visits := 0
-	for _, v := range e.txList {
-		visits += len(e.g.Neighbors(v))
-	}
-	e.newly = e.newly[:0]
-	successes, collisions := 0, 0
-	once := e.once
-	twice := e.twice[:len(once)] // equal lengths: one bounds check per visit
-	if 2*visits >= n {
-		for _, v := range e.txList {
-			for _, w := range e.g.Neighbors(v) {
-				k, b := w>>6, uint64(1)<<(w&63)
-				o := once[k]
-				twice[k] |= o & b
-				once[k] = o | b
-			}
-		}
-		// Transmitting nodes do not listen: clear their bits up front so the
-		// word walk never reads the transmitting marks.
-		for _, v := range e.txList {
-			k, b := v>>6, uint64(1)<<(v&63)
-			once[k] &^= b
-			twice[k] &^= b
-		}
-		informed := e.informed
-		for k, o := range once {
-			if o == 0 {
-				continue
-			}
-			t := twice[k]
-			once[k], twice[k] = 0, 0
-			collisions += bits.OnesCount64(t)
-			succ := o &^ t
-			successes += bits.OnesCount64(succ)
-			for ; succ != 0; succ &= succ - 1 {
-				w := k<<6 | bits.TrailingZeros64(succ)
-				if !informed[w] {
-					informed[w] = true
-					e.informedAt[w] = int32(e.round)
-					e.numInformed++
-					e.newly = append(e.newly, int32(w))
-				}
-			}
-		}
-	} else {
-		for _, v := range e.txList {
-			for _, w := range e.g.Neighbors(v) {
-				k, b := w>>6, uint64(1)<<(w&63)
-				o := once[k]
-				if o&b == 0 {
-					e.touched = append(e.touched, w)
-				}
-				twice[k] |= o & b
-				once[k] = o | b
-			}
-		}
-		// Deliveries: listening nodes with exactly one transmitting
-		// neighbour.
-		for _, w := range e.touched {
-			if e.transmitting[w] {
-				continue // transmitting node does not listen
-			}
-			if twice[w>>6]&(uint64(1)<<(w&63)) == 0 {
-				successes++
-				if !e.informed[w] {
-					e.informed[w] = true
-					e.informedAt[w] = int32(e.round)
-					e.numInformed++
-					e.newly = append(e.newly, w)
-				}
-			} else {
-				collisions++
-			}
+	e.rx.Scatter(e.txList)
+	// Silence, Message and Collision are consecutive, in hit-count order.
+	for w := range fb {
+		if e.transmitting[w] {
+			fb[w] = FeedbackNone
+		} else {
+			fb[w] = FeedbackSilence + Feedback(e.rx.Class(int32(w)))
 		}
 	}
+	// Every listener that heard exactly one transmitter received the
+	// message; the uninformed ones among them become informed, in the
+	// order Collect lists them.
+	heard, collisions := e.rx.Collect(e.txList, e.newly[:0])
+	successes := len(heard)
+	newly, informed, at := heard[:0], e.informed, int32(e.round)
+	informedAt := e.informedAt[:len(informed)]
+	for _, w := range heard {
+		if !informed[w] {
+			informed[w] = true
+			informedAt[w] = at
+			newly = append(newly, w)
+		}
+	}
+	e.newly = newly
+	e.numInformed += len(newly)
 
 	// Account the round and notify the observer through the same record,
 	// so Stats() and observer totals are definitionally consistent. Every
@@ -459,19 +403,8 @@ func (e *Engine) Round(transmitters []int32) ([]int32, error) {
 		e.obs.Round(rec)
 	}
 
-	e.clearHits()
 	e.clearTransmitMarks()
 	return e.newly, nil
-}
-
-// clearHits zeroes the plane words of every touched node. Only touched
-// nodes have bits set after a sparse round (a dense round's walk zeroes
-// the planes itself), so clearing whole words is exact.
-func (e *Engine) clearHits() {
-	for _, w := range e.touched {
-		e.once[w>>6], e.twice[w>>6] = 0, 0
-	}
-	e.touched = e.touched[:0]
 }
 
 // observeBegin notifies an attached observer that a run is starting; the

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/campaign"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -535,5 +537,86 @@ func TestShutdownDrainsAndCancels(t *testing.T) {
 	}
 	if r.code != http.StatusServiceUnavailable && r.code != http.StatusGatewayTimeout {
 		t.Fatalf("canceled in-flight run: status %d, want 503/504", r.code)
+	}
+}
+
+// blockRelease lets exactly one "test-block" trial finish per token; every
+// other one waits until its campaign is canceled.
+var blockRelease = make(chan struct{}, 1)
+
+func init() {
+	campaign.RegisterKind("test-block", func(campaign.PointSpec, uint64, bool) (campaign.Runner, error) {
+		return blockRunner{}, nil
+	})
+}
+
+type blockRunner struct{}
+
+func (blockRunner) RunTrials(ctx context.Context, seeds []uint64, values []float64, oks []bool) error {
+	select {
+	case <-blockRelease:
+		for i := range seeds {
+			values[i], oks[i] = 1, true
+		}
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestCampaignQueueBounded: with maxActiveCampaigns campaigns queued or
+// running, the next submission is refused with 429 and a Retry-After
+// hint, and a slot opens again as soon as one of them finishes.
+func TestCampaignQueueBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{CampaignWorkers: 1})
+	spec := map[string]any{
+		"name":   "blocked",
+		"seed":   1,
+		"trials": 1,
+		"points": []map[string]any{
+			{"id": "a", "x": 1, "trial": map[string]any{"kind": "test-block", "n": 10, "d": 2}},
+		},
+	}
+	submit := func() string {
+		resp := postJSON(t, ts.URL+"/v1/campaign", spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: status %d", resp.StatusCode)
+		}
+		return decodeBody[map[string]string](t, resp)["id"]
+	}
+	waitState := func(id, want string) {
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			resp, err := http.Get(ts.URL + "/v1/campaign/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := decodeBody[CampaignStatus](t, resp)
+			if st.State == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("campaign %s never reached %s: state %s %s", id, want, st.State, st.Error)
+			}
+		}
+	}
+	// The first campaign takes the only worker slot before the rest are
+	// queued, so it is the one the release token below reaches.
+	first := submit()
+	waitState(first, "running")
+	for i := 1; i < maxActiveCampaigns; i++ {
+		submit()
+	}
+	resp := postJSON(t, ts.URL+"/v1/campaign", spec)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit past the cap: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	blockRelease <- struct{}{}
+	waitState(first, "done")
+	resp = postJSON(t, ts.URL+"/v1/campaign", spec)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after a campaign finished: status %d", resp.StatusCode)
 	}
 }

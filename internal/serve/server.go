@@ -121,6 +121,7 @@ type Server struct {
 	mu         sync.Mutex
 	campaigns  map[string]*campaignJob
 	finished   []string // ids of finished campaigns still in campaigns, oldest first
+	active     int      // queued and running campaigns
 	nextID     int
 	shardStats ShardStats
 
@@ -520,9 +521,13 @@ func (f *flushingObserver) flush() {
 // maxFinishedCampaigns caps how many finished campaigns (done, failed or
 // canceled) the registry keeps for status polls. Past it the campaign that
 // finished first is forgotten and its id answers 404. Queued and running
-// campaigns are never evicted, so the registry holds at most this many
-// jobs plus the ones still in flight.
+// campaigns are never evicted; maxActiveCampaigns bounds them instead.
 const maxFinishedCampaigns = 256
+
+// maxActiveCampaigns caps the campaigns queued or running at once. Each
+// one holds a goroutine and its spec until it finishes, so past the cap a
+// submission is refused with ErrBusy (429) instead of parking another.
+const maxActiveCampaigns = 64
 
 // campaignJob tracks one submitted campaign through its lifecycle.
 type campaignJob struct {
@@ -578,6 +583,12 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
+	if s.active >= maxActiveCampaigns {
+		s.mu.Unlock()
+		s.writeError(w, fmt.Errorf("%w: %d campaigns queued or running", ErrBusy, maxActiveCampaigns))
+		return
+	}
+	s.active++
 	s.nextID++
 	id := fmt.Sprintf("c%04d-%s", s.nextID, spec.Hash()[:8])
 	job := &campaignJob{id: id, state: "queued"}
@@ -613,11 +624,13 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// finish moves job to a terminal state and evicts the oldest finished
-// campaigns beyond maxFinishedCampaigns.
+// finish moves job to a terminal state, frees its active slot and evicts
+// the oldest finished campaigns beyond maxFinishedCampaigns. The state
+// changes under s.mu, so a poller that sees it can submit into the slot.
 func (s *Server) finish(job *campaignJob, state, errMsg string, report *campaign.Report) {
-	job.set(state, errMsg, report)
 	s.mu.Lock()
+	job.set(state, errMsg, report)
+	s.active--
 	s.finished = append(s.finished, job.id)
 	for len(s.finished) > maxFinishedCampaigns {
 		delete(s.campaigns, s.finished[0])

@@ -247,25 +247,6 @@ func TestRunJSONLWriterEmitsValidRecords(t *testing.T) {
 	}
 }
 
-func TestGossipWithMatchesGossip(t *testing.T) {
-	const n = 60
-	const d = 8.0
-	g := testGraph(t, n, d, 9)
-	want := Gossip(g, d, 500, NewRand(2))
-	got := GossipWith(g, NewPhasedGossip(n, d), 500, NewRand(2))
-	if got != want {
-		t.Fatalf("GossipWith %+v != Gossip %+v", got, want)
-	}
-	var c Counters
-	observed := GossipWith(g, NewPhasedGossip(n, d), 500, NewRand(2), &c)
-	if observed != want {
-		t.Fatalf("observed GossipWith diverged: %+v vs %+v", observed, want)
-	}
-	if c.Rounds != want.Rounds {
-		t.Fatalf("gossip counters rounds %d != result %d", c.Rounds, want.Rounds)
-	}
-}
-
 func TestBroadcastMultiObserver(t *testing.T) {
 	g := testGraph(t, 400, 9, 10)
 	var c Counters
