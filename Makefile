@@ -107,6 +107,7 @@ cluster-smoke:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzGraphBuild$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzSubgraph$$' -fuzztime 10s ./internal/graph/
+	go test -run '^$$' -fuzz '^FuzzTraversal$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzReadSchedule$$' -fuzztime 10s ./internal/radio/
 	go test -run '^$$' -fuzz '^FuzzReception$$' -fuzztime 10s ./internal/radio/
 	go test -run '^$$' -fuzz '^FuzzLoadSamples$$' -fuzztime 10s ./internal/campaign/

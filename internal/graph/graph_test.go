@@ -399,20 +399,3 @@ func BenchmarkBuild(b *testing.B) {
 		_ = bl.Build()
 	}
 }
-
-func BenchmarkBFS(b *testing.B) {
-	rng := xrand.New(2)
-	const n = 10000
-	bl := NewBuilder(n)
-	for i := 0; i < n-1; i++ {
-		bl.AddEdge(int32(i), int32(i+1))
-	}
-	for i := 0; i < 5*n; i++ {
-		bl.AddEdge(rng.Int31n(n), rng.Int31n(n))
-	}
-	g := bl.Build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Distances(g, 0)
-	}
-}

@@ -685,7 +685,7 @@ func (e *Engine) sampleTransmitters(q float64, cohort Cohort, rng *xrand.Rand) [
 func (e *Engine) eligible(cohort Cohort) []int32 {
 	if !cohort.restricted {
 		if !e.eligAllOK {
-			e.eligAll = e.eligAll[:0]
+			e.eligAll = e.eligibleBuf(e.eligAll)
 			for v, inf := range e.informed {
 				if inf {
 					e.eligAll = append(e.eligAll, int32(v))
@@ -696,7 +696,7 @@ func (e *Engine) eligible(cohort Cohort) []int32 {
 		return e.eligAll
 	}
 	if !e.eligCohortOK || e.eligCutoff != cohort.cutoff {
-		e.eligCohort = e.eligCohort[:0]
+		e.eligCohort = e.eligibleBuf(e.eligCohort)
 		for v, at := range e.informedAt {
 			if at != NotInformed && at <= cohort.cutoff {
 				e.eligCohort = append(e.eligCohort, int32(v))
@@ -706,6 +706,17 @@ func (e *Engine) eligible(cohort Cohort) []int32 {
 		e.eligCohortOK = true
 	}
 	return e.eligCohort
+}
+
+// eligibleBuf empties an eligible list for a rebuild. A list holds
+// informed nodes only, so capacity n, allocated on the first rebuild,
+// lets appendEligible grow it without reallocating; engines that never
+// run a uniform protocol (schedule replay) allocate nothing.
+func (e *Engine) eligibleBuf(list []int32) []int32 {
+	if n := e.g.N(); cap(list) < n {
+		return make([]int32, 0, n)
+	}
+	return list[:0]
 }
 
 // appendEligible folds the nodes newly informed by the last round into

@@ -59,6 +59,11 @@ func (r *Reception) Scatter(tx []int32) {
 		return
 	}
 	touched := r.touched
+	if touched == nil {
+		// A sparse round has visits < n/2 and touches at most one new
+		// node per visit, so one allocation serves every round.
+		touched = make([]int32, 0, g.N()/2)
+	}
 	for _, v := range tx {
 		for _, w := range g.Neighbors(v) {
 			k, b := w>>6, uint64(1)<<(w&63)
