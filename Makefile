@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint archlint bench-module bench bench-record experiments verify cover race campaign-smoke fuzz-smoke serve-smoke cluster-smoke clean
+.PHONY: all build test vet lint archlint bench-module bench bench-record experiments verify cover race examples campaign-smoke fuzz-smoke serve-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -38,6 +38,13 @@ race:
 
 cover:
 	go test -cover ./...
+
+# Build every program under examples/ and run each one; a non-zero exit
+# fails the target. `go build ./...` only compiles them.
+EXAMPLES := $(notdir $(wildcard examples/*))
+examples:
+	go build -o .examples_build/ ./examples/...
+	for e in $(EXAMPLES); do echo "== examples/$$e"; ./.examples_build/$$e || exit 1; done
 
 bench:
 	go test -bench=. -benchmem ./...
@@ -115,3 +122,4 @@ fuzz-smoke:
 
 clean:
 	go clean ./...
+	rm -rf .examples_build

@@ -9,18 +9,16 @@ package repro
 // otherwise.
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sweep"
 )
 
 // RunBatch simulates `trials` independent broadcasts of a message from
 // src on g and returns each trial's completion round, in trial order; a
-// trial that does not finish within the round budget reports budget+1
-// (BroadcastTime's sentinel), so Completed is rounds[i] <= budget.
+// trial that does not finish within the round budget reports budget+1, so
+// Completed is rounds[i] <= budget.
 //
 // Trial i draws its randomness from a private stream derived as
 // sweep.Seeds(trials, seed)[i] from the WithSeed base (default 1) — the
@@ -30,15 +28,17 @@ import (
 // GOMAXPROCS. Protocols with a fully uniform schedule (the paper's
 // distributed protocol, Decay, Aloha, Flood) run on the bit-parallel lane
 // engine — a new randomness stream, distributionally identical to scalar
-// trials of the same seeds but not bit-identical to them (the PR 3 stream
-// policy); other protocols fall back to per-trial scalar runs.
+// trials of the same seeds but not bit-identical to them (see the package
+// doc on randomness streams); other protocols fall back to per-trial
+// scalar runs.
 //
 // Supported options: WithDegree, WithProtocol, WithMaxRounds, WithSeed,
-// WithSources, WithContext. WithSchedule, WithObserver, WithRand and
-// WithPerNodeSampling are rejected with ErrConflictingOptions: schedules
-// and observers are inherently scalar per-trial notions (use Run per
-// trial), and a shared *Rand would make trials order-dependent — batch
-// randomness must come from a derivable seed.
+// WithSources, WithContext. WithSchedule, WithObserver, WithRand,
+// WithPerNodeSampling and WithEngine are rejected with
+// ErrConflictingOptions: schedules, observers and caller engines are
+// scalar per-trial notions (use Run per trial; batch engines come from
+// the execution layer's pool), and a shared *Rand would make trials
+// order-dependent — batch randomness must come from a derivable seed.
 func RunBatch(g *Graph, src int32, trials int, opts ...Option) ([]int, error) {
 	c := runConfig{}
 	for _, o := range opts {
@@ -53,53 +53,23 @@ func RunBatch(g *Graph, src int32, trials int, opts ...Option) ([]int, error) {
 		return nil, fmt.Errorf("%w: RunBatch does not take WithRand; batch trial streams derive from WithSeed", ErrConflictingOptions)
 	case c.perNode:
 		return nil, fmt.Errorf("%w: RunBatch does not take WithPerNodeSampling (the per-node stream is single-trial; use Run)", ErrConflictingOptions)
-	case c.protocol != nil && c.hasDegree:
-		return nil, fmt.Errorf("%w: WithProtocol and WithDegree are mutually exclusive", ErrConflictingOptions)
-	case c.hasMax && c.maxRounds < 0:
-		return nil, fmt.Errorf("%w: negative round budget %d", ErrConflictingOptions, c.maxRounds)
+	case c.engine != nil:
+		return nil, fmt.Errorf("%w: RunBatch does not take WithEngine (batch engines come from the execution layer's pool; use Run)", ErrConflictingOptions)
 	}
-	sources := append([]int32{src}, c.extraSrc...)
-	for _, s := range sources {
-		if s < 0 || int(s) >= g.N() {
-			return nil, fmt.Errorf("%w: source %d outside [0,%d)", ErrNoSuchSource, s, g.N())
-		}
+	req, seed, err := c.resolve(g, src)
+	if err != nil {
+		return nil, err
 	}
 	if trials <= 0 {
 		return []int{}, nil
 	}
-	seed := uint64(1)
-	if c.hasSeed {
-		seed = c.seed
-	}
-	p := c.protocol
-	if p == nil {
-		d := c.degree
-		if !c.hasDegree {
-			d = meanDegree(g)
-		}
-		p = core.NewDistributedProtocol(g.N(), d)
-	}
-	maxRounds := c.maxRounds
-	if !c.hasMax {
-		maxRounds = core.MaxRoundsFor(g.N())
-	}
-	ctx := c.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	seeds := sweep.Seeds(trials, seed)
 	out := make([]int, trials)
 
 	// Backend selection lives in the unified execution layer: uniform
 	// protocols run the lane engine, everything else falls back to
 	// per-seed scalar trials on a worker pool. Values stay pure
 	// functions of the trial seeds either way.
-	if _, err := exec.RunSeeds(ctx, &exec.Request{
-		Graph:     g,
-		Sources:   sources,
-		Protocol:  p,
-		MaxRounds: maxRounds,
-	}, seeds, out); err != nil {
+	if _, err := exec.RunSeeds(c.ctx, &req, sweep.Seeds(trials, seed), out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -98,6 +98,7 @@ func TestRunBatchOptionErrors(t *testing.T) {
 		{"observer", []repro.Option{repro.WithObserver(&repro.Counters{})}},
 		{"rand", []repro.Option{repro.WithRand(repro.NewRand(1))}},
 		{"pernode", []repro.Option{repro.WithPerNodeSampling()}},
+		{"engine", []repro.Option{repro.WithEngine(repro.NewEngine(g, 0))}},
 		{"protocol+degree", []repro.Option{repro.WithProtocol(nonUniformProtocol{}), repro.WithDegree(3)}},
 		{"negative budget", []repro.Option{repro.WithMaxRounds(-1)}},
 		{"bad source", []repro.Option{repro.WithSources(100000)}},

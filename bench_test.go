@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/gossip"
 	"repro/internal/lanes"
 	"repro/internal/radio"
 	"repro/internal/rumor"
@@ -408,7 +409,7 @@ func BenchmarkGossipPhased(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := Gossip(g, d, 100000, rng)
+		res := gossip.Run(g, gossip.NewPhased(g.N(), d), 100000, rng)
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/radio"
 )
 
 // TestRunContextUncanceledBitIdentical is the context-facade acceptance
@@ -151,7 +153,7 @@ func TestErrConflictingOptions(t *testing.T) {
 	g := testGraph(t, 100, 8, 1)
 	sched := &Schedule{Sets: [][]int32{{0}}}
 	cases := [][]Option{
-		{WithDegree(8), WithProtocol(ProtocolFunc(func(int32, int, int32, *Rand) bool { return true }))},
+		{WithDegree(8), WithProtocol(radio.ProtocolFunc(func(int32, int, int32, *Rand) bool { return true }))},
 		{WithSchedule(sched), WithDegree(8)},
 		{WithSchedule(sched), WithMaxRounds(5)},
 		{WithRand(NewRand(1)), WithSeed(3)},

@@ -24,10 +24,12 @@ import (
 	"repro/internal/radio"
 )
 
-// ErrConflictingOptions marks a Run/RunContext call whose options are
-// mutually exclusive or invalid: WithProtocol+WithDegree, WithSchedule
-// combined with protocol options or WithMaxRounds, WithRand+WithSeed, or a
-// negative round budget.
+// ErrConflictingOptions marks a Run/RunContext/RunBatch call whose options
+// are mutually exclusive or invalid: WithProtocol+WithDegree, WithSchedule
+// combined with protocol options or WithMaxRounds, WithRand+WithSeed, a
+// negative round budget, WithEngine with an engine built for another
+// graph, or an option RunBatch does not take (WithSchedule, WithObserver,
+// WithRand, WithPerNodeSampling, WithEngine).
 var ErrConflictingOptions = errors.New("repro: conflicting options")
 
 // ErrNoSuchSource marks a broadcast source (src or a WithSources entry)

@@ -74,18 +74,3 @@ func ExampleNewEngine() {
 	// round 2 informs: 0
 	// round 3 informs: 1
 }
-
-// ExampleGossip disseminates every node's private rumor to every other
-// node under radio collisions.
-func ExampleGossip() {
-	rng := repro.NewRand(3)
-	g, ok := repro.ConnectedGnpDegree(300, 14, rng)
-	if !ok {
-		fmt.Println("no connected sample")
-		return
-	}
-	res := repro.Gossip(g, 14, 100000, rng)
-	fmt.Printf("completed=%v everyone-knows-everything=%v\n",
-		res.Completed, res.KnownTotal == int64(g.N())*int64(g.N()))
-	// Output: completed=true everyone-knows-everything=true
-}

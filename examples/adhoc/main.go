@@ -13,12 +13,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
 	"sort"
 
 	repro "repro"
+	"repro/internal/exec"
 	"repro/internal/protocols"
 	"repro/internal/rumor"
 	"repro/internal/selective"
@@ -33,6 +35,13 @@ func medianTime(run func(rng *repro.Rand) int) int {
 	}
 	sort.Ints(times)
 	return times[trials/2]
+}
+
+// broadcastTime runs p from node 0 and returns its completion round, or
+// budget+1 if the broadcast did not finish.
+func broadcastTime(g *repro.Graph, p repro.Protocol, budget int, rng *repro.Rand) int {
+	r, _ := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: budget}, rng)
+	return r
 }
 
 func main() {
@@ -53,19 +62,19 @@ func main() {
 		run   func(rng *repro.Rand) int
 	}{
 		{"paper protocol (Thm 7)", "radio", func(rng *repro.Rand) int {
-			return repro.BroadcastTime(g, 0, repro.NewProtocol(n, d), budget, rng)
+			return broadcastTime(g, repro.NewProtocol(n, d), budget, rng)
 		}},
 		{"decay (BGI)", "radio", func(rng *repro.Rand) int {
-			return repro.BroadcastTime(g, 0, protocols.NewDecay(n), budget, rng)
+			return broadcastTime(g, protocols.NewDecay(n), budget, rng)
 		}},
 		{"aloha 1/d", "radio", func(rng *repro.Rand) int {
-			return repro.BroadcastTime(g, 0, protocols.NewAloha(d), budget, rng)
+			return broadcastTime(g, protocols.NewAloha(d), budget, rng)
 		}},
 		{"selective family", "radio", func(rng *repro.Rand) int {
-			return repro.BroadcastTime(g, 0, &selective.Protocol{F: family}, budget, rng)
+			return broadcastTime(g, &selective.Protocol{F: family}, budget, rng)
 		}},
 		{"round robin", "radio", func(rng *repro.Rand) int {
-			return repro.BroadcastTime(g, 0, &protocols.RoundRobin{N: n}, budget, rng)
+			return broadcastTime(g, &protocols.RoundRobin{N: n}, budget, rng)
 		}},
 		{"push rumor", "single-port", func(rng *repro.Rand) int {
 			return rumor.SpreadTime(g, 0, rumor.Push, budget, rng)

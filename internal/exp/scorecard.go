@@ -271,13 +271,3 @@ func Scorecard(cfg Config) []Check {
 	}
 	return out
 }
-
-// ScorecardPassed reports whether every check passed.
-func ScorecardPassed(checks []Check) bool {
-	for _, c := range checks {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/xrand"
@@ -166,6 +167,22 @@ func TestBFSDisconnected(t *testing.T) {
 	lc := LargestComponent(g)
 	if len(lc) != 2 {
 		t.Fatalf("LargestComponent size %d", len(lc))
+	}
+}
+
+// TestComponentsDiscoveryOrder pins the member order of Components and
+// LargestComponent: BFS discovery from the smallest vertex, not sorted by
+// id. Callers that relabel a subgraph by this order depend on it.
+func TestComponentsDiscoveryOrder(t *testing.T) {
+	b := NewBuilder(3)
+	b.AddEdge(0, 2)
+	b.AddEdge(2, 1)
+	g := b.Build()
+	if got := Components(g); !reflect.DeepEqual(got, [][]int32{{0, 2, 1}}) {
+		t.Fatalf("Components = %v, want [[0 2 1]]", got)
+	}
+	if got := LargestComponent(g); !reflect.DeepEqual(got, []int32{0, 2, 1}) {
+		t.Fatalf("LargestComponent = %v, want [0 2 1]", got)
 	}
 }
 

@@ -255,8 +255,10 @@ func IsConnected(g *Graph) bool {
 	return reached == n
 }
 
-// Components returns the connected components of g, each sorted by vertex
-// id, ordered by their smallest vertex.
+// Components returns the connected components of g, ordered by their
+// smallest vertex. Each component lists its members in BFS discovery
+// order from that smallest vertex (neighbours in adjacency order), not
+// sorted by id: the edges {0,2} and {2,1} give [[0 2 1]].
 func Components(g *Graph) [][]int32 {
 	n := g.N()
 	comp := make([]int32, n)
@@ -290,7 +292,8 @@ func Components(g *Graph) [][]int32 {
 }
 
 // LargestComponent returns the vertex set of the largest connected
-// component (ties broken by smallest vertex id).
+// component (ties broken by smallest vertex id), in the BFS discovery
+// order of Components: element 0 is the component's smallest vertex.
 func LargestComponent(g *Graph) []int32 {
 	var best []int32
 	for _, c := range Components(g) {

@@ -1,11 +1,10 @@
 package repro
 
 // Facade over the round-level observability layer (internal/trace): an
-// Observer attached to a run — via WithObserver, Engine.Attach, or the
-// observer-accepting extension entry points — receives one RoundRecord per
-// executed round, bracketed by BeginRun/EndRun. Observation is zero-cost
-// when disabled and consumes no randomness, so observed and unobserved
-// runs are bit-for-bit identical.
+// Observer attached to a run — via WithObserver or Engine.Attach —
+// receives one RoundRecord per executed round, bracketed by
+// BeginRun/EndRun. Observation is zero-cost when disabled and consumes no
+// randomness, so observed and unobserved runs are bit-for-bit identical.
 
 import (
 	"io"
@@ -41,8 +40,3 @@ type (
 // "end" record (set RoundsOnly for bare round records). Check Err after
 // the run.
 func NewJSONLWriter(w io.Writer) *JSONLWriter { return trace.NewJSONLWriter(w) }
-
-// MultiObserver composes observers: every notification fans out to each
-// in order. Nil entries are dropped; with zero or one effective observer
-// no indirection is added.
-func MultiObserver(obs ...Observer) Observer { return trace.Multi(obs...) }

@@ -81,7 +81,7 @@ func WithSeed(seed uint64) Option {
 // WithObserver attaches a round-level trace observer to the run: it
 // receives a BeginRun, one RoundRecord per executed round, and an EndRun.
 // Observers consume no randomness, so an observed run is bit-for-bit
-// identical to an unobserved one. Compose several with MultiObserver.
+// identical to an unobserved one.
 func WithObserver(obs Observer) Option {
 	return func(c *runConfig) { c.obs = obs }
 }
@@ -175,37 +175,52 @@ func RunContext(ctx context.Context, g *Graph, src int32, opts ...Option) (Resul
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.ctx == nil {
-		c.ctx = context.Background()
-	}
 	switch {
-	case c.protocol != nil && c.hasDegree:
-		return Result{}, fmt.Errorf("%w: WithProtocol and WithDegree are mutually exclusive", ErrConflictingOptions)
 	case c.schedule != nil && (c.protocol != nil || c.hasDegree):
 		return Result{}, fmt.Errorf("%w: WithSchedule excludes WithProtocol/WithDegree", ErrConflictingOptions)
 	case c.schedule != nil && c.hasMax:
 		return Result{}, fmt.Errorf("%w: WithSchedule excludes WithMaxRounds (the schedule length is the budget)", ErrConflictingOptions)
 	case c.rng != nil && c.hasSeed:
 		return Result{}, fmt.Errorf("%w: WithRand and WithSeed are mutually exclusive", ErrConflictingOptions)
-	case c.hasMax && c.maxRounds < 0:
-		return Result{}, fmt.Errorf("%w: negative round budget %d", ErrConflictingOptions, c.maxRounds)
 	case c.engine != nil && c.engine.Graph() != g:
 		return Result{}, fmt.Errorf("%w: WithEngine engine was built for a different graph", ErrConflictingOptions)
 	}
-
-	sources := append([]int32{src}, c.extraSrc...)
-	for _, s := range sources {
-		if s < 0 || int(s) >= g.N() {
-			return Result{}, fmt.Errorf("%w: source %d outside [0,%d)", ErrNoSuchSource, s, g.N())
-		}
+	req, seed, err := c.resolve(g, src)
+	if err != nil {
+		return Result{}, err
 	}
 	rng := c.rng
 	if rng == nil {
-		seed := uint64(1)
-		if c.hasSeed {
-			seed = c.seed
-		}
 		rng = NewRand(seed)
+	}
+	// Dispatch through the unified execution layer (internal/exec): it
+	// owns engine construction and WithEngine re-initialisation, so a
+	// pooled- or caller-engine run stays bit-identical to a fresh one. A
+	// schedule replay ignores the protocol, budget and rng.
+	req.Schedule, req.PerNode, req.Observer, req.Engine = c.schedule, c.perNode, c.obs, c.engine
+	return exec.Run(c.ctx, &req, rng)
+}
+
+// resolve makes the checks and fills in the defaults that RunContext and
+// RunBatch share, after each has made its own rejections: WithProtocol
+// against WithDegree, a negative budget, the source list, and the default
+// context, protocol (the paper's, sized by meanDegree), budget and seed.
+// It returns the protocol request and the base seed.
+func (c *runConfig) resolve(g *Graph, src int32) (exec.Request, uint64, error) {
+	switch {
+	case c.protocol != nil && c.hasDegree:
+		return exec.Request{}, 0, fmt.Errorf("%w: WithProtocol and WithDegree are mutually exclusive", ErrConflictingOptions)
+	case c.hasMax && c.maxRounds < 0:
+		return exec.Request{}, 0, fmt.Errorf("%w: negative round budget %d", ErrConflictingOptions, c.maxRounds)
+	}
+	sources := append([]int32{src}, c.extraSrc...)
+	for _, s := range sources {
+		if s < 0 || int(s) >= g.N() {
+			return exec.Request{}, 0, fmt.Errorf("%w: source %d outside [0,%d)", ErrNoSuchSource, s, g.N())
+		}
+	}
+	if c.ctx == nil {
+		c.ctx = context.Background()
 	}
 	p := c.protocol
 	if p == nil {
@@ -219,20 +234,11 @@ func RunContext(ctx context.Context, g *Graph, src int32, opts ...Option) (Resul
 	if !c.hasMax {
 		maxRounds = core.MaxRoundsFor(g.N())
 	}
-	// Dispatch through the unified execution layer (internal/exec): it
-	// owns engine construction and WithEngine re-initialisation, so a
-	// pooled- or caller-engine run stays bit-identical to a fresh one. A
-	// schedule replay ignores the protocol, budget and rng.
-	return exec.Run(c.ctx, &exec.Request{
-		Graph:     g,
-		Sources:   sources,
-		Protocol:  p,
-		Schedule:  c.schedule,
-		MaxRounds: maxRounds,
-		PerNode:   c.perNode,
-		Observer:  c.obs,
-		Engine:    c.engine,
-	}, rng)
+	seed := uint64(1)
+	if c.hasSeed {
+		seed = c.seed
+	}
+	return exec.Request{Graph: g, Sources: sources, Protocol: p, MaxRounds: maxRounds}, seed, nil
 }
 
 // meanDegree returns 2m/n, the graph's empirical average degree (the

@@ -5,9 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/gen"
+	"repro/internal/geo"
+	"repro/internal/graph"
 	"repro/internal/radio"
+	"repro/internal/trace"
 )
 
 func testGraph(t testing.TB, n int, d float64, seed uint64) *Graph {
@@ -187,7 +193,7 @@ func TestRunWithObserver(t *testing.T) {
 	g := testGraph(t, n, d, 5)
 	var c Counters
 	var f FrontierProfile
-	res, err := Run(g, 0, WithDegree(d), WithSeed(9), WithObserver(MultiObserver(&c, &f)))
+	res, err := Run(g, 0, WithDegree(d), WithSeed(9), WithObserver(trace.Multi(&c, &f)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,5 +312,99 @@ func TestWithEngine(t *testing.T) {
 		if _, err := Run(other, 0, append(opts, WithEngine(e))...); !errors.Is(err, ErrConflictingOptions) {
 			t.Fatalf("engine on another graph: err = %v, want ErrConflictingOptions", err)
 		}
+	}
+}
+
+// TestFacadeCrashAndBroadcast: Run on the survivor subgraph of a crash
+// scenario informs every survivor reachable from the source.
+func TestFacadeCrashAndBroadcast(t *testing.T) {
+	rng := NewRand(2)
+	const n = 1000
+	d := 4 * math.Log(n)
+	g, ok := ConnectedGnpDegree(n, d, rng)
+	if !ok {
+		t.Skip("no connected sample")
+	}
+	sc := faults.Crash(g, 0, 0.3, rng)
+	if sc.SrcNew < 0 {
+		t.Fatal("source crashed")
+	}
+	res, _ := Run(sc.Sub, sc.SrcNew, WithDegree(d*0.7), WithRand(rng))
+	if res.Informed < sc.ReachableFromSource() {
+		t.Fatalf("informed %d < reachable %d", res.Informed, sc.ReachableFromSource())
+	}
+}
+
+func TestFacadeBroadcastMulti(t *testing.T) {
+	rng := NewRand(3)
+	const n = 800
+	d := 2 * math.Log(n)
+	g, ok := ConnectedGnpDegree(n, d, rng)
+	if !ok {
+		t.Skip("no connected sample")
+	}
+	res, _ := Run(g, 0, WithSources(int32(n/2), int32(n-1)), WithDegree(d), WithRand(rng))
+	if !res.Completed {
+		t.Fatalf("multi-source incomplete: %d/%d", res.Informed, n)
+	}
+}
+
+// TestFacadeScheduleIO: a schedule written and read back in the
+// plain-text format replays to completion through Run.
+func TestFacadeScheduleIO(t *testing.T) {
+	rng := NewRand(5)
+	const n = 400
+	d := 2 * math.Log(n)
+	g, ok := ConnectedGnpDegree(n, d, rng)
+	if !ok {
+		t.Skip("no connected sample")
+	}
+	sched, err := BuildSchedule(g, 0, d, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sched.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := radio.ReadSchedule(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(g, 0, WithSchedule(got))
+	if err != nil || !res.Completed {
+		t.Fatalf("round-tripped schedule invalid: %v informed=%d", err, res.Informed)
+	}
+}
+
+// TestFacadeGridSchedule: Run replays the unit-disk grid schedule of
+// internal/geo to completion without a collision.
+func TestFacadeGridSchedule(t *testing.T) {
+	rng := NewRand(8)
+	// A small connected geometric field from the internal generator.
+	const n = 300
+	radius := math.Sqrt(4 * math.Log(n) / (math.Pi * n))
+	var g *Graph
+	var xs, ys []float64
+	for attempt := 0; attempt < 20; attempt++ {
+		gg, xxs, yys := gen.GeometricPoints(n, radius, rng)
+		if graph.IsConnected(gg) {
+			g, xs, ys = gg, xxs, yys
+			break
+		}
+	}
+	if g == nil {
+		t.Skip("no connected field")
+	}
+	sched, err := geo.BuildGridSchedule(g, xs, ys, radius, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(g, 0, WithSchedule(sched))
+	if err != nil || !res.Completed {
+		t.Fatalf("grid schedule: %v informed=%d", err, res.Informed)
+	}
+	if res.Stats.Collisions != 0 {
+		t.Fatalf("collisions: %d", res.Stats.Collisions)
 	}
 }

@@ -7,23 +7,31 @@
 // message iff exactly one of its neighbours transmits (two or more
 // collide and deliver nothing).
 //
-// The package exposes, through a small facade over the internal
-// implementation:
+// The package is a small facade over the internal implementation. It
+// exports exactly:
 //
-//   - Random-graph generation: Gnp, GnpDegree, Gnm and deterministic
-//     topologies (see internal/gen for the full set).
-//   - A single options-based simulation entry point: Run, with WithDegree,
-//     WithProtocol, WithSchedule, WithMaxRounds, WithSeed/WithRand,
-//     WithObserver and WithSources.
+//   - Graph construction: GnpDegree, ConnectedGnpDegree, NewBuilder and
+//     the deterministic NewRand.
+//   - The simulation entry points Run, RunContext (one broadcast) and
+//     RunBatch (many independent trials), configured by options:
+//     WithDegree, WithProtocol, WithSchedule, WithMaxRounds,
+//     WithSeed/WithRand, WithObserver, WithSources, WithContext,
+//     WithPerNodeSampling and WithEngine.
 //   - The paper's centralized O(ln n/ln d + ln d) broadcast schedule
 //     (Theorem 5): BuildSchedule, replayed via Run + WithSchedule.
 //   - The paper's distributed randomized O(ln n) protocol (Theorem 7):
 //     the Run default, sized by WithDegree; NewProtocol for custom use.
+//   - The bounds the measurements are compared against: CentralizedBound,
+//     DistributedBound, MaxRounds and the Eccentricity lower bound.
 //   - Round-level observability: attach Counters, a JSONLWriter, a
-//     FrontierProfile or any custom Observer via WithObserver or
-//     Engine.Attach (see observability.go).
-//   - The theoretical bounds the measurements are compared against:
-//     CentralizedBound, DistributedBound.
+//     FrontierProfile, a Recorder or any custom Observer via WithObserver
+//     or Engine.Attach (see observability.go).
+//   - The error sentinels of errors.go.
+//
+// Gossip, k-message broadcast, leader election, crash faults and the
+// experiment registry are not part of the facade: the examples, which
+// live in this module, call the internal packages, and cmd/experiments
+// runs every experiment in EXPERIMENTS.md through internal/exp.
 //
 // # Quickstart
 //
@@ -46,21 +54,22 @@
 //
 // Protocols whose rounds are uniform (every eligible node transmits with
 // the same probability q — the paper's Theorem 7 protocol, Decay, ALOHA)
-// declare that through the radio.UniformProtocol capability, and the
-// engine then draws the whole transmitter set at once: k ~ Binomial(m, q)
-// followed by a k-element partial shuffle of the m eligible nodes, O(k)
-// instead of one Bernoulli draw per informed node. The transmitter-set
-// distribution is identical, but the stream of rng draws is not, so
-// fixed-seed outputs differ between the two modes.
+// declare that to the engine, which then draws the whole transmitter set
+// at once: k ~ Binomial(m, q) followed by a k-element partial shuffle of
+// the m eligible nodes, O(k) instead of one Bernoulli draw per informed
+// node. The transmitter-set distribution is identical, but the stream of
+// rng draws is not, so fixed-seed outputs differ between the two modes.
 //
 // Who uses which stream:
 //
-//   - Run (with or without WithEngine), BroadcastTime and the gossip
-//     runners default to the sampled fast path; opt out per call with
-//     WithPerNodeSampling, or per engine with Engine.SetPerNodeSampling.
+//   - Run (with or without WithEngine) defaults to the sampled fast path;
+//     opt out per call with WithPerNodeSampling, or per engine with
+//     Engine.SetPerNodeSampling.
 //   - Run(..., WithPerNodeSampling()) is the historical per-node stream,
 //     frozen bit-for-bit across releases (deprecated_stream_test.go pins
 //     it with the fingerprints the removed positional wrappers had).
+//   - RunBatch runs uniform protocols on the bit-parallel lane engine, a
+//     stream of its own (see RunBatch).
 //   - Schedule replay (WithSchedule) and BuildSchedule take no per-round
 //     randomness from the engine and are unaffected.
 //
@@ -70,10 +79,7 @@
 package repro
 
 import (
-	"context"
-
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/radio"
@@ -93,28 +99,11 @@ type (
 	Result = radio.Result
 	// Protocol decides, per informed node and round, whether to transmit.
 	Protocol = radio.Protocol
-	// ProtocolFunc adapts a function to Protocol.
-	ProtocolFunc = radio.ProtocolFunc
-	// UniformProtocol is the optional Protocol capability that declares
-	// uniform rounds (every eligible node transmits with the same
-	// probability q), letting the engine draw the transmitter set in O(k)
-	// by binomial cohort sampling instead of per-node Bernoulli calls.
-	UniformProtocol = radio.UniformProtocol
-	// Cohort selects which informed nodes are eligible to transmit in a
-	// uniform round; see AllInformed and InformedBy.
-	Cohort = radio.Cohort
 	// Rand is the deterministic random source used everywhere.
 	Rand = xrand.Rand
 	// Engine is the low-level round-by-round radio simulator.
 	Engine = radio.Engine
 )
-
-// AllInformed is the Cohort of every informed node — the zero Cohort.
-var AllInformed = radio.AllInformed
-
-// InformedBy returns the Cohort of nodes informed in rounds <= cutoff
-// (the Theorem-7 restricted-pool reading).
-func InformedBy(cutoff int32) Cohort { return radio.InformedBy(cutoff) }
 
 // NewRand returns a deterministic random source seeded with seed.
 func NewRand(seed uint64) *Rand { return xrand.New(seed) }
@@ -122,18 +111,13 @@ func NewRand(seed uint64) *Rand { return xrand.New(seed) }
 // NewBuilder returns a builder for a graph on n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
-// Gnp samples the Gilbert random graph G(n,p) with the block-partitioned
-// parallel generator: the pair-index space is split into fixed blocks, each
-// drawing from its own derived random stream, so the sample is a
-// deterministic function of rng's state alone — bitwise identical for
-// every GOMAXPROCS. (The sampled graph for a given seed changed when this
-// fast path landed; internal/gen.Gnp keeps the legacy serial stream that
-// EXPERIMENTS.md numbers are recorded against.)
-func Gnp(n int, p float64, rng *Rand) *Graph { return gen.GnpParallel(n, p, rng, 0) }
-
 // GnpDegree samples G(n, d/n): a random graph with expected average degree
-// d (the paper's parametrisation d = pn). Like Gnp it uses the parallel
-// generator.
+// d (the paper's parametrisation d = pn). It uses the block-partitioned
+// parallel generator: the pair-index space is split into fixed blocks,
+// each drawing from its own derived random stream, so the sample is a
+// deterministic function of rng's state alone — bitwise identical for
+// every GOMAXPROCS. (internal/gen.Gnp keeps the legacy serial stream that
+// EXPERIMENTS.md numbers are recorded against.)
 func GnpDegree(n int, d float64, rng *Rand) *Graph {
 	return gen.GnpParallel(n, gen.PForDegree(n, d), rng, 0)
 }
@@ -144,9 +128,6 @@ func ConnectedGnpDegree(n int, d float64, rng *Rand) (g *Graph, ok bool) {
 	g, _, ok = gen.ConnectedGnp(n, gen.PForDegree(n, d), rng, 100)
 	return g, ok
 }
-
-// Gnm samples the Erdős–Rényi random graph G(n,m) with exactly m edges.
-func Gnm(n, m int, rng *Rand) *Graph { return gen.Gnm(n, m, rng) }
 
 // NewEngine returns a low-level simulator in which only src knows the
 // message; drive it with Engine.Round. Schedules containing uninformed
@@ -172,17 +153,6 @@ func NewProtocol(n int, d float64) Protocol {
 	return core.NewDistributedProtocol(n, d)
 }
 
-// BroadcastTime runs p and returns the completion round, or maxRounds+1
-// if the broadcast did not finish (a sentinel that keeps failed runs
-// comparable). It uses the sampled fast path when p declares uniform
-// rounds, so its randomness stream changed when the fast path landed
-// (recorded completion times at fixed seeds shifted; distributions did
-// not).
-func BroadcastTime(g *Graph, src int32, p Protocol, maxRounds int, rng *Rand) int {
-	r, _ := exec.Time(context.Background(), &exec.Request{Graph: g, Sources: []int32{src}, Protocol: p, MaxRounds: maxRounds}, rng)
-	return r
-}
-
 // CentralizedBound returns the Theorem 5/6 bound ln n / ln d + ln d.
 func CentralizedBound(n int, d float64) float64 { return core.CentralizedBound(n, d) }
 
@@ -192,9 +162,6 @@ func DistributedBound(n int) float64 { return core.DistributedBound(n) }
 // MaxRounds returns a generous round budget for distributed broadcasts on
 // n nodes (well beyond the Θ(ln n) completion bound).
 func MaxRounds(n int) int { return core.MaxRoundsFor(n) }
-
-// IsConnected reports whether g is connected.
-func IsConnected(g *Graph) bool { return graph.IsConnected(g) }
 
 // Eccentricity returns the BFS eccentricity of src — a true lower bound on
 // any broadcast time from src.

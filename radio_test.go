@@ -3,6 +3,9 @@ package repro
 import (
 	"math"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/radio"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -16,7 +19,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if g.N() != n {
 		t.Fatalf("n = %d", g.N())
 	}
-	if !IsConnected(g) {
+	if !graph.IsConnected(g) {
 		t.Fatal("claimed connected but is not")
 	}
 
@@ -52,17 +55,18 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 func TestFacadeCustomProtocol(t *testing.T) {
 	rng := NewRand(2)
 	g := GnpDegree(500, 15, rng)
-	p := ProtocolFunc(func(v int32, round int, informedAt int32, r *Rand) bool {
+	p := radio.ProtocolFunc(func(v int32, round int, informedAt int32, r *Rand) bool {
 		return r.Bernoulli(1.0 / 15)
 	})
 	res, _ := Run(g, 0, WithProtocol(p), WithMaxRounds(5000), WithRand(rng))
 	if res.Informed < 2 {
 		t.Fatal("custom protocol informed nobody")
 	}
-	// BroadcastTime sentinel behaviour.
-	never := ProtocolFunc(func(v int32, round int, informedAt int32, r *Rand) bool { return false })
-	if got := BroadcastTime(g, 0, never, 5, rng); got != 6 {
-		t.Fatalf("sentinel = %d", got)
+	// An exhausted budget is a Result, not an error.
+	never := radio.ProtocolFunc(func(v int32, round int, informedAt int32, r *Rand) bool { return false })
+	res, err := Run(g, 0, WithProtocol(never), WithMaxRounds(5), WithRand(rng))
+	if err != nil || res.Completed || res.Rounds != 5 || res.Informed != 1 {
+		t.Fatalf("silent protocol: %+v, %v", res, err)
 	}
 }
 
@@ -80,13 +84,6 @@ func TestFacadeBuilderAndEngine(t *testing.T) {
 	}
 	if _, err := e.Round([]int32{2}); err == nil {
 		t.Fatal("uninformed transmitter accepted by strict engine")
-	}
-}
-
-func TestFacadeGnm(t *testing.T) {
-	g := Gnm(100, 300, NewRand(3))
-	if g.N() != 100 || g.M() != 300 {
-		t.Fatalf("Gnm: n=%d m=%d", g.N(), g.M())
 	}
 }
 
