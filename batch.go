@@ -33,9 +33,8 @@ import (
 // scalar runs.
 //
 // Supported options: WithDegree, WithProtocol, WithMaxRounds, WithSeed,
-// WithSources, WithContext. WithSchedule, WithObserver, WithRand,
-// WithPerNodeSampling and WithEngine are rejected with
-// ErrConflictingOptions: schedules, observers and caller engines are
+// WithSources, WithContext. WithSchedule, WithObserver, WithRand and
+// WithEngine are rejected with ErrConflictingOptions: schedules, observers and caller engines are
 // scalar per-trial notions (use Run per trial; batch engines come from
 // the execution layer's pool), and a shared *Rand would make trials
 // order-dependent — batch randomness must come from a derivable seed.
@@ -51,8 +50,6 @@ func RunBatch(g *Graph, src int32, trials int, opts ...Option) ([]int, error) {
 		return nil, fmt.Errorf("%w: RunBatch does not take WithObserver (observe single trials with Run)", ErrConflictingOptions)
 	case c.rng != nil:
 		return nil, fmt.Errorf("%w: RunBatch does not take WithRand; batch trial streams derive from WithSeed", ErrConflictingOptions)
-	case c.perNode:
-		return nil, fmt.Errorf("%w: RunBatch does not take WithPerNodeSampling (the per-node stream is single-trial; use Run)", ErrConflictingOptions)
 	case c.engine != nil:
 		return nil, fmt.Errorf("%w: RunBatch does not take WithEngine (batch engines come from the execution layer's pool; use Run)", ErrConflictingOptions)
 	}

@@ -97,7 +97,6 @@ func TestRunBatchOptionErrors(t *testing.T) {
 		{"schedule", []repro.Option{repro.WithSchedule(sched)}},
 		{"observer", []repro.Option{repro.WithObserver(&repro.Counters{})}},
 		{"rand", []repro.Option{repro.WithRand(repro.NewRand(1))}},
-		{"pernode", []repro.Option{repro.WithPerNodeSampling()}},
 		{"engine", []repro.Option{repro.WithEngine(repro.NewEngine(g, 0))}},
 		{"protocol+degree", []repro.Option{repro.WithProtocol(nonUniformProtocol{}), repro.WithDegree(3)}},
 		{"negative budget", []repro.Option{repro.WithMaxRounds(-1)}},

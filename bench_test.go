@@ -141,7 +141,7 @@ func BenchmarkBroadcast(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, _ := Run(g, 0, WithDegree(d), WithRand(rng), WithPerNodeSampling())
+		res, _ := Run(g, 0, WithProtocol(perNodeProtocol(n, d)), WithRand(rng))
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}
@@ -188,9 +188,9 @@ func benchBroadcastReuse(b *testing.B, n int, d float64) {
 }
 
 // BenchmarkBroadcastReusePerNode is BenchmarkBroadcastReuse with the
-// sampled-transmitter fast path disabled (SetPerNodeSampling): the engine
-// asks the protocol for one Bernoulli decision per informed node per round
-// — the pre-fast-path behaviour WithPerNodeSampling keeps. The ratio
+// protocol's uniform rounds hidden (perNodeProtocol): the engine asks the
+// protocol for one Bernoulli decision per informed node per round — the
+// pre-fast-path behaviour, frozen by deprecated_stream_test.go. The ratio
 // BroadcastReusePerNode / BroadcastReuse is the fast-path speedup recorded
 // in BENCH_2.json.
 func BenchmarkBroadcastReusePerNode(b *testing.B) {
@@ -202,8 +202,7 @@ func BenchmarkBroadcastReusePerNode(b *testing.B) {
 		b.Fatal("no connected sample")
 	}
 	e := NewEngine(g, 0)
-	e.SetPerNodeSampling(true)
-	p := NewProtocol(n, d)
+	p := perNodeProtocol(n, d)
 	budget := MaxRounds(n)
 	// One untimed warm trial grows the engine's lazily sized scratch, so
 	// B/op and allocs/op report the steady per-trial cost rather than
@@ -494,7 +493,7 @@ func BenchmarkSubstrateDistributedRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := Run(g, 0, WithDegree(d), WithRand(rng), WithPerNodeSampling())
+		res, _ := Run(g, 0, WithProtocol(perNodeProtocol(n, d)), WithRand(rng))
 		if !res.Completed {
 			b.Fatal("incomplete")
 		}

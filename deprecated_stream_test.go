@@ -1,12 +1,13 @@
 package repro
 
-// Regression guard for the sampled-transmitter fast path: Run with
-// WithPerNodeSampling is frozen to the historical per-node randomness
-// stream. The golden values below were recorded BEFORE the fast path
-// landed (commit b0c4f2c), through the positional wrappers Broadcast,
-// RunProtocol and BroadcastMulti that have since been removed; each case
-// is the Run call such a wrapper made. If any of these assertions fails,
-// the per-node stream drifted.
+// Regression guard for the sampled-transmitter fast path: Run with a
+// protocol that declares no uniform rounds is frozen to the historical
+// per-node randomness stream. The golden values below were recorded
+// BEFORE the fast path landed (commit b0c4f2c), through the positional
+// wrappers Broadcast, RunProtocol and BroadcastMulti that have since been
+// removed; each case is the Run call such a wrapper made, with the
+// paper's protocol behind perNodeProtocol. If any of these assertions
+// fails, the per-node stream drifted.
 
 import (
 	"hash/fnv"
@@ -38,9 +39,14 @@ func fingerprint(res Result) uint64 {
 	return h.Sum64()
 }
 
-// perNode is Run on the per-node stream; protocol runs cannot fail.
-func perNode(g *Graph, src int32, opts ...Option) Result {
-	res, _ := Run(g, src, append(opts, WithPerNodeSampling())...)
+// perNodeProtocol is the paper's protocol (Theorem 7) with its uniform
+// rounds hidden, so every engine asks each informed node every round:
+// the per-node stream.
+func perNodeProtocol(n int, d float64) Protocol { return struct{ Protocol }{NewProtocol(n, d)} }
+
+// perNode is Run of perNodeProtocol(n, d); protocol runs cannot fail.
+func perNode(g *Graph, src int32, d float64, opts ...Option) Result {
+	res, _ := Run(g, src, append(opts, WithProtocol(perNodeProtocol(g.N(), d)))...)
 	return res
 }
 
@@ -55,13 +61,13 @@ func TestDeprecatedWrapperStreamsFrozen(t *testing.T) {
 		want uint64 // recorded pre-fast-path fingerprint
 		run  func(seed uint64) Result
 	}{
-		{"Broadcast/seed3", 3, 13442191628768536704, func(s uint64) Result { return perNode(g, 0, WithDegree(d), WithSeed(s)) }},
-		{"Broadcast/seed9", 9, 17540272938987344624, func(s uint64) Result { return perNode(g, 0, WithDegree(d), WithSeed(s)) }},
+		{"Broadcast/seed3", 3, 13442191628768536704, func(s uint64) Result { return perNode(g, 0, d, WithSeed(s)) }},
+		{"Broadcast/seed9", 9, 17540272938987344624, func(s uint64) Result { return perNode(g, 0, d, WithSeed(s)) }},
 		{"RunProtocol/seed5", 5, 16578885538056467629, func(s uint64) Result {
-			return perNode(g, 0, WithProtocol(NewProtocol(n, d)), WithMaxRounds(MaxRounds(n)), WithSeed(s))
+			return perNode(g, 0, d, WithMaxRounds(MaxRounds(n)), WithSeed(s))
 		}},
 		{"BroadcastMulti/seed7", 7, 17027192350006751548, func(s uint64) Result {
-			return perNode(g, 0, WithSources(41, 97), WithDegree(d), WithSeed(s))
+			return perNode(g, 0, d, WithSources(41, 97), WithSeed(s))
 		}},
 	} {
 		got := fingerprint(tc.run(tc.seed))

@@ -29,7 +29,7 @@ import (
 // combined with protocol options or WithMaxRounds, WithRand+WithSeed, a
 // negative round budget, WithEngine with an engine built for another
 // graph, or an option RunBatch does not take (WithSchedule, WithObserver,
-// WithRand, WithPerNodeSampling, WithEngine).
+// WithRand, WithEngine).
 var ErrConflictingOptions = errors.New("repro: conflicting options")
 
 // ErrNoSuchSource marks a broadcast source (src or a WithSources entry)

@@ -21,6 +21,7 @@ import (
 
 	repro "repro"
 	"repro/internal/gossip"
+	"repro/internal/protocols"
 )
 
 func main() {
@@ -35,11 +36,11 @@ func main() {
 	budget := 100 * n
 	for _, entry := range []struct {
 		name string
-		p    gossip.Protocol
+		p    repro.Protocol
 	}{
 		{"phased (Thm 7 style)", gossip.NewPhased(n, d)},
-		{"uniform 1/d", gossip.Uniform{Q: 1 / d}},
-		{"round robin", gossip.RoundRobin{N: n}},
+		{"uniform 1/d", protocols.NewAloha(d)},
+		{"round robin", &protocols.RoundRobin{N: n}},
 	} {
 		res := gossip.Run(g, entry.p, budget, repro.NewRand(17))
 		status := fmt.Sprintf("complete in %d rounds", res.Rounds)

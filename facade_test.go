@@ -55,7 +55,6 @@ var facadeExports = []string{
 	"WithEngine",
 	"WithMaxRounds",
 	"WithObserver",
-	"WithPerNodeSampling",
 	"WithProtocol",
 	"WithRand",
 	"WithSchedule",

@@ -12,9 +12,11 @@
 // Classification:
 //
 //	schedule replay            → BackendSchedule (deterministic, no rng)
-//	single trial / per-node /
-//	non-uniform / CD feedback  → BackendScalar (sampled fast path unless
-//	                             PerNode; the engine decides per round)
+//	single trial / non-uniform
+//	protocol / CD feedback     → BackendScalar (the engine decides per
+//	                             round: sampled when the protocol
+//	                             declares a uniform round, per-node
+//	                             otherwise)
 //	trial batch of a protocol
 //	with a fully uniform
 //	schedule, observed or not  → BackendLanes (64 trials per word), with
@@ -23,6 +25,15 @@
 // A single trial is observed through Request.Observer; a batch takes one
 // observer per trial next to its seeds (RunSeedsObserved), on either
 // backend.
+//
+// The protocol's radio.UniformProtocol declaration is the only switch
+// between sampled and per-node transmitter selection. A protocol that
+// does not declare uniform rounds runs the frozen per-node stream, and
+// so does any protocol p behind the one-line adapter
+//
+//	req.Protocol = struct{ radio.Protocol }{p}
+//
+// which also keeps its batches off the lane engine.
 //
 // The PR 3 stream policy is preserved exactly: single trials run the
 // scalar engine's sampled stream, batches run the lane engine's stream
@@ -84,8 +95,8 @@ type Request struct {
 	Sources []int32
 
 	// Protocol drives randomized runs; Schedule, when non-nil, replays a
-	// centralized schedule instead (Protocol, MaxRounds, PerNode and rng
-	// do not apply) under the engine's policy: StrictInformed, unless a
+	// centralized schedule instead (Protocol, MaxRounds and rng do not
+	// apply) under the engine's policy: StrictInformed, unless a
 	// caller Engine was built with another.
 	Protocol  radio.Protocol
 	Schedule  *radio.Schedule
@@ -97,21 +108,15 @@ type Request struct {
 	// it together with Protocol or Schedule is an error.
 	Feedback radio.FeedbackProtocol
 
-	// PerNode opts out of the sampled-transmitter fast path (the
-	// WithPerNodeSampling stream). Per-node sampling is a single-trial
-	// notion: it forces the scalar backend for batches.
-	PerNode bool
-
 	// Observer receives the round-level trace callbacks of a single
 	// trial. Batches take one observer per trial instead
 	// (RunSeedsObserved) and refuse a request that sets this one.
 	Observer trace.Observer
 
 	// Engine, when non-nil, runs the request on this caller-owned engine
-	// (the facade WithEngine path, protocol or schedule): its sources,
-	// observer and sampling mode are re-initialised from the request and
-	// result reuse is enabled, so a run is bit-identical to a
-	// fresh-engine run. The caller keeps ownership; exec never pools it.
+	// (the facade WithEngine path, protocol or schedule): its sources and
+	// observer are re-initialised from the request and result reuse is
+	// enabled, so a run is bit-identical to a fresh-engine run. The caller keeps ownership; exec never pools it.
 	Engine *radio.Engine
 
 	// Pool checks a scalar engine out of the executor's per-graph pool
@@ -132,7 +137,7 @@ type BackendStats struct {
 	Runs   int64 `json:"runs"`
 	Trials int64 `json:"trials"`
 	// Fallbacks counts batch dispatches that wanted the lane engine but
-	// ran scalar (non-uniform protocol, per-node, caller engine, forced).
+	// ran scalar (non-uniform protocol, caller engine, forced).
 	Fallbacks int64 `json:"fallbacks"`
 	// PoolHits/PoolMisses count engine checkouts served from the
 	// per-graph pool vs. built fresh; a lane batch checks out one engine
@@ -235,8 +240,8 @@ func classify(req *Request) Backend {
 
 // classifyBatch reports the backend a trial batch of req executes on:
 // the lane engine when the protocol declares a fully uniform schedule
-// over the round budget and nothing scalar-only (per-node, a caller
-// engine, ForceScalar) is requested; the scalar engine otherwise.
+// over the round budget and nothing scalar-only (a caller engine,
+// ForceScalar) is requested; the scalar engine otherwise.
 func classifyBatch(req *Request) Backend {
 	if req.Schedule != nil {
 		return BackendSchedule
@@ -367,10 +372,10 @@ func checkSlots(seeds []uint64, obs []trace.Observer, out []int) error {
 
 // batchPlan returns the lane plan for a batch of req when lanes are the
 // classified backend: the protocol plans as fully uniform over the round
-// budget and nothing scalar-only (per-node sampling, a caller engine,
-// ForceScalar) is requested.
+// budget and nothing scalar-only (a caller engine, ForceScalar) is
+// requested.
 func batchPlan(req *Request) (*lanes.Plan, bool) {
-	if req.ForceScalar || req.PerNode || req.Engine != nil {
+	if req.ForceScalar || req.Engine != nil {
 		return nil, false
 	}
 	return lanes.NewPlan(req.Protocol, req.MaxRounds)
@@ -409,7 +414,6 @@ func (x *Executor) runSeedsScalar(ctx context.Context, req *Request, seeds []uin
 			defer wg.Done()
 			e := x.AcquireEngine(req.Graph)
 			e.SetSources(req.Sources)
-			e.SetPerNodeSampling(req.PerNode)
 			for i := range next {
 				// A canceled trial leaves out[i] at the engine's partial
 				// count; the ctx.Err() check below reports the batch failed.
@@ -454,7 +458,6 @@ func (x *Executor) checkout(req *Request) (e *radio.Engine, pooled bool) {
 		e = radio.NewEngineMulti(req.Graph, req.Sources, radio.StrictInformed)
 	}
 	e.Attach(req.Observer)
-	e.SetPerNodeSampling(req.PerNode)
 	return e, pooled
 }
 
@@ -467,8 +470,8 @@ func (x *Executor) release(e *radio.Engine) {
 // AcquireEngine checks a scalar engine for g out of the per-graph pool,
 // building one on a miss. Engines are handed out only for the exact
 // graph pointer they were built on. Callers that route through the
-// facade (repro.WithEngine) get sources/observer/sampling
-// re-initialised there; others must SetSources themselves. Return the
+// facade (repro.WithEngine) get sources and observer re-initialised
+// there; others must SetSources themselves. Return the
 // engine with ReleaseEngine when the run is over — or drop it on a
 // panic, so corrupt state never re-enters the pool.
 func (x *Executor) AcquireEngine(g *graph.Graph) *radio.Engine {
@@ -665,7 +668,6 @@ func (s *Session) scalar() *radio.Engine {
 			s.engine = radio.NewEngineMulti(s.req.Graph, s.req.Sources, radio.StrictInformed)
 		}
 		s.engine.Attach(s.req.Observer)
-		s.engine.SetPerNodeSampling(s.req.PerNode)
 	}
 	return s.engine
 }

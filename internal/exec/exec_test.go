@@ -86,7 +86,7 @@ func TestClassify(t *testing.T) {
 
 	for name, mutate := range map[string]func(*exec.Request){
 		"force-scalar": func(r *exec.Request) { r.ForceScalar = true },
-		"per-node":     func(r *exec.Request) { r.PerNode = true },
+		"per-node":     func(r *exec.Request) { r.Protocol = struct{ radio.Protocol }{r.Protocol} },
 		"engine":       func(r *exec.Request) { r.Engine = radio.NewEngine(g, 0, radio.StrictInformed) },
 	} {
 		req := protoReq(g)

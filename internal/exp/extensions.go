@@ -11,6 +11,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gossip"
 	"repro/internal/lower"
+	"repro/internal/protocols"
+	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/table"
@@ -48,7 +50,7 @@ func runE13(cfg Config) []*table.Table {
 	for i, n := range ns {
 		d := 2 * math.Log(float64(n))
 		budget := 50*n + 100000
-		mk := func(p gossip.Protocol, off uint64) float64 {
+		mk := func(p radio.Protocol, off uint64) float64 {
 			samples := sweep.Run(trials, cfg.Seed+uint64(i)*1009+off, func(rng *xrand.Rand) float64 {
 				g := sampleConnected(n, d, rng)
 				return float64(gossip.Time(g, p, budget, rng))
@@ -56,8 +58,8 @@ func runE13(cfg Config) []*table.Table {
 			return stats.Median(samples)
 		}
 		phased := mk(gossip.NewPhased(n, d), 0)
-		uniform := mk(gossip.Uniform{Q: 1 / d}, 1)
-		rr := mk(gossip.RoundRobin{N: n}, 2)
+		uniform := mk(protocols.NewAloha(d), 1)
+		rr := mk(&protocols.RoundRobin{N: n}, 2)
 		ln2 := math.Log(float64(n)) * math.Log(float64(n))
 		t.AddRow(n, d, phased, uniform, rr, phased/ln2)
 	}

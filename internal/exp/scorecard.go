@@ -207,7 +207,7 @@ func Scorecard(cfg Config) []Check {
 		g := sampleConnected(n, d, rng)
 		budget := 100 * n
 		phased := gossip.Time(g, gossip.NewPhased(n, d), budget, rng.Derive(1))
-		rr := gossip.Time(g, gossip.RoundRobin{N: n}, budget, rng.Derive(2))
+		rr := gossip.Time(g, &protocols.RoundRobin{N: n}, budget, rng.Derive(2))
 		pass := phased <= budget && rr <= budget && phased < rr
 		add("E13", "phased gossip beats collision-free round robin", pass,
 			"phased=%d round-robin=%d", phased, rr)

@@ -1,6 +1,10 @@
 package exp
 
-import "testing"
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+)
 
 // The scorecard is the repository's executable definition of "the
 // reproduction holds": every check must pass at the test scale.
@@ -50,5 +54,24 @@ func TestScorecardDeterministic(t *testing.T) {
 		if a[i].Pass != b[i].Pass || a[i].Detail != b[i].Detail {
 			t.Fatalf("check %s not deterministic:\n%s\n%s", a[i].ID, a[i].Detail, b[i].Detail)
 		}
+	}
+}
+
+// scorecardFingerprint pins the FNV-64a hash of every check's ID, pass
+// flag and Detail of Scorecard(Config{Scale: Small, Seed: 2006}), the
+// configuration CI's `cmd/experiments -verify -seed 2006` prints. Update
+// it only for an intentional change to a check or its randomness.
+const scorecardFingerprint uint64 = 0xba0c8d078c0ac903
+
+func TestScorecardFingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scorecard skipped in -short mode")
+	}
+	h := fnv.New64a()
+	for _, c := range Scorecard(Config{Scale: Small, Seed: 2006}) {
+		fmt.Fprintf(h, "%s\x00%t\x00%s\x00", c.ID, c.Pass, c.Detail)
+	}
+	if got := h.Sum64(); got != scorecardFingerprint {
+		t.Errorf("scorecard fingerprint = %#016x, want %#016x (the -verify output drifted)", got, scorecardFingerprint)
 	}
 }

@@ -12,15 +12,20 @@
 // nothing. The package keeps only its own delivery rule: the listener
 // merges its sender's rumor set into its own.
 //
-// The package provides the simulation engine plus three protocols:
+// Protocols are radio.Protocol values. Every node holds a rumor from the
+// start, so the simulator treats every node as informed at round 0:
+// Transmit sees informedAt = 0, and a uniform round (radio.UniformProtocol)
+// samples its transmitters from all n nodes when its cohort contains
+// round 0. The stock choices are:
 //
-//   - RoundRobin: node v transmits alone in rounds ≡ v (mod n);
+//   - protocols.RoundRobin: node v transmits alone in rounds ≡ v (mod n);
 //     collision-free, completes in ≤ n·D rounds on any connected graph.
-//   - Uniform(q): every node transmits with probability q each round (the
-//     gossip analogue of the paper's 1/d-selective rounds).
+//   - protocols.NewAloha(d): every node transmits with probability 1/d
+//     each round (the gossip analogue of the paper's 1/d-selective
+//     rounds).
 //   - Phased: flooding for the first few rounds (spread the union fast in
-//     sparse neighbourhoods), then Uniform(1/d) — the direct adaptation
-//     of the paper's Theorem 7 protocol to gossiping.
+//     sparse neighbourhoods), then probability 1/d — the direct
+//     adaptation of the paper's Theorem 7 protocol to gossiping.
 //
 // Experiment E13 measures these on G(n,p): random-graph gossiping with
 // q = 1/d completes in O(n/d + ln n)·polylog-ish time in practice because
@@ -38,76 +43,29 @@ import (
 	"repro/internal/xrand"
 )
 
-// Protocol decides whether node v transmits in a round of gossiping.
-type Protocol interface {
-	Transmit(v int32, round int, rng *xrand.Rand) bool
-}
-
-// ProtocolFunc adapts a function to Protocol.
-type ProtocolFunc func(v int32, round int, rng *xrand.Rand) bool
-
-// Transmit implements Protocol.
-func (f ProtocolFunc) Transmit(v int32, round int, rng *xrand.Rand) bool {
-	return f(v, round, rng)
-}
-
-// UniformProtocol is an optional capability of Protocol, mirroring
-// radio.UniformProtocol: a protocol implements it to declare that in some
-// rounds every node transmits independently with the same probability q
-// (in gossiping every node holds a rumor, so all n nodes are always
-// eligible). For such rounds Run draws k ~ Binomial(n, q) transmitters by
-// partial Fisher–Yates in O(k) instead of flipping n coins — the same
-// distribution over transmitter sets through a different (much shorter)
-// randomness stream, so individual runs at a fixed seed changed when this
-// fast path landed while their distributions did not.
-type UniformProtocol interface {
-	Protocol
-	// RoundProb reports whether the round is uniform with probability q;
-	// ok = false falls back to per-node Transmit calls for that round.
-	RoundProb(round int) (q float64, ok bool)
-}
-
-// RoundRobin is the collision-free deterministic baseline.
-type RoundRobin struct{ N int }
-
-// Transmit implements Protocol.
-func (r RoundRobin) Transmit(v int32, round int, rng *xrand.Rand) bool {
-	return int32((round-1)%r.N) == v
-}
-
-// Uniform transmits with a fixed probability every round.
-type Uniform struct{ Q float64 }
-
-// Transmit implements Protocol.
-func (u Uniform) Transmit(v int32, round int, rng *xrand.Rand) bool {
-	return rng.Bernoulli(u.Q)
-}
-
-// RoundProb implements UniformProtocol: every round is uniform at Q.
-func (u Uniform) RoundProb(round int) (float64, bool) { return u.Q, true }
-
-// Phased floods for FloodRounds rounds and then behaves like Uniform(Q) —
-// the gossiping analogue of the paper's distributed broadcast protocol.
+// Phased floods for FloodRounds rounds and then transmits with
+// probability Q — the gossiping analogue of the paper's distributed
+// broadcast protocol.
 type Phased struct {
 	FloodRounds int
 	Q           float64
 }
 
-// Transmit implements Protocol.
-func (p Phased) Transmit(v int32, round int, rng *xrand.Rand) bool {
+// Transmit implements radio.Protocol.
+func (p Phased) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
 	if round <= p.FloodRounds {
 		return true
 	}
 	return rng.Bernoulli(p.Q)
 }
 
-// RoundProb implements UniformProtocol: flood rounds are uniform at 1,
-// later rounds at Q.
-func (p Phased) RoundProb(round int) (float64, bool) {
+// RoundProb implements radio.UniformProtocol: flood rounds are uniform
+// at 1, later rounds at Q, both over every node.
+func (p Phased) RoundProb(round int) (float64, radio.Cohort, bool) {
 	if round <= p.FloodRounds {
-		return 1, true
+		return 1, radio.AllInformed, true
 	}
-	return p.Q, true
+	return p.Q, radio.AllInformed, true
 }
 
 // NewPhased returns the Phased protocol sized for a graph with n nodes and
@@ -141,15 +99,15 @@ type Result struct {
 // rounds. Every node starts knowing exactly its own rumor. Rumor sets are
 // merged on every clean reception.
 //
-// When p implements UniformProtocol (the stock Uniform and Phased
-// protocols do), uniform rounds draw their transmitter set by binomial
-// sampling instead of n per-node coin flips; wrap the protocol in a
-// ProtocolFunc to force the per-node path (same distribution, the
+// When p implements radio.UniformProtocol (Phased and ALOHA do), uniform
+// rounds draw their transmitter set with radio.SampleTransmitters
+// instead of n per-node coin flips; struct{ radio.Protocol }{p} hides the
+// declaration and runs the per-node path (same distribution, the
 // pre-fast-path randomness stream).
 //
 // Memory is one n-bit set per node (n²/8 bytes total): n = 16384 needs
 // 32 MiB. Completion requires g to be connected.
-func Run(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand) Result {
+func Run(g *graph.Graph, p radio.Protocol, maxRounds int, rng *xrand.Rand) Result {
 	return RunObserved(g, p, maxRounds, rng, nil)
 }
 
@@ -158,13 +116,13 @@ func Run(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand) Result {
 // In the gossip reading of the record, Successes counts clean receptions,
 // NewlyInformed counts nodes that completed their rumor set this round,
 // and Informed is the cumulative count of such complete nodes.
-func RunObserved(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs trace.Observer) Result {
+func RunObserved(g *graph.Graph, p radio.Protocol, maxRounds int, rng *xrand.Rand, obs trace.Observer) Result {
 	res, _ := run(g, p, maxRounds, rng, obs)
 	return res
 }
 
 // run is RunObserved that also returns every node's final rumor set.
-func run(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs trace.Observer) (Result, []*bitset.Set) {
+func run(g *graph.Graph, p radio.Protocol, maxRounds int, rng *xrand.Rand, obs trace.Observer) (Result, []*bitset.Set) {
 	n := g.N()
 	know := make([]*bitset.Set, n)
 	counts := make([]int, n)
@@ -186,10 +144,9 @@ func run(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs trace.O
 	rx := radio.NewReception(g)
 	var heard []int32
 	// Sampled-transmitter fast path: for protocols declaring uniform
-	// rounds, elig holds all n nodes (every node owns a rumor and may
-	// transmit) and each uniform round takes a Binomial(n, q) prefix of a
-	// partial Fisher–Yates over it — O(k) instead of n Bernoulli draws.
-	up, _ := p.(UniformProtocol)
+	// rounds, elig holds all n nodes (every node owns a rumor and counts
+	// as informed at round 0), and each uniform round samples it.
+	up, _ := p.(radio.UniformProtocol)
 	var elig []int32
 	if up != nil {
 		elig = make([]int32, n)
@@ -204,24 +161,19 @@ func run(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs trace.O
 		var tx []int32
 		sampled := false
 		if up != nil {
-			if q, ok := up.RoundProb(round); ok {
-				sampled = true
-				switch {
-				case q >= 1:
-					tx = elig
-				case q <= 0:
-					tx = elig[:0]
-				default:
-					k := rng.Binomial(n, q)
-					rng.PartialShuffle(elig, k)
-					tx = elig[:k]
+			if q, cohort, ok := up.RoundProb(round); ok {
+				cands := elig
+				if !cohort.Contains(0) {
+					cands = elig[:0]
 				}
+				tx = radio.SampleTransmitters(cands, q, rng)
+				sampled = true
 			}
 		}
 		if !sampled {
 			tx = txBuf[:0]
 			for v := 0; v < n; v++ {
-				if p.Transmit(int32(v), round, rng) {
+				if p.Transmit(int32(v), round, 0, rng) {
 					tx = append(tx, int32(v))
 				}
 			}
@@ -291,7 +243,7 @@ func run(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand, obs trace.O
 
 // Time runs the protocol and returns the completion round, or maxRounds+1
 // if gossiping did not finish.
-func Time(g *graph.Graph, p Protocol, maxRounds int, rng *xrand.Rand) int {
+func Time(g *graph.Graph, p radio.Protocol, maxRounds int, rng *xrand.Rand) int {
 	res := Run(g, p, maxRounds, rng)
 	if !res.Completed {
 		return maxRounds + 1

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/protocols"
+	"repro/internal/radio"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -25,7 +27,7 @@ func TestRoundRobinGossipCompletes(t *testing.T) {
 	g := connected(t, n, 8, 1)
 	rng := xrand.New(2)
 	diam := graph.Diameter(g)
-	res := Run(g, RoundRobin{N: n}, n*(diam+2), rng)
+	res := Run(g, &protocols.RoundRobin{N: n}, n*(diam+2), rng)
 	if !res.Completed {
 		t.Fatalf("round-robin gossip incomplete: min known %d", res.MinKnown)
 	}
@@ -39,7 +41,7 @@ func TestUniformGossipCompletesOnGnp(t *testing.T) {
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 3)
 	rng := xrand.New(4)
-	res := Run(g, Uniform{Q: 1 / d}, 100000, rng)
+	res := Run(g, protocols.NewAloha(d), 100000, rng)
 	if !res.Completed {
 		t.Fatalf("uniform gossip incomplete: min known %d/%d", res.MinKnown, n)
 	}
@@ -50,7 +52,7 @@ func TestPhasedGossipCompletesAndBeatsRoundRobin(t *testing.T) {
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 5)
 	phased := Time(g, NewPhased(n, d), 100000, xrand.New(6))
-	rr := Time(g, RoundRobin{N: n}, 100000, xrand.New(7))
+	rr := Time(g, &protocols.RoundRobin{N: n}, 100000, xrand.New(7))
 	if phased > 100000 || rr > 100000 {
 		t.Fatalf("incomplete: phased=%d rr=%d", phased, rr)
 	}
@@ -66,7 +68,7 @@ func TestGossipOnCompleteGraph(t *testing.T) {
 	const n = 20
 	g := gen.Complete(n)
 	rng := xrand.New(8)
-	res := Run(g, RoundRobin{N: n}, 5*n, rng)
+	res := Run(g, &protocols.RoundRobin{N: n}, 5*n, rng)
 	if !res.Completed {
 		t.Fatal("incomplete on K_n")
 	}
@@ -81,7 +83,7 @@ func TestGossipFloodingStalls(t *testing.T) {
 	const n = 200
 	g := connected(t, n, 12, 9)
 	rng := xrand.New(10)
-	res := Run(g, Uniform{Q: 1}, 500, rng)
+	res := Run(g, protocols.Flood{}, 500, rng)
 	if res.Completed {
 		t.Fatal("permanent flooding should not complete gossip")
 	}
@@ -90,7 +92,7 @@ func TestGossipFloodingStalls(t *testing.T) {
 func TestGossipPathSmall(t *testing.T) {
 	g := gen.Path(5)
 	rng := xrand.New(11)
-	res := Run(g, RoundRobin{N: 5}, 200, rng)
+	res := Run(g, &protocols.RoundRobin{N: 5}, 200, rng)
 	if !res.Completed {
 		t.Fatalf("path gossip incomplete: %+v", res)
 	}
@@ -104,11 +106,11 @@ func TestGossipPathSmall(t *testing.T) {
 
 func TestGossipSingletonAndEmpty(t *testing.T) {
 	rng := xrand.New(12)
-	res := Run(graph.NewBuilder(1).Build(), RoundRobin{N: 1}, 10, rng)
+	res := Run(graph.NewBuilder(1).Build(), &protocols.RoundRobin{N: 1}, 10, rng)
 	if !res.Completed || res.Rounds != 0 {
 		t.Fatalf("singleton gossip: %+v", res)
 	}
-	res = Run(graph.NewBuilder(0).Build(), RoundRobin{N: 1}, 10, rng)
+	res = Run(graph.NewBuilder(0).Build(), &protocols.RoundRobin{N: 1}, 10, rng)
 	if !res.Completed {
 		t.Fatalf("empty gossip: %+v", res)
 	}
@@ -118,7 +120,7 @@ func TestTimeSentinel(t *testing.T) {
 	b := graph.NewBuilder(2) // disconnected: can never complete
 	g := b.Build()
 	rng := xrand.New(13)
-	if got := Time(g, RoundRobin{N: 2}, 10, rng); got != 11 {
+	if got := Time(g, &protocols.RoundRobin{N: 2}, 10, rng); got != 11 {
 		t.Fatalf("sentinel = %d", got)
 	}
 }
@@ -145,8 +147,8 @@ func TestKnowledgeMonotone(t *testing.T) {
 	rng := xrand.New(15)
 	// Run twice with the same seed but different budgets: the longer run
 	// must dominate the shorter in KnownTotal.
-	short := Run(g, Uniform{Q: 0.1}, 20, xrand.New(16))
-	long := Run(g, Uniform{Q: 0.1}, 40, xrand.New(16))
+	short := Run(g, &protocols.Aloha{P: 0.1}, 20, xrand.New(16))
+	long := Run(g, &protocols.Aloha{P: 0.1}, 40, xrand.New(16))
 	if long.KnownTotal < short.KnownTotal {
 		t.Fatalf("knowledge decreased: %d -> %d", short.KnownTotal, long.KnownTotal)
 	}
@@ -213,10 +215,15 @@ func referenceGossipRound(g *graph.Graph, know [][]bool, tx []int32) ([][]bool, 
 	return next, rec, 2*visits >= n
 }
 
-// scriptedGossip transmits according to a precomputed per-round set.
+// scriptedGossip transmits according to a precomputed per-round set. It
+// panics unless every node is reported informed at round 0, the gossip
+// reading of a radio.Protocol.
 type scriptedGossip struct{ rounds [][]bool }
 
-func (s scriptedGossip) Transmit(v int32, round int, rng *xrand.Rand) bool {
+func (s scriptedGossip) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
+	if informedAt != 0 {
+		panic("gossip node not informed at round 0")
+	}
 	return round-1 < len(s.rounds) && s.rounds[round-1][v]
 }
 
@@ -365,15 +372,13 @@ func TestGossipDeterministic(t *testing.T) {
 	const n = 200
 	d := 2 * math.Log(n)
 	g := connected(t, n, d, 11)
-	protocols := map[string]Protocol{
-		"round-robin": RoundRobin{N: n},  // deterministic per-node path
-		"uniform":     Uniform{Q: 1 / d}, // sampled fast path
-		"phased":      NewPhased(n, d),   // sampled fast path, two regimes
-		"per-node": ProtocolFunc(func(v int32, round int, rng *xrand.Rand) bool {
-			return rng.Bernoulli(1 / d) // forced per-node path
-		}),
+	stock := map[string]radio.Protocol{
+		"round-robin": &protocols.RoundRobin{N: n},                     // deterministic per-node path
+		"aloha":       protocols.NewAloha(d),                           // sampled fast path
+		"phased":      NewPhased(n, d),                                 // sampled fast path, two regimes
+		"per-node":    struct{ radio.Protocol }{protocols.NewAloha(d)}, // hidden RoundProb
 	}
-	for name, p := range protocols {
+	for name, p := range stock {
 		var r1, r2 trace.Recorder
 		a := RunObserved(g, p, 5000, xrand.New(42), &r1)
 		b := RunObserved(g, p, 5000, xrand.New(42), &r2)
@@ -394,6 +399,47 @@ func TestGossipDeterministic(t *testing.T) {
 	}
 }
 
+// panicUniform declares every round uniform at Q over cohort C and
+// panics if it is ever asked per node.
+type panicUniform struct {
+	Q float64
+	C radio.Cohort
+}
+
+func (panicUniform) Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
+	panic("panicUniform.Transmit called")
+}
+
+func (p panicUniform) RoundProb(round int) (float64, radio.Cohort, bool) {
+	return p.Q, p.C, true
+}
+
+// TestUniformDeclarationIsTheSwitch: the protocol's radio.UniformProtocol
+// declaration alone picks the path. A uniform protocol whose Transmit
+// panics completes through the sampler, and panics once wrapped in
+// struct{ radio.Protocol }, which hides RoundProb. A cohort that excludes
+// round 0 leaves every round silent.
+func TestUniformDeclarationIsTheSwitch(t *testing.T) {
+	const n = 150
+	d := 2 * math.Log(n)
+	g := connected(t, n, d, 17)
+	p := panicUniform{Q: 1 / d, C: radio.AllInformed}
+	if res := Run(g, p, 100000, xrand.New(18)); !res.Completed {
+		t.Fatalf("sampled gossip incomplete: %+v", res)
+	}
+	var c trace.Counters
+	res := RunObserved(g, panicUniform{Q: 1, C: radio.InformedBy(-1)}, 5, xrand.New(18), &c)
+	if res.Completed || c.Transmissions != 0 || res.KnownTotal != n {
+		t.Fatalf("empty cohort transmitted: %+v, %d transmissions", res, c.Transmissions)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a protocol hiding RoundProb did not call Transmit")
+		}
+	}()
+	Run(g, struct{ radio.Protocol }{p}, 100000, xrand.New(18))
+}
+
 // TestGossipSampledMatchesPerNodeDistribution: the sampled fast path must
 // complete in a similar number of rounds as the per-node path — a coarse
 // distributional check (the exact per-seed values differ by design; the
@@ -406,7 +452,7 @@ func TestGossipSampledMatchesPerNodeDistribution(t *testing.T) {
 	sampled := make([]int, trials)
 	perNode := make([]int, trials)
 	p := NewPhased(n, d)
-	forced := ProtocolFunc(p.Transmit) // hides RoundProb: per-node path
+	forced := radio.ProtocolFunc(p.Transmit) // hides RoundProb: per-node path
 	for i := 0; i < trials; i++ {
 		sampled[i] = Time(g, p, 100000, xrand.New(uint64(1000+i)))
 		perNode[i] = Time(g, forced, 100000, xrand.New(uint64(2000+i)))

@@ -43,6 +43,11 @@ func runEngine(e *radio.Engine, p radio.Protocol, maxRounds int, rng *xrand.Rand
 	return res
 }
 
+// perNode hides p's uniform rounds (radio.UniformProtocol), so the engine
+// asks every informed node each round: the per-node stream, which draws
+// exactly what the oracle draws.
+func perNode(p radio.Protocol) radio.Protocol { return struct{ radio.Protocol }{p} }
+
 // diffCases returns the per-suite case budget: at least min, scaled up
 // by ORACLE_DIFF_CASES for soak runs.
 func diffCases(min int) int {
@@ -108,10 +113,9 @@ func TestDifferentialPerNode(t *testing.T) {
 		mr := maxRoundsFor(g.N())
 
 		e := radio.NewEngine(g, src, radio.StrictInformed)
-		e.SetPerNodeSampling(true)
 		rec := &trace.Recorder{}
 		e.Attach(rec)
-		res := runEngine(e, p, mr, xrand.New(seed))
+		res := runEngine(e, perNode(p), mr, xrand.New(seed))
 
 		o := New(g, []int32{src}, radio.StrictInformed)
 		ores := o.RunProtocol(p, mr, xrand.New(seed))
@@ -377,8 +381,7 @@ func TestDifferentialMultiSource(t *testing.T) {
 
 		// Per-node path: same stream as the oracle.
 		e := radio.NewEngineMulti(g, sources, radio.StrictInformed)
-		e.SetPerNodeSampling(true)
-		res := runEngine(e, p, mr, xrand.New(seed))
+		res := runEngine(e, perNode(p), mr, xrand.New(seed))
 		o := New(g, sources, radio.StrictInformed)
 		ores := o.RunProtocol(p, mr, xrand.New(seed))
 		if d := Compare(res, ores); d != "" {
@@ -432,8 +435,7 @@ func TestDifferentialFaulted(t *testing.T) {
 		mr := maxRoundsFor(sub.N())
 
 		e := radio.NewEngine(sub, sc.SrcNew, radio.StrictInformed)
-		e.SetPerNodeSampling(true)
-		res := runEngine(e, p, mr, xrand.New(seed))
+		res := runEngine(e, perNode(p), mr, xrand.New(seed))
 		o := New(sub, []int32{sc.SrcNew}, radio.StrictInformed)
 		ores := o.RunProtocol(p, mr, xrand.New(seed))
 		if d := Compare(res, ores); d != "" {

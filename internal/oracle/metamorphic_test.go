@@ -104,7 +104,7 @@ func TestMetamorphicMonotonicity(t *testing.T) {
 
 		e := radio.NewEngine(g, src, radio.StrictInformed)
 		if crng.Bool() {
-			e.SetPerNodeSampling(true)
+			p = perNode(p)
 		}
 		rec := &trace.Recorder{}
 		e.Attach(rec)
@@ -164,20 +164,21 @@ func TestMetamorphicEngineReuse(t *testing.T) {
 		mr := maxRoundsFor(n)
 
 		reused := radio.NewEngineMulti(g, sources, radio.StrictInformed)
-		perNode := crng.Bool()
-		reused.SetPerNodeSampling(perNode)
+		hidden := crng.Bool()
+		if hidden {
+			p = perNode(p)
+		}
 		// Dirty the engine with a throwaway run, then Reset and rerun.
 		runEngine(reused, p, mr, xrand.New(seed^0xABCD))
 		reused.Reset()
 		got := runEngine(reused, p, mr, xrand.New(seed))
 
 		fresh := radio.NewEngineMulti(g, sources, radio.StrictInformed)
-		fresh.SetPerNodeSampling(perNode)
 		want := runEngine(fresh, p, mr, xrand.New(seed))
 
 		if d := Compare(got, want); d != "" {
 			t.Fatalf("case %d (%v sources=%v proto=%s perNode=%v seed=%#x): reused engine diverges from fresh:\n%s",
-				i, g, sources, name, perNode, seed, d)
+				i, g, sources, name, hidden, seed, d)
 		}
 	}
 }

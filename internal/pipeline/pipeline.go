@@ -55,12 +55,6 @@ func (s Selection) String() string {
 	}
 }
 
-// Protocol decides transmission like radio.Protocol; the engine handles
-// message selection separately via the Selection policy.
-type Protocol interface {
-	Transmit(v int32, round int, informedAt int32, rng *xrand.Rand) bool
-}
-
 // Result reports a k-broadcast run.
 type Result struct {
 	Completed bool
@@ -76,7 +70,10 @@ type Result struct {
 // 0..k-1, everyone else none. A node is "informed" (and allowed to
 // transmit) once it knows at least one message. Each transmission carries
 // one message chosen by sel. Completion: every node knows every message.
-func Run(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds int, rng *xrand.Rand) Result {
+// p decides only whether an informed node transmits: every informed node
+// is asked every round, also in rounds p declares uniform
+// (radio.UniformProtocol), and sel then picks the message.
+func Run(g *graph.Graph, src int32, k int, p radio.Protocol, sel Selection, maxRounds int, rng *xrand.Rand) Result {
 	n := g.N()
 	know := make([]*bitset.Set, n)
 	for v := range know {
@@ -198,7 +195,7 @@ func nthKnown(known *bitset.Set, idx int) int32 {
 
 // Time runs the pipeline and returns the completion round or the sentinel
 // maxRounds+1.
-func Time(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds int, rng *xrand.Rand) int {
+func Time(g *graph.Graph, src int32, k int, p radio.Protocol, sel Selection, maxRounds int, rng *xrand.Rand) int {
 	res := Run(g, src, k, p, sel, maxRounds, rng)
 	if !res.Completed {
 		return maxRounds + 1

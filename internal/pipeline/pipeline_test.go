@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/radio"
 	"repro/internal/xrand"
 )
 
@@ -188,7 +189,7 @@ func BenchmarkPipeline(b *testing.B) {
 // informed node in index order, then one selection per transmitter), so
 // the two must agree bit for bit. It also reports how many rounds fall on
 // each reception side of the engine's kernel.
-func referenceRun(g *graph.Graph, src int32, k int, p Protocol, sel Selection, maxRounds int, rng *xrand.Rand) (res Result, dense, sparse int) {
+func referenceRun(g *graph.Graph, src int32, k int, p radio.Protocol, sel Selection, maxRounds int, rng *xrand.Rand) (res Result, dense, sparse int) {
 	n := g.N()
 	know := make([][]bool, n)
 	for v := range know {

@@ -108,7 +108,6 @@ type Engine struct {
 	// lists are rebuilt lazily at the start of each protocol run and
 	// appended from the newly-informed set after every round, so
 	// steady-state rounds allocate nothing.
-	perNode      bool    // opt-out: force per-node Transmit calls
 	eligAll      []int32 // every informed node, in informed order
 	eligAllOK    bool
 	eligCohort   []int32 // informed nodes with informedAt <= eligCutoff
@@ -578,9 +577,10 @@ func (c Cohort) Cutoff() (cutoff int32, restricted bool) {
 //
 // The fast path consumes a different (much shorter) randomness stream
 // than per-node sampling, so individual runs differ bit-for-bit between
-// the two paths while their distributions agree; see DESIGN.md for which
-// entry points switched. Engine.SetPerNodeSampling(true) restores the
-// per-node path on a capability-implementing protocol.
+// the two paths while their distributions agree. The capability is the
+// only switch: a protocol that does not declare it runs the frozen
+// per-node stream, and struct{ Protocol }{p} (or ProtocolFunc(p.Transmit))
+// hides it from any protocol p.
 type UniformProtocol interface {
 	Protocol
 	// RoundProb reports whether the given round is uniform: every node of
@@ -592,19 +592,10 @@ type UniformProtocol interface {
 	RoundProb(round int) (q float64, cohort Cohort, ok bool)
 }
 
-// SetPerNodeSampling forces (on = true) the engine's protocol runners to
-// call Protocol.Transmit for every informed node each round even when the
-// protocol implements UniformProtocol — the pre-fast-path behaviour with
-// its historical randomness stream. The default (off) uses the sampled
-// fast path whenever the protocol declares uniform rounds. The setting
-// survives Reset/ResetFor, like an attached observer.
-func (e *Engine) SetPerNodeSampling(on bool) { e.perNode = on }
-
 // runProtocol drives the engine under the protocol from its current
 // state until completion, the round budget or cancellation, reusing the
 // engine's scratch transmit set so steady-state rounds allocate nothing.
-// When p implements UniformProtocol (and per-node sampling is not
-// forced), uniform rounds draw their transmitter set by binomial cohort
+// When p implements UniformProtocol, uniform rounds draw their transmitter set by binomial cohort
 // sampling in O(k) instead of O(n). The cancellation check between
 // rounds consumes no randomness, so an uncanceled run is bit-for-bit
 // identical whatever the context. On cancellation the engine keeps its
@@ -614,9 +605,6 @@ func (e *Engine) runProtocol(ctx context.Context, p Protocol, maxRounds int, rng
 	e.observeBegin(maxRounds)
 	defer e.observeEnd()
 	up, _ := p.(UniformProtocol)
-	if e.perNode {
-		up = nil
-	}
 	if up != nil {
 		// Rebuild the eligible lists lazily for this run's informed set
 		// (the engine may have been driven manually since the last reset).
@@ -631,7 +619,7 @@ func (e *Engine) runProtocol(ctx context.Context, p Protocol, maxRounds int, rng
 		sampled := false
 		if up != nil {
 			if q, cohort, ok := up.RoundProb(round); ok {
-				tx = e.sampleTransmitters(q, cohort, rng)
+				tx = SampleTransmitters(e.eligible(cohort), q, rng)
 				sampled = true
 			}
 		}
@@ -659,13 +647,14 @@ func (e *Engine) runProtocol(ctx context.Context, p Protocol, maxRounds int, rng
 	return nil
 }
 
-// sampleTransmitters draws a uniform round's transmitter set: every node
-// of the cohort independently with probability q, realised as one
-// Binomial(|cohort|, q) draw plus a partial Fisher–Yates over the
-// engine-owned eligible list. The returned slice aliases that list and is
-// only valid until the next engine call.
-func (e *Engine) sampleTransmitters(q float64, cohort Cohort, rng *xrand.Rand) []int32 {
-	elig := e.eligible(cohort)
+// SampleTransmitters draws a uniform round's transmitter set: every node
+// of elig independently with probability q, realised as one
+// Binomial(len(elig), q) draw plus a partial Fisher–Yates over the
+// caller-owned list (q >= 1 takes every node and q <= 0 none, both
+// without drawing). The list is permuted in place and the returned
+// prefix aliases it. Every simulator that honours UniformProtocol
+// samples through this function.
+func SampleTransmitters(elig []int32, q float64, rng *xrand.Rand) []int32 {
 	if q >= 1 {
 		return elig
 	}
@@ -680,7 +669,7 @@ func (e *Engine) sampleTransmitters(q float64, cohort Cohort, rng *xrand.Rand) [
 // eligible returns the engine-owned list of cohort members, rebuilding it
 // from the informed set on first use (or when the requested cutoff
 // changes); appendEligible keeps it current afterwards. The list's order
-// is immaterial — sampleTransmitters permutes it in place — so each list
+// is immaterial — SampleTransmitters permutes it in place — so each list
 // is maintained purely as a set.
 func (e *Engine) eligible(cohort Cohort) []int32 {
 	if !cohort.restricted {

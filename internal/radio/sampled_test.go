@@ -56,8 +56,9 @@ func connectedGnp(t testing.TB, n int, d float64, seed uint64) *graph.Graph {
 
 // TestSampledPathUsed: a uniform protocol whose Transmit panics must run to
 // completion — every round goes through binomial sampling, never through
-// per-node calls. With SetPerNodeSampling(true) the same protocol must
-// panic, proving the opt-out really restores the per-node path.
+// per-node calls. Wrapped in struct{ Protocol }, which hides RoundProb,
+// the same protocol must panic, proving the wrapper reaches the per-node
+// path.
 func TestSampledPathUsed(t *testing.T) {
 	g := connectedGnp(t, 500, 12, 1)
 	p := uniformTest{Flood: 2, Q: 1.0 / 12, PanicOnTransmit: true}
@@ -66,14 +67,12 @@ func TestSampledPathUsed(t *testing.T) {
 		t.Fatalf("sampled run incomplete: %+v", res)
 	}
 
-	e := NewEngine(g, 0, StrictInformed)
-	e.SetPerNodeSampling(true)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("per-node opt-out did not call Transmit")
+			t.Fatal("a protocol hiding RoundProb did not call Transmit")
 		}
 	}()
-	runOn(e, p, 5000, xrand.New(3))
+	runFresh(g, 0, struct{ Protocol }{p}, 5000, xrand.New(3))
 }
 
 // TestSampleTransmittersCohortSubset: across many rounds and both cohort
@@ -96,7 +95,7 @@ func TestSampleTransmittersCohortSubset(t *testing.T) {
 	p := uniformTest{Flood: 6, Q: 0.1}
 	seen := make(map[int32]bool)
 	for round := 1; round <= 6; round++ {
-		tx := e.sampleTransmitters(1, AllInformed, rng)
+		tx := SampleTransmitters(e.eligible(AllInformed), 1, rng)
 		if _, err := e.Round(tx); err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +105,7 @@ func TestSampleTransmittersCohortSubset(t *testing.T) {
 	for _, co := range cohorts {
 		for _, q := range []float64{0.01, 0.1, 0.5, 0.9} {
 			for trial := 0; trial < 50; trial++ {
-				tx := e.sampleTransmitters(q, co.c, rng)
+				tx := SampleTransmitters(e.eligible(co.c), q, rng)
 				for k := range seen {
 					delete(seen, k)
 				}

@@ -1,21 +1,22 @@
 package radio
 
-// Schedule serialisation: a plain-text format so schedules built by one
-// tool (or an expensive offline computation) can be replayed by another.
+// Schedule serialisation: a plain-text format for schedules built by one
+// tool (cmd/radiosim -save-schedule) and read by people or other
+// programs. The package writes it and has no reader.
 //
 // Format:
 //
 //	schedule <rounds>
-//	<v1> <v2> ...      # one line per round; blank line = empty round
+//	<v1> <v2> ...      one line per round, vertex ids in base 10 separated
+//	                   by single spaces; an empty round is an empty line
 //
-// Vertex ids are base-10; comment lines start with '#'.
+// The header's count equals the number of round lines that follow.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // WriteTo serialises the schedule.
@@ -47,61 +48,4 @@ func (s *Schedule) WriteTo(w io.Writer) (int64, error) {
 		total++
 	}
 	return total, bw.Flush()
-}
-
-// ReadSchedule parses the WriteTo format.
-func ReadSchedule(r io.Reader) (*Schedule, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("radio: empty schedule input")
-	}
-	header := strings.Fields(sc.Text())
-	if len(header) != 2 || header[0] != "schedule" {
-		return nil, fmt.Errorf("radio: bad schedule header %q", sc.Text())
-	}
-	rounds64, err := strconv.ParseInt(header[1], 10, 32)
-	if err != nil {
-		return nil, fmt.Errorf("radio: bad schedule header %q: %v", sc.Text(), err)
-	}
-	if rounds64 < 0 {
-		return nil, fmt.Errorf("radio: negative round count")
-	}
-	rounds := int(rounds64)
-	// The header is untrusted input: preallocate only up to a sane bound
-	// and let append grow the slice if the body really is that long.
-	prealloc := rounds
-	if prealloc > 1024 {
-		prealloc = 1024
-	}
-	s := &Schedule{Sets: make([][]int32, 0, prealloc)}
-	for sc.Scan() && len(s.Sets) < rounds {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		var set []int32
-		if line != "" {
-			fields := strings.Fields(line)
-			set = make([]int32, len(fields))
-			for i, f := range fields {
-				// ParseInt with bitSize 32, not Atoi: a vertex id that
-				// overflows int32 must be an error, not a silent wrap to an
-				// unrelated (possibly valid) id.
-				v, err := strconv.ParseInt(f, 10, 32)
-				if err != nil {
-					return nil, fmt.Errorf("radio: round %d: %v", len(s.Sets)+1, err)
-				}
-				set[i] = int32(v)
-			}
-		}
-		s.Sets = append(s.Sets, set)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(s.Sets) != rounds {
-		return nil, fmt.Errorf("radio: header says %d rounds, found %d", rounds, len(s.Sets))
-	}
-	return s, nil
 }

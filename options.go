@@ -5,8 +5,8 @@ package repro
 // observed runs are all options of one call, and every one dispatches
 // through the unified execution layer (internal/exec). The per-node
 // randomness stream of the removed positional wrappers (Broadcast,
-// RunProtocol, BroadcastMulti) is Run(..., WithPerNodeSampling()),
-// pinned bit-for-bit by deprecated_stream_test.go.
+// RunProtocol, BroadcastMulti) is Run with a protocol that does not
+// declare uniform rounds, pinned bit-for-bit by deprecated_stream_test.go.
 
 import (
 	"context"
@@ -32,7 +32,6 @@ type runConfig struct {
 	hasSeed   bool
 	obs       Observer
 	extraSrc  []int32
-	perNode   bool
 	engine    *Engine
 }
 
@@ -103,24 +102,12 @@ func WithContext(ctx context.Context) Option {
 	return func(c *runConfig) { c.ctx = ctx }
 }
 
-// WithPerNodeSampling disables the sampled-transmitter fast path: the
-// protocol loop asks the protocol for a per-node transmit decision for
-// every informed node each round, even when the protocol declares uniform
-// rounds (radio.UniformProtocol). By default Run uses the O(k) binomial
-// cohort sampling fast path whenever the protocol supports it — the same
-// transmitter-set distribution through a much shorter randomness stream.
-// Use this option to reproduce pre-fast-path runs bit-for-bit at a fixed
-// seed, or to exercise a custom protocol's Transmit method on every node.
-func WithPerNodeSampling() Option {
-	return func(c *runConfig) { c.perNode = true }
-}
-
 // WithEngine runs the simulation on a caller-supplied engine instead of
 // allocating a fresh one — the engine-pooling path of long-running
 // servers, which would otherwise pay an O(n) engine allocation per
 // request. The engine must have been built for the same graph g
-// (ErrConflictingOptions otherwise); its sources, observer and sampling
-// mode are re-initialised from this call's own options, so a pooled
+// (ErrConflictingOptions otherwise); its sources and observer are
+// re-initialised from this call's own options, so a pooled
 // engine run is bit-for-bit identical to a fresh-engine run with the
 // same options. Schedule replays (WithSchedule) run on it too, under
 // the engine's transmitter policy.
@@ -151,8 +138,11 @@ func WithEngine(e *Engine) Option {
 // fast path: O(k) binomial cohort sampling per round instead of one coin
 // flip per informed node. The transmitter-set distribution is identical,
 // but the randomness stream is shorter, so runs at a fixed seed differ
-// bit-for-bit from the per-node path; pass WithPerNodeSampling() to
-// reproduce pre-fast-path runs exactly.
+// bit-for-bit from the per-node path. A protocol that does not declare
+// uniform rounds runs the per-node stream; to reproduce a pre-fast-path
+// run exactly, hide the capability:
+//
+//	repro.Run(g, 0, repro.WithProtocol(struct{ repro.Protocol }{p}))
 func Run(g *Graph, src int32, opts ...Option) (Result, error) {
 	return RunContext(context.Background(), g, src, opts...)
 }
@@ -197,7 +187,7 @@ func RunContext(ctx context.Context, g *Graph, src int32, opts ...Option) (Resul
 	// owns engine construction and WithEngine re-initialisation, so a
 	// pooled- or caller-engine run stays bit-identical to a fresh one. A
 	// schedule replay ignores the protocol, budget and rng.
-	req.Schedule, req.PerNode, req.Observer, req.Engine = c.schedule, c.perNode, c.obs, c.engine
+	req.Schedule, req.Observer, req.Engine = c.schedule, c.obs, c.engine
 	return exec.Run(c.ctx, &req, rng)
 }
 

