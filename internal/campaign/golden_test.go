@@ -39,6 +39,52 @@ func TestResampledCampaignGolden(t *testing.T) {
 	}
 }
 
+// Golden fingerprint of a resampled campaign whose points differ in n:
+// every kind at a small and then a larger n, so that one worker runs a
+// point right after a smaller one, plus a low-degree point (d = 7 at
+// n = 1000, connected about 40% of the time) whose draws retry. One and
+// three workers must give the same report. The value was recorded before
+// resampled trials began drawing into reused storage, so it pins that the
+// reuse changes no draw and that no engine sized for a smaller n serves a
+// larger one.
+func TestMixedSizeResampledCampaignGolden(t *testing.T) {
+	const want uint64 = 10850966486515822341
+	spec := &Spec{
+		Name:   "mixed-resample-golden",
+		Seed:   2006,
+		Trials: 6,
+	}
+	for _, kind := range []string{"distributed", "decay", "aloha", "collision-rate", "centralized"} {
+		for _, n := range []int{600, 1500} {
+			spec.Points = append(spec.Points, PointSpec{
+				ID: fmt.Sprintf("%s-n%d", kind, n), X: float64(n),
+				Trial: TrialSpec{Kind: kind, N: n, D: 10},
+			})
+		}
+	}
+	spec.Points = append(spec.Points, PointSpec{
+		ID: "distributed-n1000-d7", X: 1000,
+		Trial: TrialSpec{Kind: "distributed", N: 1000, D: 7},
+	})
+	for _, workers := range []int{1, 3} {
+		// An empty pool makes the first scratch's engine the smallest one.
+		freshScratchPool(t)
+		rep, err := Run(spec, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(b)
+		if got := h.Sum64(); got != want {
+			t.Errorf("Workers=%d: report fingerprint %d, want %d\n%s", workers, got, want, b)
+		}
+	}
+}
+
 // Golden fingerprint of a lane-batched campaign: FixedGraph points of
 // every lane-capable kind run in lane blocks through exec sessions, on a
 // graph whose lane planes fit in cache (n = 2000) and on one whose planes

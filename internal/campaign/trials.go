@@ -136,16 +136,53 @@ func (t TrialSpec) maxRounds() int {
 // seeds use ids 1..Trials (sweep.Seeds), so 0 is free.
 const graphSeedID = 0
 
-// sampleConnected draws a connected G(n, d/n), panicking after 100 failed
-// attempts — for the degree regimes campaigns run this indicates a
-// misconfigured point, and the panic is captured by the pool's fault
-// tolerance and recorded as a failed sample.
-func sampleConnected(n int, d float64, rng *xrand.Rand) *graph.Graph {
-	g, _, ok := gen.ConnectedGnp(n, gen.PForDegree(n, d), rng, 100)
+// sampleConnected draws a connected G(n, d/n) into s (fresh storage for a
+// nil s), panicking after 100 failed attempts — for the degree regimes
+// campaigns run this indicates a misconfigured point, and the panic is
+// captured by the pool's fault tolerance and recorded as a failed sample.
+func sampleConnected(s *gen.Scratch, n int, d float64, rng *xrand.Rand) *graph.Graph {
+	g, _, ok := s.ConnectedGnp(n, gen.PForDegree(n, d), rng, 100)
 	if !ok {
 		panic(fmt.Sprintf("campaign: no connected G(n=%d, d=%.2f) in 100 draws; degree too low", n, d))
 	}
 	return g
+}
+
+// trialScratch is what a resampled trial draws its graph into and the
+// scalar engine it runs that graph on, both reused from trial to trial.
+// The engine is caller-owned (exec.Request.Engine), so exec's per-graph
+// pool never sees the graph that the next draw rewrites.
+type trialScratch struct {
+	gen     gen.Scratch
+	engine  *radio.Engine
+	engineN int // the vertex count engine was built for
+}
+
+// scratchPool holds the idle trialScratch values. Campaigns build fresh
+// runners, so only a process-level pool carries the storage from one
+// trial, point or campaign to the next; like graph's edge pool it leaves
+// idle storage to the collector. A trial checks a scratch out at its start
+// and puts it back once the trial is over and nothing references the
+// graph; a panicking trial abandons it. FixedGraph runners never take
+// one: their graph stays pinned for the runner's life.
+var scratchPool = &sync.Pool{New: func() any { return new(trialScratch) }}
+
+// draw draws the trial's connected G(n, d/n) into s and returns it with
+// the engine to run it on. The engine is rebuilt whenever n differs from
+// the one it was built for; engine.Graph().N() cannot tell, since it reads
+// the graph just drawn.
+func (s *trialScratch) draw(t TrialSpec, rng *xrand.Rand) (*graph.Graph, *radio.Engine) {
+	g := sampleConnected(&s.gen, t.N, t.D, rng)
+	if s.engine == nil || s.engineN != t.N {
+		s.engine, s.engineN = exec.NewEngine(g), t.N
+	}
+	return g, s.engine
+}
+
+// release detaches the trial's observer and returns s to the pool.
+func (s *trialScratch) release() {
+	s.engine.Attach(nil)
+	scratchPool.Put(s)
 }
 
 // protocolRunner measures one broadcast of a randomized protocol per
@@ -159,10 +196,10 @@ func sampleConnected(n int, d float64, rng *xrand.Rand) *graph.Graph {
 // runner's blocks run on the lane engine, any other runner's seeds run
 // one by one on the session's reset scalar engine. Without it each
 // trial samples a fresh connected G(n,p) from its own stream and
-// dispatches one-shot.
+// runs on the engine of a pooled trialScratch it was drawn into.
 type protocolRunner struct {
 	spec TrialSpec
-	req  exec.Request  // resampled trials: Graph set per trial
+	req  exec.Request  // resampled trials: Graph and Engine set per trial
 	sess *exec.Session // non-nil iff FixedGraph
 	rng  xrand.Rand    // reseeded per resampled trial
 	out  [exec.Width]int
@@ -187,7 +224,7 @@ func newProtocolKind(proto func(TrialSpec) radio.Protocol, observed bool) NewRun
 		}
 		if p.Trial.FixedGraph {
 			req := r.req
-			req.Graph = sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
+			req.Graph = sampleConnected(nil, p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
 			req.ForceScalar = !lanes
 			r.sess = exec.Open(&req)
 		}
@@ -214,11 +251,13 @@ func (r *protocolRunner) RunTrials(ctx context.Context, seeds []uint64, values [
 			}
 			r.rng.Reseed(seed)
 			req := r.req
-			req.Graph = sampleConnected(r.spec.N, r.spec.D, &r.rng)
+			scratch := scratchPool.Get().(*trialScratch)
+			req.Graph, req.Engine = scratch.draw(r.spec, &r.rng)
 			if obs != nil {
 				req.Observer = obs[i]
 			}
 			rounds, err := exec.Time(ctx, &req, &r.rng)
+			scratch.release()
 			if err != nil {
 				return err
 			}
@@ -260,7 +299,7 @@ type centralizedRunner struct {
 func newCentralizedRunner(p PointSpec, pointSeed uint64, _ bool) (Runner, error) {
 	r := &centralizedRunner{spec: p.Trial}
 	if p.Trial.FixedGraph {
-		r.fixed = sampleConnected(p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
+		r.fixed = sampleConnected(nil, p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
 	}
 	return r, nil
 }
@@ -271,16 +310,22 @@ func (r *centralizedRunner) RunTrials(ctx context.Context, seeds []uint64, value
 			return radio.Canceled(ctx)
 		}
 		r.rng.Reseed(seed)
-		g := r.fixed
-		if g == nil {
-			g = sampleConnected(r.spec.N, r.spec.D, &r.rng)
+		req := exec.Request{Graph: r.fixed, Sources: []int32{0}}
+		var scratch *trialScratch
+		if req.Graph == nil {
+			scratch = scratchPool.Get().(*trialScratch)
+			req.Graph, req.Engine = scratch.draw(r.spec, &r.rng)
 		}
-		sched, _, err := core.BuildCentralizedSchedule(g, 0, r.spec.D, core.DefaultCentralizedConfig(r.rng.Uint64()))
+		sched, _, err := core.BuildCentralizedSchedule(req.Graph, 0, r.spec.D, core.DefaultCentralizedConfig(r.rng.Uint64()))
 		if err != nil {
 			panic(fmt.Sprintf("campaign: building centralized schedule: %v", err))
 		}
 		// Schedule replay is deterministic (no rng): the schedule backend.
-		res, err := exec.Run(ctx, &exec.Request{Graph: g, Sources: []int32{0}, Schedule: sched}, nil)
+		req.Schedule = sched
+		res, err := exec.Run(ctx, &req, nil)
+		if scratch != nil {
+			scratch.release()
+		}
 		if errors.Is(err, radio.ErrCanceled) {
 			return err
 		} else if err != nil {

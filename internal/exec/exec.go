@@ -490,6 +490,14 @@ func (x *Executor) AcquireEngine(g *graph.Graph) *radio.Engine {
 	}
 	x.mu.Unlock()
 	x.c[BackendScalar].poolMisses.Add(1)
+	return NewEngine(g)
+}
+
+// NewEngine builds a scalar engine for g that the caller owns and runs as
+// Request.Engine, such as the one a resampled campaign trial keeps beside
+// the storage it draws its graphs into. Unlike AcquireEngine it neither
+// consults nor counts the pool, and the engine never enters it.
+func NewEngine(g *graph.Graph) *radio.Engine {
 	return radio.NewEngine(g, 0, radio.StrictInformed)
 }
 

@@ -23,15 +23,59 @@ import (
 // O(n + m) using geometric skip sampling over the implicit enumeration of
 // pairs (0,1), (0,2), ..., (n-2, n-1).
 func Gnp(n int, p float64, rng *xrand.Rand) *graph.Graph {
+	return (*Scratch)(nil).Gnp(n, p, rng)
+}
+
+// Scratch is reusable storage for drawing random graphs: the CSR arrays,
+// the builder's edge and degree buffers and the connectivity test's search
+// state. A draw into a Scratch returns the same graph, from the same
+// randomness, as the fresh generator, and once the buffers have grown to
+// the largest graph drawn it allocates nothing.
+//
+// The graph a draw returns lives in the scratch: the next draw rewrites it
+// in place, under the same pointer. It belongs to the scratch's holder
+// until then, and must never be cached, handed to another goroutine or
+// run through exec's per-graph engine pool (exec.Request.Pool).
+//
+// A nil *Scratch draws into fresh storage; Gnp and ConnectedGnp are the
+// nil case. The zero value is ready. A Scratch is not safe for concurrent
+// use.
+type Scratch struct {
+	g graph.Graph
+	b graph.Builder
+	t graph.Traversal
+}
+
+// builder returns an empty builder for n vertices: the scratch's own, or a
+// fresh one for a nil scratch.
+func (s *Scratch) builder(n int) *graph.Builder {
+	if s == nil {
+		return graph.NewBuilder(n)
+	}
+	s.b.Reset(n)
+	return &s.b
+}
+
+// build finishes a draw: into the scratch's graph, or a fresh one for a
+// nil scratch.
+func (s *Scratch) build(b *graph.Builder) *graph.Graph {
+	if s == nil {
+		return b.Build()
+	}
+	return b.BuildInto(&s.g)
+}
+
+// Gnp is the package-level Gnp drawn into s.
+func (s *Scratch) Gnp(n int, p float64, rng *xrand.Rand) *graph.Graph {
 	if n < 0 {
 		panic("gen: negative n")
 	}
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("gen: Gnp probability %v out of [0,1]", p))
 	}
-	b := graph.NewBuilder(n)
+	b := s.builder(n)
 	if n < 2 || p == 0 {
-		return b.Build()
+		return s.build(b)
 	}
 	total := int64(n) * int64(n-1) / 2
 	expected := int(float64(total) * p)
@@ -42,7 +86,7 @@ func Gnp(n int, p float64, rng *xrand.Rand) *graph.Graph {
 				b.AddEdgeUnchecked(int32(u), int32(v))
 			}
 		}
-		return b.Build()
+		return s.build(b)
 	}
 	// Enumerate pair index k in [0, total); skip Geometric(p) pairs between
 	// successive edges. Convert k to (u, v) incrementally.
@@ -65,7 +109,7 @@ func Gnp(n int, p float64, rng *xrand.Rand) *graph.Graph {
 	// same graphs as before.
 	log1mp := math.Log1p(-p)
 	if !advance(int64(rng.GeometricLog(log1mp))) {
-		return b.Build()
+		return s.build(b)
 	}
 	for {
 		b.AddEdgeUnchecked(int32(u), int32(u+1+v))
@@ -73,7 +117,7 @@ func Gnp(n int, p float64, rng *xrand.Rand) *graph.Graph {
 			break
 		}
 	}
-	return b.Build()
+	return s.build(b)
 }
 
 // Gnm samples the Erdős–Rényi random graph G(n,m): a graph chosen uniformly
@@ -356,12 +400,23 @@ func PForDegree(n int, d float64) float64 {
 // ok = false. For p above the connectivity threshold one attempt almost
 // always suffices.
 func ConnectedGnp(n int, p float64, rng *xrand.Rand, maxTries int) (g *graph.Graph, tries int, ok bool) {
+	return (*Scratch)(nil).ConnectedGnp(n, p, rng, maxTries)
+}
+
+// ConnectedGnp is the package-level ConnectedGnp drawn into s. Every
+// attempt rewrites the scratch's graph, so a failed search returns the
+// last sample there too.
+func (s *Scratch) ConnectedGnp(n int, p float64, rng *xrand.Rand, maxTries int) (g *graph.Graph, tries int, ok bool) {
 	if maxTries < 1 {
 		maxTries = 1
 	}
+	search := new(graph.Traversal)
+	if s != nil {
+		search = &s.t
+	}
 	for t := 1; t <= maxTries; t++ {
-		g = Gnp(n, p, rng)
-		if graph.IsConnected(g) {
+		g = s.Gnp(n, p, rng)
+		if search.IsConnected(g) {
 			return g, t, true
 		}
 	}

@@ -1,5 +1,5 @@
 // Package graph provides the undirected-graph substrate used throughout the
-// repository: an immutable compressed-sparse-row (CSR) adjacency structure,
+// repository: a compressed-sparse-row (CSR) adjacency structure,
 // a builder that deduplicates edges, and the traversal and measurement
 // primitives (BFS, layer decomposition, connectivity, eccentricity, degree
 // statistics, joint-neighbour counts) needed by the radio-broadcasting
@@ -16,9 +16,17 @@ import (
 	"sync"
 )
 
-// Graph is an immutable simple undirected graph in CSR form. Memory use is
-// 4 bytes per directed arc plus 8 bytes per vertex, so graphs with tens of
-// millions of edges fit comfortably in RAM.
+// Graph is a simple undirected graph in CSR form. Memory use is 4 bytes per
+// directed arc plus 8 bytes per vertex, so graphs with tens of millions of
+// edges fit comfortably in RAM.
+//
+// A graph is never modified once built, with one exception: a build into
+// reused storage (Builder.BuildInto with a non-nil dst, as gen.Scratch
+// does) rewrites dst in place. Such a graph belongs to the holder of that
+// storage until the next build into it, and must never be cached, shared
+// with another goroutine or keyed on by pointer, as exec's per-graph
+// engine pool (exec.Request.Pool) does: every reader would see the next
+// graph under the same pointer.
 type Graph struct {
 	offsets []int64 // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
 	adj     []int32 // sorted neighbour lists, concatenated
@@ -68,7 +76,7 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph(n=%d, m=%d)", g.N(), g.M())
 }
 
-// Builder accumulates edges and produces an immutable Graph. Duplicate
+// Builder accumulates edges and produces a Graph. Duplicate
 // edges and self-loops are silently dropped at Build time, so generators
 // may add candidate edges without pre-deduplication.
 //
@@ -104,20 +112,42 @@ const maxInt32 = 1<<31 - 1
 
 // NewBuilder returns a builder for a graph on n vertices.
 func NewBuilder(n int) *Builder {
+	b := new(Builder)
+	b.Reset(n)
+	return b
+}
+
+// Reset empties the builder and aims it at a graph on n vertices. It keeps
+// the edge and degree buffers a build into reused storage (BuildInto with
+// a non-nil dst) leaves behind, so a builder that alternates Reset and
+// BuildInto stops allocating once they have grown to the largest graph.
+// The zero Builder is ready after a Reset.
+func (b *Builder) Reset(n int) {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Builder{n: n, ordered: true, lastU: -1, lastV: -1}
+	b.n = n
+	b.edges = b.edges[:0]
+	if cap(b.deg) >= n {
+		b.deg = b.deg[:n]
+		clear(b.deg)
+	} else {
+		b.deg = nil
+	}
+	b.ordered, b.sawChecked = true, false
+	b.lastU, b.lastV = -1, -1
 }
 
 // N returns the number of vertices the builder was created with.
 func (b *Builder) N() int { return b.n }
 
-// edgePool recycles the edge lists of large builds: Grow takes a list
-// from it and Build hands the list back once the CSR arrays are filled.
-// The lists never escape a Builder, so reuse is invisible to callers; the
-// CSR arrays themselves are always fresh, because graphs are immutable.
-// Lists under poolMinEdges are not worth pooling.
+// edgePool recycles the edge lists of large one-shot builds: Grow takes a
+// list from it and Build hands the list back once the CSR arrays are
+// filled. The lists never escape a Builder, so reuse is invisible to
+// callers. The CSR arrays of such a build are always fresh; a caller that
+// wants them reused builds into its own storage (BuildInto), and its
+// builder then keeps its edge list instead of pooling it. Lists under
+// poolMinEdges are not worth pooling.
 var edgePool sync.Pool // of *[]edge
 
 const poolMinEdges = 1 << 16
@@ -193,29 +223,56 @@ func (b *Builder) rangePanic(u, v int32) {
 // EdgeCount returns the number of edges recorded so far (before dedup).
 func (b *Builder) EdgeCount() int { return len(b.edges) }
 
-// Build produces the immutable graph and leaves the builder reusable (its
-// edge list is consumed). It runs in O(n + m): a prefix sum over the
+// Build produces the graph in freshly allocated CSR arrays, each exactly
+// its final size, and leaves the builder empty for another graph on the
+// same n vertices: its edge list goes back to the pool and its degree
+// counts to the collector. It is BuildInto(nil).
+func (b *Builder) Build() *Graph { return b.BuildInto(nil) }
+
+// BuildInto produces the graph and leaves the builder empty for another
+// graph on the same n vertices. It runs in O(n + m): a prefix sum over the
 // degree counts followed by one counting-sort scatter of the edge list.
 // Lists are then sorted or deduplicated only if the insertion order made
 // that necessary — for lexicographically ordered input (the G(n,p)
 // generator's natural emission order) the scatter output is already sorted
 // and duplicate-free, and no fix-up runs at all.
-func (b *Builder) Build() *Graph {
-	offsets := make([]int64, b.n+1)
+//
+// With a nil dst it returns a new Graph, as Build. With a non-nil dst it
+// writes the CSR arrays into dst's storage and returns dst: an array is
+// reallocated only when too small, with 1/64 headroom on the arcs so that
+// the next sample of a random graph family, slightly larger, still fits.
+// The builder then keeps its edge and degree buffers for the next build.
+// dst is rewritten in place; see Graph for who may still hold it.
+func (b *Builder) BuildInto(dst *Graph) *Graph {
+	g := dst
+	if g == nil {
+		g = &Graph{offsets: make([]int64, b.n+1)}
+	} else {
+		g.offsets = resize(g.offsets, b.n+1, 0)
+	}
+	offsets := g.offsets
 	var total int64
 	if b.deg != nil {
 		// The same pass that builds the offsets rewrites the degree counts as
 		// int32 scatter cursors (truncation is harmless: the int32 cursors are
-		// only used when the final total fits, and deg is discarded either way).
+		// only used when the final total fits, and deg is cleared or dropped
+		// either way).
 		for v := 0; v < b.n; v++ {
 			d := b.deg[v]
 			offsets[v] = total
 			b.deg[v] = int32(total)
 			total += int64(d)
 		}
+	} else {
+		clear(offsets) // reused storage holds the previous graph's offsets
 	}
 	offsets[b.n] = total
-	adj := make([]int32, total)
+	if dst == nil {
+		g.adj = make([]int32, total)
+	} else {
+		g.adj = resize(g.adj, int(total), int(total>>6))
+	}
+	adj := g.adj
 	if total <= maxInt32 {
 		// Common case: arc indices fit in int32, so the recycled degree array
 		// serves as the cursors — no extra allocation, and the randomly-accessed
@@ -231,7 +288,6 @@ func (b *Builder) Build() *Graph {
 			cursor[e.v]++
 		}
 	}
-	g := &Graph{offsets: offsets, adj: adj}
 	if !b.ordered {
 		// Out-of-order input: sort the (few, or all) lists the scatter left
 		// unsorted, then deduplicate if any edge came through AddEdge.
@@ -245,16 +301,24 @@ func (b *Builder) Build() *Graph {
 			g.compactDuplicates()
 		}
 	}
-	if cap(b.edges) >= poolMinEdges {
-		spent := b.edges[:0]
-		edgePool.Put(&spent)
+	if dst == nil {
+		if cap(b.edges) >= poolMinEdges {
+			spent := b.edges[:0]
+			edgePool.Put(&spent)
+		}
+		b.edges, b.deg = nil, nil
 	}
-	b.edges = nil
-	b.deg = nil
-	b.ordered = true
-	b.sawChecked = false
-	b.lastU, b.lastV = -1, -1
+	b.Reset(b.n)
 	return g
+}
+
+// resize returns s at length n, in place when its capacity allows and
+// otherwise in a new array with headroom spare elements.
+func resize[T any](s []T, n, headroom int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n, n+headroom)
 }
 
 // scatterInt32 fills adj from the recorded edge list; cur[v] holds the next

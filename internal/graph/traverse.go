@@ -20,8 +20,19 @@ func Distances(g *Graph, src int32) []int32 {
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	traverse(g, src, dist)
+	var t Traversal
+	t.traverse(g, src, dist)
 	return dist
+}
+
+// Traversal holds the buffers of the breadth-first search kernel, so that
+// a caller searching graph after graph (gen.Scratch's connectivity test)
+// reuses them: once they have grown to the largest graph, a search
+// allocates nothing. The zero value is ready. A Traversal is not safe for
+// concurrent use.
+type Traversal struct {
+	visited, front []uint64
+	order          []int32
 }
 
 // bottomUpRatio is the α of the direction switch: a level runs bottom-up
@@ -60,10 +71,11 @@ const bottomUpRatio = 64
 // Outputs are independent of the direction taken: every reached vertex
 // gets its exact level either way, and only the order within a level,
 // which no caller sees, differs.
-func traverse(g *Graph, src int32, dist []int32) (reached, work int) {
+func (t *Traversal) traverse(g *Graph, src int32, dist []int32) (reached, work int) {
 	n := g.N()
-	b := bfs{g: g, visited: make([]uint64, (n+63)>>6), order: make([]int32, n+1), dist: dist,
-		hi: 1, level: 1, unexpanded: len(g.adj)}
+	b := bfs{g: g, visited: resize(t.visited, (n+63)>>6, 0), front: t.front, order: resize(t.order, n+1, 0),
+		dist: dist, hi: 1, level: 1, unexpanded: len(g.adj)}
+	clear(b.visited)
 	b.order[0] = src
 	b.visited[src>>6] |= 1 << (src & 63)
 	if dist != nil {
@@ -76,6 +88,7 @@ func traverse(g *Graph, src int32, dist []int32) (reached, work int) {
 		}
 		b.topDown(false)
 	}
+	t.visited, t.front, t.order = b.visited, b.front, b.order
 	return b.hi, b.work
 }
 
@@ -150,7 +163,9 @@ func (b *bfs) listUnvisited() {
 			u++
 		}
 	}
-	b.front = make([]uint64, len(b.visited))
+	// A reused frontier bitset is clean: every bottom-up level clears the
+	// marks it set.
+	b.front = resize(b.front, len(b.visited), 0)
 	b.work += n - b.hi
 }
 
@@ -247,11 +262,17 @@ func LayersFromDist(dist []int32) [][]int32 {
 // from vertex 0 without recording distances: a visited bitset, the level
 // order and, once the search turns bottom-up, a frontier bitset.
 func IsConnected(g *Graph) bool {
+	var t Traversal
+	return t.IsConnected(g)
+}
+
+// IsConnected is the package-level IsConnected on t's reused buffers.
+func (t *Traversal) IsConnected(g *Graph) bool {
 	n := g.N()
 	if n == 0 {
 		return true
 	}
-	reached, _ := traverse(g, 0, nil)
+	reached, _ := t.traverse(g, 0, nil)
 	return reached == n
 }
 

@@ -242,7 +242,7 @@ func TestTraversalWorkIsLinear(t *testing.T) {
 		{"gnp", giant, 0},
 	}
 	for _, c := range cases {
-		reached, work := traverse(c.g, c.src, nil)
+		reached, work := new(Traversal).traverse(c.g, c.src, nil)
 		want := 0
 		for _, d := range refDistances(c.g, c.src) {
 			if d != Unreachable {
@@ -262,7 +262,7 @@ func TestTraversalWorkIsLinear(t *testing.T) {
 // search examines all 2m arcs, the kernel well under m.
 func TestTraversalGoesBottomUpOnGnp(t *testing.T) {
 	g := gnp(20000, 25.0/20000, xrand.New(26))
-	_, work := traverse(g, 0, nil)
+	_, work := new(Traversal).traverse(g, 0, nil)
 	if work >= g.M() {
 		t.Fatalf("work %d on %v, want under m = %d", work, g, g.M())
 	}
@@ -297,7 +297,7 @@ func FuzzTraversal(f *testing.F) {
 		}
 		checkTraversal(t, "fuzz", g, all)
 		for _, s := range all {
-			if _, work := traverse(g, s, nil); work > workBound(g.N(), g.M()) {
+			if _, work := new(Traversal).traverse(g, s, nil); work > workBound(g.N(), g.M()) {
 				t.Fatalf("source %d: work %d exceeds bound %d", s, work, workBound(g.N(), g.M()))
 			}
 		}

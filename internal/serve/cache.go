@@ -27,9 +27,11 @@ type GraphKey struct {
 
 // GraphCache is a size-bounded LRU of generated graphs with singleflight
 // deduplication: concurrent Get calls for the same key build the graph
-// once and share the result. Graphs are immutable after generation
-// (engines keep their own mutable state), so a cached *Graph is safe to
-// share across concurrent simulations.
+// once and share the result. A cached graph is generated into fresh
+// storage and never modified afterwards (engines keep their own mutable
+// state), so a cached *Graph is safe to share across concurrent
+// simulations. A graph drawn into reused storage (gen.Scratch) is
+// rewritten by the next draw and must never enter the cache.
 type GraphCache struct {
 	mu       sync.Mutex
 	capacity int

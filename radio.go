@@ -95,7 +95,8 @@ import (
 // Aliased types so callers can use the library without reaching into
 // internal packages.
 type (
-	// Graph is an immutable simple undirected graph in CSR form.
+	// Graph is a simple undirected graph in CSR form. It is never modified
+	// once built, unless built into reused storage (Builder.BuildInto).
 	Graph = graph.Graph
 	// Builder accumulates edges for a Graph.
 	Builder = graph.Builder
