@@ -118,6 +118,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReception$$' -fuzztime 10s ./internal/radio/
 	go test -run '^$$' -fuzz '^FuzzLoadSamples$$' -fuzztime 10s ./internal/campaign/
 	go test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/campaign/
+	go test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/serve/
+	go test -run '^$$' -fuzz '^FuzzLeaseOffer$$' -fuzztime 10s ./internal/serve/
 	go test -run '^$$' -fuzz '^FuzzGeometricLog$$' -fuzztime 10s ./internal/xrand/
 
 clean:

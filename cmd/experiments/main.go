@@ -1,4 +1,4 @@
-// Command experiments runs the reproduction experiments E1–E12 (DESIGN.md
+// Command experiments runs the reproduction experiments E1–E23 (DESIGN.md
 // §3) and prints their result tables. EXPERIMENTS.md records the
 // medium-scale output of this tool.
 //

@@ -76,7 +76,7 @@ type summary struct {
 	Rounds        int  `json:"rounds"`
 	Informed      int  `json:"informed"`
 	Transmissions int  `json:"transmissions"`
-	Deliveries    int  `json:"deliveries"`
+	Successes     int  `json:"deliveries"`
 	Collisions    int  `json:"collisions"`
 
 	BoundCentralized float64 `json:"bound_centralized"`
@@ -277,7 +277,7 @@ func simulate(out, stdout io.Writer,
 			Rounds:             res.Rounds,
 			Informed:           res.Informed,
 			Transmissions:      res.Stats.Transmissions,
-			Deliveries:         res.Stats.Deliveries,
+			Successes:          res.Stats.Successes,
 			Collisions:         res.Stats.Collisions,
 			BoundCentralized:   core.CentralizedBound(n, d),
 			BoundDistributed:   core.DistributedBound(n),
@@ -290,7 +290,7 @@ func simulate(out, stdout io.Writer,
 	}
 	fmt.Fprintf(stdout, "\ncompleted=%v rounds=%d informed=%d/%d\n", res.Completed, res.Rounds, res.Informed, res.N)
 	fmt.Fprintf(stdout, "stats: %d transmissions, %d clean deliveries, %d collisions\n",
-		res.Stats.Transmissions, res.Stats.Deliveries, res.Stats.Collisions)
+		res.Stats.Transmissions, res.Stats.Successes, res.Stats.Collisions)
 	fmt.Fprintf(stdout, "bounds: centralized %.1f, distributed (ln n) %.1f\n",
 		core.CentralizedBound(n, d), core.DistributedBound(n))
 	return nil

@@ -30,7 +30,7 @@ func fingerprint(res Result) uint64 {
 	put(res.Rounds)
 	put(res.Informed)
 	put(res.Stats.Transmissions)
-	put(res.Stats.Deliveries)
+	put(res.Stats.Successes)
 	put(res.Stats.Collisions)
 	put(res.Stats.NewlyInformed)
 	for _, at := range res.InformedAt {

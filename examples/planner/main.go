@@ -82,5 +82,5 @@ func main() {
 		log.Fatalf("schedule incomplete: %d/%d", e.InformedCount(), n)
 	}
 	fmt.Printf("\nBroadcast complete in %d rounds; %d collisions along the way.\n",
-		e.RoundCount(), e.Stats().Collisions)
+		e.RoundCount(), e.Counters().Collisions)
 }

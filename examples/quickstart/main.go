@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("  Theorem 7 bound    : O(ln n) = O(%.1f)  -> ratio %.2f\n",
 		repro.DistributedBound(n), float64(res.Rounds)/repro.DistributedBound(n))
 	fmt.Printf("  collisions suffered: %d, clean deliveries: %d\n\n",
-		res.Stats.Collisions, res.Stats.Deliveries)
+		res.Stats.Collisions, res.Stats.Successes)
 
 	// Centralized scheduling with full topology knowledge (Theorem 5).
 	sched, err := repro.BuildSchedule(g, 0, d, 7)

@@ -144,6 +144,52 @@ func TestResampledTrialAllocs(t *testing.T) {
 	}
 }
 
+// TestFixedGraphCentralizedTrialAllocs requires a warm FixedGraph
+// centralized trial to replay its schedule on the runner's engine: past
+// what building the schedule allocates, the trial may allocate less than
+// one n-entry InformedAt copy, where a fresh engine per replay costs
+// that copy and the engine's own buffers.
+func TestFixedGraphCentralizedTrialAllocs(t *testing.T) {
+	const n, d, trials = 20000, 25, 10
+	p := PointSpec{ID: "p", X: 1, Trial: TrialSpec{Kind: "centralized", N: n, D: d, FixedGraph: true}}
+	runner, err := newRunner(p, 7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []uint64{0}
+	values, oks := make([]float64, 1), make([]bool, 1)
+	run := func(seed uint64) {
+		seeds[0] = seed
+		if err := runner.RunTrials(context.Background(), seeds, values, oks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(1) // warm up the engine's result buffer
+	run(2)
+	bytesPer := func(f func(seed uint64)) float64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < trials; i++ {
+			f(uint64(100 + i))
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / trials
+	}
+	perTrial := bytesPer(run)
+	fixed := runner.(*centralizedRunner).fixed
+	var rng xrand.Rand
+	build := bytesPer(func(seed uint64) {
+		rng.Reseed(seed)
+		if _, _, err := core.BuildCentralizedSchedule(fixed, 0, d, core.DefaultCentralizedConfig(rng.Uint64())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f bytes per trial, %.0f of them building the schedule", perTrial, build)
+	if replay := perTrial - build; replay >= 4*n {
+		t.Errorf("a warm FixedGraph centralized replay allocates %.0f bytes past the schedule build, want under %d", replay, 4*n)
+	}
+}
+
 // TestResampledCampaignLeavesEnginePoolAlone requires resampled trials of
 // every kind to run on their scratch engines, never on engines of exec's
 // per-graph pool, which must not key on a graph that the next draw

@@ -289,17 +289,20 @@ func collisionRate(c *trace.Counters) float64 {
 // schedule seeded from the trial's stream; with FixedGraph the graph is
 // pinned to the point seed and only the schedule seed varies per trial
 // (a fixed-graph fixed-schedule replay would be the same deterministic
-// number every trial).
+// number every trial). Either way the replay runs on a caller-owned
+// engine: the runner's own for the pinned graph, the scratch's otherwise.
 type centralizedRunner struct {
-	spec  TrialSpec
-	fixed *graph.Graph // non-nil iff FixedGraph
-	rng   xrand.Rand
+	spec   TrialSpec
+	fixed  *graph.Graph  // non-nil iff FixedGraph
+	engine *radio.Engine // built once on fixed
+	rng    xrand.Rand
 }
 
 func newCentralizedRunner(p PointSpec, pointSeed uint64, _ bool) (Runner, error) {
 	r := &centralizedRunner{spec: p.Trial}
 	if p.Trial.FixedGraph {
 		r.fixed = sampleConnected(nil, p.Trial.N, p.Trial.D, xrand.New(pointSeed).Derive(graphSeedID))
+		r.engine = exec.NewEngine(r.fixed)
 	}
 	return r, nil
 }
@@ -310,7 +313,7 @@ func (r *centralizedRunner) RunTrials(ctx context.Context, seeds []uint64, value
 			return radio.Canceled(ctx)
 		}
 		r.rng.Reseed(seed)
-		req := exec.Request{Graph: r.fixed, Sources: []int32{0}}
+		req := exec.Request{Graph: r.fixed, Engine: r.engine, Sources: []int32{0}}
 		var scratch *trialScratch
 		if req.Graph == nil {
 			scratch = scratchPool.Get().(*trialScratch)

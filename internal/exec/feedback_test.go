@@ -43,17 +43,21 @@ func informedAtHash(at []int32) uint64 {
 // TestRunFeedbackGolden: a CD request through exec.Run reproduces the
 // Backoff results recorded from the CD runner called on a fresh engine
 // (testGraph(11), seeds 1-3) before the model moved behind the door,
-// and counts as one scalar run each.
+// and counts as one scalar run each. Silent and Informed were added
+// later, derived from the five recorded counts: every node transmits,
+// receives, collides or hears silence each round, so Silent is
+// n·rounds − tx − successes − collisions, and a completed run ends with
+// Informed = n.
 func TestRunFeedbackGolden(t *testing.T) {
 	golden := []struct {
 		seed       uint64
 		rounds     int
-		stats      radio.Stats
+		stats      trace.Counters
 		informedAt uint64
 	}{
-		{1, 28, radio.Stats{Rounds: 28, Transmissions: 325, Deliveries: 1376, NewlyInformed: 299, Collisions: 470}, 0xfc8ab6b6fe64ba4e},
-		{2, 47, radio.Stats{Rounds: 47, Transmissions: 448, Deliveries: 1818, NewlyInformed: 299, Collisions: 659}, 0x2cf8b3c9bc98ec0f},
-		{3, 50, radio.Stats{Rounds: 50, Transmissions: 392, Deliveries: 1715, NewlyInformed: 299, Collisions: 564}, 0xa20fef2b65670396},
+		{1, 28, trace.Counters{Rounds: 28, Transmissions: 325, Successes: 1376, Collisions: 470, Silent: 6229, NewlyInformed: 299, Informed: 300}, 0xfc8ab6b6fe64ba4e},
+		{2, 47, trace.Counters{Rounds: 47, Transmissions: 448, Successes: 1818, Collisions: 659, Silent: 11175, NewlyInformed: 299, Informed: 300}, 0x2cf8b3c9bc98ec0f},
+		{3, 50, trace.Counters{Rounds: 50, Transmissions: 392, Successes: 1715, Collisions: 564, Silent: 12329, NewlyInformed: 299, Informed: 300}, 0xa20fef2b65670396},
 	}
 	x := exec.New()
 	g := testGraph(t, 11)

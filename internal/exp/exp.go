@@ -1,7 +1,8 @@
-// Package exp defines the reproduction experiments E1–E12, one per claim
-// of the paper (the paper itself has no tables or figures — it is a theory
-// extended abstract — so each asymptotic claim is replaced by a finite-size
-// scaling experiment; see DESIGN.md §3 for the index).
+// Package exp defines the reproduction experiments E1–E23: E1–E12 one per
+// claim of the paper (the paper itself has no tables or figures — it is a
+// theory extended abstract — so each asymptotic claim is replaced by a
+// finite-size scaling experiment), E13–E23 its extensions and
+// instrumented checks; see DESIGN.md §3 for the index.
 //
 // Every experiment is a pure function of its Config (scale + seed) and
 // returns one or more tables; cmd/experiments prints them and
@@ -62,7 +63,7 @@ func (c Config) trials(def int) int {
 
 // Experiment couples an identifier with a runnable reproduction.
 type Experiment struct {
-	ID    string // "E1" ... "E12"
+	ID    string // "E1" ... "E23"
 	Title string
 	Claim string // the paper statement being reproduced
 	Run   func(Config) []*table.Table

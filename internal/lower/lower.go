@@ -132,7 +132,7 @@ func GreedyAdaptiveSchedule(g *graph.Graph, src int32, maxRounds int) (*radio.Sc
 		Informed:   e.InformedCount(),
 		N:          n,
 		InformedAt: e.InformedTimes(),
-		Stats:      e.Stats(),
+		Stats:      e.Counters(),
 	}
 	return sched, res, nil
 }

@@ -280,7 +280,7 @@ func engineResult(e *radio.Engine) radio.Result {
 		Informed:   e.InformedCount(),
 		N:          e.Graph().N(),
 		InformedAt: e.InformedTimes(),
-		Stats:      e.Stats(),
+		Stats:      e.Counters(),
 	}
 }
 

@@ -43,13 +43,10 @@ type Engine struct {
 	informedAt []int32
 	round      int
 
-	// Counters mirrors trace.Counters semantics, accumulated per round.
-	Rounds        int
-	Transmissions int
-	Successes     int
-	Collisions    int
-	NewlyInformed int
-	Silent        int
+	// Counters holds the run's totals, tallied literally in Round rather
+	// than through trace.Counters.Apply, so the engine's accounting step is
+	// checked too. Runs and Completed stay zero, as in the engine's.
+	trace.Counters
 
 	// Records holds one trace.RoundRecord per executed round, for
 	// record-level comparison against an engine-attached trace.Recorder.
@@ -199,6 +196,7 @@ func (o *Engine) Round(transmitters []int32) ([]int32, error) {
 	o.Collisions += collisions
 	o.NewlyInformed += len(newly)
 	o.Silent += silent
+	o.Counters.Informed = rec.Informed
 	return newly, nil
 }
 
@@ -245,13 +243,7 @@ func (o *Engine) Result() radio.Result {
 		Informed:   o.InformedCount(),
 		N:          o.g.N(),
 		InformedAt: o.InformedTimes(),
-		Stats: radio.Stats{
-			Rounds:        o.Rounds,
-			Transmissions: o.Transmissions,
-			Deliveries:    o.Successes,
-			NewlyInformed: o.NewlyInformed,
-			Collisions:    o.Collisions,
-		},
+		Stats:      o.Counters,
 	}
 }
 

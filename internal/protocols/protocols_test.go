@@ -134,8 +134,8 @@ func TestRoundRobinNoCollisions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Stats().Collisions != 0 {
-		t.Fatalf("round robin suffered %d collisions", e.Stats().Collisions)
+	if c := e.Counters().Collisions; c != 0 {
+		t.Fatalf("round robin suffered %d collisions", c)
 	}
 }
 

@@ -20,8 +20,9 @@ func connectedTestGraph(t testing.TB, n int, d float64, seed uint64) *graph.Grap
 
 // TestCountersMatchStats is the accounting-invariance acceptance check:
 // over 1000 randomized trials (varying rng and source), an attached
-// trace.Counters must agree exactly with Engine.Stats() and with the
-// final Result, because both are fed the same per-round records.
+// trace.Counters must agree exactly with Engine.Counters() and with the
+// final Result, because both are fed the same per-round records; only
+// the observer counts runs.
 func TestCountersMatchStats(t *testing.T) {
 	const n = 200
 	const d = 8.0
@@ -38,13 +39,14 @@ func TestCountersMatchStats(t *testing.T) {
 	rng := xrand.New(99)
 	for trial := 0; trial < 1000; trial++ {
 		c.Reset()
-		e.ResetFor(int32(trial % n))
+		e.SetSources([]int32{int32(trial % n)})
 		res := runOn(e, p, 300, rng.Derive(uint64(trial)+1))
-		st := e.Stats()
-		if c.Rounds != st.Rounds || c.Transmissions != st.Transmissions ||
-			c.Successes != st.Deliveries || c.Collisions != st.Collisions ||
-			c.NewlyInformed != st.NewlyInformed {
-			t.Fatalf("trial %d: observer counters %+v != engine stats %+v", trial, c, st)
+		st := e.Counters()
+		if st != res.Stats || st.Runs != 0 || st.Completed != 0 {
+			t.Fatalf("trial %d: engine counters %+v, result stats %+v", trial, st, res.Stats)
+		}
+		if st.Runs, st.Completed = c.Runs, c.Completed; st != c {
+			t.Fatalf("trial %d: observer counters %+v != engine counters %+v", trial, c, st)
 		}
 		if c.Rounds != res.Rounds || c.Informed != res.Informed {
 			t.Fatalf("trial %d: observer (rounds=%d informed=%d) != result (rounds=%d informed=%d)",
@@ -75,10 +77,9 @@ func TestCountersMatchStatsSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
-	if c.Rounds != st.Rounds || c.Transmissions != st.Transmissions ||
-		c.Successes != st.Deliveries || c.Collisions != st.Collisions {
-		t.Fatalf("observer %+v != stats %+v", c, st)
+	st := e.Counters()
+	if st.Runs, st.Completed = c.Runs, c.Completed; st != c {
+		t.Fatalf("observer %+v != engine counters %+v", c, st)
 	}
 	if c.Informed != res.Informed {
 		t.Fatalf("observer informed %d != result %d", c.Informed, res.Informed)
@@ -88,7 +89,7 @@ func TestCountersMatchStatsSchedule(t *testing.T) {
 	}
 }
 
-// TestObserverSurvivesReset: Reset clears the engine's stats but keeps the
+// TestObserverSurvivesReset: Reset clears the engine's counters but keeps the
 // attached observer, so one observer aggregates across trials.
 func TestObserverSurvivesReset(t *testing.T) {
 	g := gen.Path(5)
@@ -106,8 +107,8 @@ func TestObserverSurvivesReset(t *testing.T) {
 	if c.Rounds != 12 {
 		t.Fatalf("rounds=%d, want 12", c.Rounds)
 	}
-	if e.Stats().Rounds != 4 {
-		t.Fatalf("engine stats rounds=%d, want 4 (last run only)", e.Stats().Rounds)
+	if e.Counters().Rounds != 4 {
+		t.Fatalf("engine counters rounds=%d, want 4 (last run only)", e.Counters().Rounds)
 	}
 }
 

@@ -58,18 +58,6 @@ const (
 // the message.
 const NotInformed int32 = -1
 
-// Stats accumulates counters over the rounds executed by an Engine. It is
-// a view of the engine's built-in trace.Counters (see Engine.Stats): the
-// engine accounts every round through the same trace.RoundRecord it hands
-// to an attached observer, so Stats and observer-side totals cannot drift.
-type Stats struct {
-	Rounds        int // rounds executed
-	Transmissions int // total node-transmissions
-	Deliveries    int // listening nodes that received the message (incl. already-informed)
-	NewlyInformed int // uninformed nodes that became informed
-	Collisions    int // listening-node-rounds lost to >=2 transmitting neighbours
-}
-
 // Engine simulates the radio model on a fixed graph from a single source.
 // It is not safe for concurrent use; run one Engine per goroutine.
 type Engine struct {
@@ -87,7 +75,8 @@ type Engine struct {
 	txList       []int32
 	round        int
 	// counters is the engine's accounting, fed one trace.RoundRecord per
-	// round by the same code path that notifies obs; Stats() reads from it.
+	// round by the same code path that notifies obs; Counters() and
+	// Result.Stats read from it.
 	counters trace.Counters
 	// obs, when non-nil, receives a trace.RoundRecord after every round.
 	// The nil case costs one branch per round — the untraced fast path
@@ -177,19 +166,6 @@ func (e *Engine) Reset() {
 	e.clearTransmitMarks()
 }
 
-// ResetFor is Reset with a different broadcast source, so one engine can
-// sweep every source of a graph without reallocating. The initial
-// informed set becomes exactly {src}: extra sources of a NewEngineMulti
-// engine are discarded (a source sweep is a single-source notion).
-func (e *Engine) ResetFor(src int32) {
-	if src < 0 || int(src) >= e.g.N() {
-		panic(fmt.Sprintf("radio: source %d out of range [0,%d)", src, e.g.N()))
-	}
-	e.src = src
-	e.extraSources = nil
-	e.Reset()
-}
-
 // SetSources re-targets the engine at a new initial informed set without
 // reallocating: sources[0] becomes the primary source and the rest the
 // extra sources (as in NewEngineMulti), then the engine is Reset. Serving
@@ -213,26 +189,12 @@ func (e *Engine) SetSources(sources []int32) {
 // Graph returns the underlying graph.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
-// Source returns the broadcast source.
-func (e *Engine) Source() int32 { return e.src }
-
 // RoundCount returns the number of rounds executed so far.
 func (e *Engine) RoundCount() int { return e.round }
 
-// Stats returns the accumulated counters, a view of the engine's built-in
-// trace.Counters (see Counters).
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Rounds:        e.counters.Rounds,
-		Transmissions: e.counters.Transmissions,
-		Deliveries:    e.counters.Successes,
-		NewlyInformed: e.counters.NewlyInformed,
-		Collisions:    e.counters.Collisions,
-	}
-}
-
 // Counters returns the engine's built-in aggregate metrics since the last
-// Reset, including the silent-listener total that Stats omits.
+// Reset. Only Apply feeds them, so they count rounds: Runs and Completed
+// stay zero.
 func (e *Engine) Counters() trace.Counters { return e.counters }
 
 // Attach sets the engine's observer: after every executed round the
@@ -240,8 +202,8 @@ func (e *Engine) Counters() trace.Counters { return e.counters }
 // (RunProtocolContext, ExecuteScheduleOnContext, BroadcastTimeOnContext,
 // RunCDProtocolContext) bracket each run with BeginRun/EndRun
 // notifications. Attach(nil) detaches. The attached observer survives
-// Reset/ResetFor, so one observer can aggregate across many trials on a
-// reused engine.
+// Reset and SetSources, so one observer can aggregate across many trials
+// on a reused engine.
 //
 // With no observer attached the per-round overhead is a single nil check;
 // the allocation-free fast path is unchanged. An observer that also
@@ -386,7 +348,7 @@ func (e *Engine) step(transmitters []int32, fb []Feedback) ([]int32, error) {
 	e.numInformed += len(newly)
 
 	// Account the round and notify the observer through the same record,
-	// so Stats() and observer totals are definitionally consistent. Every
+	// so Counters() and observer totals are definitionally consistent. Every
 	// node transmits, cleanly receives, collides, or hears silence.
 	rec := trace.RoundRecord{
 		Round:         e.round,
@@ -459,7 +421,10 @@ type Result struct {
 	Informed   int     // informed nodes at the end
 	N          int     // graph size
 	InformedAt []int32 // per-node informed round (NotInformed if never)
-	Stats      Stats
+	// Stats is the run's round-level counts, the engine's Counters(): the
+	// same totals an attached trace.Counters observer sees, except Runs
+	// and Completed, which stay zero (Completed above is the run's).
+	Stats trace.Counters
 }
 
 // ExecuteScheduleOnContext replays the schedule on the engine from its
@@ -510,7 +475,7 @@ func resultOf(e *Engine) Result {
 		Informed:   e.numInformed,
 		N:          e.g.N(),
 		InformedAt: at,
-		Stats:      e.Stats(),
+		Stats:      e.counters,
 	}
 }
 

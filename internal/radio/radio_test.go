@@ -95,7 +95,7 @@ func TestCollisionBlocksReception(t *testing.T) {
 	if len(newly) != 0 {
 		t.Fatalf("collision at 3 should inform nobody, informed %v", newly)
 	}
-	if e.Stats().Collisions == 0 {
+	if e.Counters().Collisions == 0 {
 		t.Fatal("collision not counted")
 	}
 	// A single transmitter gets through.
@@ -146,8 +146,8 @@ func TestFilterPolicyDropsUninformed(t *testing.T) {
 	if len(newly) != 1 || newly[0] != 1 {
 		t.Fatalf("newly = %v, want [1]", newly)
 	}
-	if e.Stats().Transmissions != 1 {
-		t.Fatalf("transmissions = %d, want 1", e.Stats().Transmissions)
+	if e.Counters().Transmissions != 1 {
+		t.Fatalf("transmissions = %d, want 1", e.Counters().Transmissions)
 	}
 }
 
@@ -173,8 +173,8 @@ func TestDuplicateTransmittersCountOnce(t *testing.T) {
 	if len(newly) != 3 {
 		t.Fatalf("duplicates caused collision: newly = %v", newly)
 	}
-	if e.Stats().Transmissions != 1 {
-		t.Fatalf("transmissions = %d, want 1", e.Stats().Transmissions)
+	if e.Counters().Transmissions != 1 {
+		t.Fatalf("transmissions = %d, want 1", e.Counters().Transmissions)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Reset()
-	if e.InformedCount() != 1 || e.RoundCount() != 0 || e.Stats().Rounds != 0 {
+	if e.InformedCount() != 1 || e.RoundCount() != 0 || e.Counters().Rounds != 0 {
 		t.Fatal("Reset incomplete")
 	}
 	if !e.Informed(0) || e.Informed(1) {
@@ -349,15 +349,15 @@ func TestStatsAccounting(t *testing.T) {
 	if _, err := e.Round([]int32{0}); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
-	if st.Transmissions != 1 || st.Deliveries != 4 || st.NewlyInformed != 4 || st.Collisions != 0 {
+	st := e.Counters()
+	if st.Transmissions != 1 || st.Successes != 4 || st.NewlyInformed != 4 || st.Collisions != 0 {
 		t.Fatalf("stats after round 1: %+v", st)
 	}
 	// Two leaves transmit: the centre hears a collision.
 	if _, err := e.Round([]int32{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	st = e.Stats()
+	st = e.Counters()
 	if st.Collisions != 1 {
 		t.Fatalf("collisions = %d, want 1", st.Collisions)
 	}
@@ -382,9 +382,9 @@ func TestDeliveriesToAlreadyInformed(t *testing.T) {
 	if len(newly) != 0 {
 		t.Fatalf("newly = %v", newly)
 	}
-	st := e.Stats()
-	if st.Deliveries != 2+2 {
-		t.Fatalf("deliveries = %d, want 4", st.Deliveries)
+	st := e.Counters()
+	if st.Successes != 2+2 {
+		t.Fatalf("deliveries = %d, want 4", st.Successes)
 	}
 	if st.NewlyInformed != 2 {
 		t.Fatalf("newlyInformed = %d, want 2", st.NewlyInformed)
@@ -399,12 +399,12 @@ func TestEngineScratchIsolationAcrossRounds(t *testing.T) {
 	if _, err := e.Round([]int32{0}); err != nil {
 		t.Fatal(err)
 	}
-	before := e.Stats().Collisions
+	before := e.Counters().Collisions
 	if _, err := e.Round([]int32{1}); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 hears leaf 1 alone: no collision.
-	if e.Stats().Collisions != before {
+	if e.Counters().Collisions != before {
 		t.Fatal("stale reception planes caused phantom collision")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -58,8 +59,8 @@ func TestRoundErrorLeavesEngineUntouched(t *testing.T) {
 			if e.RoundCount() != 0 {
 				t.Errorf("failed round was counted: RoundCount = %d", e.RoundCount())
 			}
-			if e.Stats() != (Stats{}) {
-				t.Errorf("failed round changed stats: %+v", e.Stats())
+			if e.Counters() != (trace.Counters{}) {
+				t.Errorf("failed round changed stats: %+v", e.Counters())
 			}
 
 			// A subsequent valid round must match a fresh engine exactly.
@@ -77,8 +78,8 @@ func TestRoundErrorLeavesEngineUntouched(t *testing.T) {
 			if len(newly) != len(wantNewly) || len(newly) != 1 || newly[0] != wantNewly[0] {
 				t.Errorf("newly informed after failed round = %v, fresh engine = %v", newly, wantNewly)
 			}
-			if e.Stats() != fresh.Stats() {
-				t.Errorf("stats after failed+valid round = %+v, fresh engine = %+v", e.Stats(), fresh.Stats())
+			if e.Counters() != fresh.Counters() {
+				t.Errorf("stats after failed+valid round = %+v, fresh engine = %+v", e.Counters(), fresh.Counters())
 			}
 			if e.RoundCount() != fresh.RoundCount() {
 				t.Errorf("round count = %d, fresh engine = %d", e.RoundCount(), fresh.RoundCount())
@@ -147,32 +148,4 @@ func TestExecuteScheduleOnMatchesExecuteSchedule(t *testing.T) {
 	if got.Completed != want.Completed || got.Rounds != want.Rounds || got.Stats != want.Stats {
 		t.Fatalf("reused-engine replay = %+v, fresh replay = %+v", got, want)
 	}
-}
-
-func TestResetForSweepsSources(t *testing.T) {
-	g := smallRandomGraph(60, 90, 7)
-	p := ProtocolFunc(func(v int32, round int, informedAt int32, rng *xrand.Rand) bool {
-		return rng.Float64() < 0.3
-	})
-	e := NewEngine(g, 0, StrictInformed)
-	for _, src := range []int32{3, 0, 59, 17} {
-		e.ResetFor(src)
-		if e.Source() != src || e.InformedCount() != 1 || !e.Informed(src) {
-			t.Fatalf("ResetFor(%d): source=%d informed=%d", src, e.Source(), e.InformedCount())
-		}
-		got := runOn(e, p, 300, xrand.New(uint64(src)+11))
-		want := runFresh(g, src, p, 300, xrand.New(uint64(src)+11))
-		if got.Rounds != want.Rounds || got.Informed != want.Informed {
-			t.Fatalf("src %d: reused %+v, fresh %+v", src, got, want)
-		}
-	}
-	if !panics(func() { e.ResetFor(60) }) {
-		t.Error("ResetFor out of range did not panic")
-	}
-}
-
-func panics(f func()) (p bool) {
-	defer func() { p = recover() != nil }()
-	f()
-	return false
 }

@@ -82,24 +82,29 @@ func TestRunEndpointAlgos(t *testing.T) {
 	}
 }
 
+// runStatusCases are requests whose status is fixed by the error
+// sentinels (and one by the timeout cap).
+var runStatusCases = []struct {
+	name string
+	req  RunRequest
+	want int
+}{
+	{"bad generator", RunRequest{Generator: "petersen", N: 100, D: 8}, http.StatusBadRequest},
+	{"bad algo", RunRequest{N: 100, D: 8, Algo: "psychic"}, http.StatusBadRequest},
+	{"zero n", RunRequest{N: 0, D: 8}, http.StatusBadRequest},
+	{"bad source", RunRequest{N: 100, D: 8, Src: 100}, http.StatusBadRequest},
+	{"bad extra source", RunRequest{N: 100, D: 8, Sources: []int32{512}}, http.StatusBadRequest},
+	{"no connected sample", RunRequest{N: 200, D: 0.1, GraphSeed: 1}, http.StatusUnprocessableEntity},
+	{"deadline", RunRequest{Generator: "gnp", N: 400, D: 0.5, MaxRounds: 2_000_000_000, TimeoutMs: 30}, http.StatusGatewayTimeout},
+	// Capped at MaxTimeout, not wrapped negative into an expired deadline.
+	{"overflowing timeout", RunRequest{N: 100, D: 8, TimeoutMs: 9_300_000_000_000}, http.StatusOK},
+}
+
 // TestRunEndpointErrors: each failure class maps to its documented
 // status code through the error sentinels.
 func TestRunEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name string
-		req  RunRequest
-		want int
-	}{
-		{"bad generator", RunRequest{Generator: "petersen", N: 100, D: 8}, http.StatusBadRequest},
-		{"bad algo", RunRequest{N: 100, D: 8, Algo: "psychic"}, http.StatusBadRequest},
-		{"zero n", RunRequest{N: 0, D: 8}, http.StatusBadRequest},
-		{"bad source", RunRequest{N: 100, D: 8, Src: 100}, http.StatusBadRequest},
-		{"bad extra source", RunRequest{N: 100, D: 8, Sources: []int32{512}}, http.StatusBadRequest},
-		{"no connected sample", RunRequest{N: 200, D: 0.1, GraphSeed: 1}, http.StatusUnprocessableEntity},
-		{"deadline", RunRequest{Generator: "gnp", N: 400, D: 0.5, MaxRounds: 2_000_000_000, TimeoutMs: 30}, http.StatusGatewayTimeout},
-	}
-	for _, tc := range cases {
+	for _, tc := range runStatusCases {
 		resp := postJSON(t, ts.URL+"/v1/run", tc.req)
 		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()

@@ -203,7 +203,7 @@ type RunResponse struct {
 	Informed      int     `json:"informed"`
 	N             int     `json:"n"`
 	Transmissions int     `json:"transmissions"`
-	Deliveries    int     `json:"deliveries"`
+	Successes     int     `json:"deliveries"`
 	Collisions    int     `json:"collisions"`
 	ElapsedMs     float64 `json:"elapsed_ms"`
 }
@@ -298,16 +298,18 @@ func (r *RunRequest) graphKey() GraphKey {
 	return GraphKey{Generator: r.Generator, N: r.N, D: r.D, Seed: r.GraphSeed}
 }
 
-// timeout returns the effective per-run deadline.
+// timeout returns the effective per-run deadline. A request's timeout_ms
+// is clamped in milliseconds: converted first, a huge value would
+// overflow time.Duration and wrap negative.
 func (r *RunRequest) timeout(cfg *Config) time.Duration {
 	t := cfg.DefaultTimeout
 	if r.TimeoutMs > 0 {
-		t = time.Duration(r.TimeoutMs) * time.Millisecond
-	}
-	if t > cfg.MaxTimeout {
 		t = cfg.MaxTimeout
+		if int64(r.TimeoutMs) < cfg.MaxTimeout.Milliseconds() {
+			t = time.Duration(r.TimeoutMs) * time.Millisecond
+		}
 	}
-	return t
+	return min(t, cfg.MaxTimeout)
 }
 
 // options assembles the repro.Run options for the request on g. The
@@ -726,7 +728,7 @@ func runResponse(res repro.Result, elapsed time.Duration) RunResponse {
 		Informed:      res.Informed,
 		N:             res.N,
 		Transmissions: res.Stats.Transmissions,
-		Deliveries:    res.Stats.Deliveries,
+		Successes:     res.Stats.Successes,
 		Collisions:    res.Stats.Collisions,
 		ElapsedMs:     float64(elapsed.Microseconds()) / 1000,
 	}

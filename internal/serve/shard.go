@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -106,8 +107,8 @@ func validateOffer(o *cluster.LeaseOffer) error {
 		return fmt.Errorf("lease offer point range [%d, %d) outside grid of %d points",
 			o.PointLo, o.PointHi, len(o.Spec.Points))
 	}
-	if o.TTLMs <= 0 {
-		return fmt.Errorf("lease offer TTL %dms is not positive", o.TTLMs)
+	if o.TTLMs <= 0 || int64(o.TTLMs) > math.MaxInt64/int64(time.Millisecond) {
+		return fmt.Errorf("lease offer TTL %dms is not a positive duration", o.TTLMs)
 	}
 	return nil
 }
@@ -194,16 +195,19 @@ func (s *Server) countShard(f func(*ShardStats)) {
 	s.mu.Unlock()
 }
 
+// heartbeatInterval is TTL/3, and at least 10ms, for an offer that
+// validateOffer accepted.
+func heartbeatInterval(offer *cluster.LeaseOffer) time.Duration {
+	return max(time.Duration(offer.TTLMs)*time.Millisecond/3, 10*time.Millisecond)
+}
+
 // heartbeatLoop extends the lease at TTL/3 until the shard finishes
 // (done) or the lease dies (410 → cancel the run). Transient heartbeat
 // errors are tolerated: the lease survives until its deadline, and if
 // the coordinator stays unreachable the lease expires server-side while
 // the abandoned run cancels on the next 410.
 func (s *Server) heartbeatLoop(ctx context.Context, cancel context.CancelFunc, offer *cluster.LeaseOffer, done <-chan struct{}) {
-	interval := time.Duration(offer.TTLMs) * time.Millisecond / 3
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
+	interval := heartbeatInterval(offer)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	client := &http.Client{Timeout: interval * 2}

@@ -241,6 +241,18 @@ func TestShardLeaseAbandonsOnGone(t *testing.T) {
 	}
 }
 
+// malformedOffers breaks a valid offer in each way validateOffer rejects.
+var malformedOffers = map[string]func(*cluster.LeaseOffer){
+	"no lease id":      func(o *cluster.LeaseOffer) { o.LeaseID = "" },
+	"no coordinator":   func(o *cluster.LeaseOffer) { o.Coordinator = "" },
+	"no spec":          func(o *cluster.LeaseOffer) { o.Spec = nil },
+	"hash mismatch":    func(o *cluster.LeaseOffer) { o.SpecHash = "deadbeef" },
+	"inverted range":   func(o *cluster.LeaseOffer) { o.PointLo, o.PointHi = 1, 0 },
+	"range off grid":   func(o *cluster.LeaseOffer) { o.PointHi = 99 },
+	"non-positive ttl": func(o *cluster.LeaseOffer) { o.TTLMs = 0 },
+	"overflowing ttl":  func(o *cluster.LeaseOffer) { o.TTLMs = 9_300_000_000_000 },
+}
+
 // TestShardLeaseRejectsMalformedOffers: structural problems are 400s,
 // before any slot is charged.
 func TestShardLeaseRejectsMalformedOffers(t *testing.T) {
@@ -248,16 +260,7 @@ func TestShardLeaseRejectsMalformedOffers(t *testing.T) {
 	_, ts := newTestServer(t, Config{ShardWorkers: 1})
 	spec := shardSpec()
 
-	cases := map[string]func(*cluster.LeaseOffer){
-		"no lease id":      func(o *cluster.LeaseOffer) { o.LeaseID = "" },
-		"no coordinator":   func(o *cluster.LeaseOffer) { o.Coordinator = "" },
-		"no spec":          func(o *cluster.LeaseOffer) { o.Spec = nil },
-		"hash mismatch":    func(o *cluster.LeaseOffer) { o.SpecHash = "deadbeef" },
-		"inverted range":   func(o *cluster.LeaseOffer) { o.PointLo, o.PointHi = 1, 0 },
-		"range off grid":   func(o *cluster.LeaseOffer) { o.PointHi = 99 },
-		"non-positive ttl": func(o *cluster.LeaseOffer) { o.TTLMs = 0 },
-	}
-	for name, mutate := range cases {
+	for name, mutate := range malformedOffers {
 		offer := offerFor(spec, fc.ts.URL, 1000)
 		mutate(&offer)
 		resp := postJSON(t, ts.URL+"/v1/shard/lease", offer)

@@ -5,10 +5,11 @@ import "fmt"
 // Counters is an Observer that accumulates aggregate metrics across one or
 // more runs. The zero value is ready to use.
 //
-// The radio engine uses an embedded Counters as its own accounting
-// (Engine.Stats reads from it), so an attached Counters observer is
-// guaranteed to agree with the engine's stats: both are fed the same
-// RoundRecord through the same Apply method.
+// The radio engine uses a Counters as its own accounting (Engine.Counters
+// and Result.Stats read from it), so an attached Counters observer is
+// guaranteed to agree with the engine's counts: both are fed the same
+// RoundRecord through the same Apply method. The engine's copy sees no
+// BeginRun or EndRun, so its Runs and Completed stay zero.
 type Counters struct {
 	// Runs is the number of BeginRun notifications seen.
 	Runs int
@@ -34,8 +35,8 @@ type Counters struct {
 }
 
 // Apply folds one round record into the counters. It is the single
-// accounting step shared by the observer path and the engine's internal
-// stats, so the two cannot drift.
+// accounting step shared by the observer path and the engine's own
+// counters, so the two cannot drift.
 func (c *Counters) Apply(r RoundRecord) {
 	c.Rounds++
 	c.Transmissions += r.Transmitters

@@ -72,7 +72,7 @@ type RunInfo struct {
 }
 
 // Summary describes a completed run. It mirrors the engine's final Result
-// and Stats without importing them, keeping this package dependency-free.
+// without importing it, keeping this package dependency-free.
 type Summary struct {
 	// Completed reports whether every node was informed.
 	Completed bool `json:"completed"`

@@ -24,7 +24,7 @@ type (
 	// RunSummary describes a finished run at EndRun time.
 	RunSummary = trace.Summary
 	// Counters is an Observer accumulating aggregate metrics across runs;
-	// its totals always agree with Engine.Stats (same accounting path).
+	// its totals always agree with Result.Stats (same accounting path).
 	Counters = trace.Counters
 	// Recorder is an Observer storing the complete trace in memory.
 	Recorder = trace.Recorder

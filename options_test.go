@@ -202,7 +202,10 @@ func TestRunWithObserver(t *testing.T) {
 		t.Fatalf("counters (rounds=%d informed=%d) != result (%d informed=%d)",
 			c.Rounds, c.Informed, res.Rounds, res.Informed)
 	}
-	if c.Successes != res.Stats.Deliveries || c.Collisions != res.Stats.Collisions {
+	// The result's counts are the observer's but for the run-level ones.
+	if st := res.Stats; st.Runs != 0 || st.Completed != 0 {
+		t.Fatalf("result stats count runs: %+v", st)
+	} else if st.Runs, st.Completed = c.Runs, c.Completed; st != c {
 		t.Fatalf("counters %+v != result stats %+v", c, res.Stats)
 	}
 	if f.Rounds() != res.Rounds || f.Cumulative[len(f.Cumulative)-1] != res.Informed {
