@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	campaign spec   -preset e1|e4|collision-rate|scale|smoke|lane-smoke
+//	campaign spec   -preset e1|e2|e4|collision-rate|scale|smoke|lane-smoke
 //	                [-scale small|medium|full] [-seed S] [-trials N]
 //	campaign run    -spec FILE -out DIR [-workers N] [-lanes N] [-resume]
 //	                [-halt-after N] [-points LO:HI] [-json] [-quiet]
@@ -219,20 +219,12 @@ func cmdRun(args []string, resume bool) error {
 		}
 	}
 
-	// ^C halts gracefully: in-flight trials finish, the checkpoint is
-	// flushed, and the partial report is printed; resume picks up there.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	defer signal.Stop(sig)
-	interrupt := make(chan struct{})
-	go func() {
-		if _, ok := <-sig; ok {
-			fmt.Fprintln(os.Stderr, "campaign: interrupted; flushing checkpoint (^C again to kill)")
-			close(interrupt)
-			signal.Stop(sig)
-		}
-	}()
-	opt.Interrupt = interrupt
+	// ^C cancels the run: in-flight trial blocks are dropped, the
+	// checkpoint is flushed and the partial report printed; resume reruns
+	// the dropped blocks.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	opt.Context = ctx
 
 	report, err := campaign.Run(spec, opt)
 	if err != nil {

@@ -6,23 +6,21 @@
 //
 //	experiments [-scale small|medium|full] [-seed N] [-trials N]
 //	            [-format text|markdown|csv] [-list] [-verify]
-//	            [-trace] [-trace-out FILE] [-campaign PRESET] [E1 E2 ...]
+//	            [-trace] [-trace-out FILE] [E1 E2 ...]
 //
 // With no experiment IDs, every experiment runs in order. -trace runs one
 // scale-sized instrumented broadcast instead and prints its per-round
 // measured-vs-predicted collision table (the single-run form of E23);
 // -trace-out additionally streams the round records as JSON Lines to FILE.
 //
-// The long-running sweeps are also available as resumable campaigns:
-// -campaign prints the campaign spec equivalent to a preset sweep (e1,
-// e4, collision-rate, scale, ...) at the selected -scale/-seed/-trials,
-// ready to pipe into the checkpointing runner:
+// E1, E2 and E4 run the campaign presets e1, e2 and e4 in memory. The
+// same sweeps run checkpointed and resumable through cmd/campaign, with
+// the same numbers at the same -scale/-seed/-trials:
 //
-//	experiments -campaign e1 -scale full | go run ./cmd/campaign run -spec - -out ck
+//	go run ./cmd/campaign spec -preset e1 -scale full | go run ./cmd/campaign run -spec - -out ck
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,7 +43,6 @@ func main() {
 	traceFlag := flag.Bool("trace", false, "run one instrumented broadcast and print its per-round collision table")
 	traceOut := flag.String("trace-out", "", "with -trace, also write the round records as JSON Lines to this file (implies -trace)")
 	outDir := flag.String("out", "", "also write each table as CSV into this directory")
-	campaignPreset := flag.String("campaign", "", "print the campaign spec for a preset sweep (see cmd/campaign) and exit")
 	flag.Parse()
 
 	if *list {
@@ -54,21 +51,6 @@ func main() {
 		}
 		fmt.Printf("\ncampaign presets (resumable checkpointed sweeps, see cmd/campaign): %v\n",
 			campaign.Presets())
-		return
-	}
-
-	if *campaignPreset != "" {
-		spec, err := campaign.Preset(*campaignPreset, *scaleFlag, *seed, *trials)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		b, err := json.MarshalIndent(spec, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(string(b))
 		return
 	}
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -129,10 +130,10 @@ func TestInterruptedResumeInvariance(t *testing.T) {
 
 func TestInterruptChannelHaltsGracefully(t *testing.T) {
 	spec := cheapSpec(50, nil)
-	interrupt := make(chan struct{})
-	close(interrupt) // already-fired interrupt: halt before dispatching
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // already-canceled context: halt before running a trial
 	dir := t.TempDir()
-	r, err := Run(spec, Options{Workers: 2, Dir: dir, Interrupt: interrupt})
+	r, err := Run(spec, Options{Workers: 2, Dir: dir, Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,18 +7,20 @@ import (
 )
 
 // Presets port the repository's standing sweeps onto the campaign
-// runner: the E1 centralized-vs-n and E4 distributed-vs-n scaling
-// experiments, the E23-style collision-rate sweep, the EXPERIMENTS.md
-// full-scale spot check, and the tiny CI smoke grid. A preset is just a
-// Spec builder — `campaign spec -preset e1 | campaign run -spec -` is the
-// checkpointed, resumable, adaptively-stopping equivalent of
-// `experiments E1`.
+// runner: the E1 centralized-vs-n, E2 centralized-vs-d and E4
+// distributed-vs-n scaling experiments, the E23-style collision-rate
+// sweep, the EXPERIMENTS.md full-scale spot check, and the tiny CI smoke
+// grids. A preset is just a Spec builder. Experiments E1, E2 and E4 run
+// their presets in memory, so `campaign spec -preset e1 | campaign run
+// -spec -` is the checkpointed, resumable form of `experiments E1` and
+// reports the same numbers.
 
 // presetFunc builds a preset spec at a scale ("small", "medium", "full").
 type presetFunc func(scale string, seed uint64, trials int) (*Spec, error)
 
 var presets = map[string]presetFunc{
 	"e1":             presetE1,
+	"e2":             presetE2,
 	"e4":             presetE4,
 	"collision-rate": presetCollisionRate,
 	"scale":          presetScale,
@@ -53,7 +55,7 @@ func Preset(name, scale string, seed uint64, trials int) (*Spec, error) {
 	return spec, nil
 }
 
-// presetNLadder mirrors the exp package's n ladders.
+// presetNLadder returns the n ladder of the scaling presets at a scale.
 func presetNLadder(scale string) ([]int, error) {
 	switch scale {
 	case "small":
@@ -114,19 +116,59 @@ func presetE1(scale string, seed uint64, trials int) (*Spec, error) {
 	}, nil
 }
 
+// presetE2 is experiment E2 as a campaign: centralized broadcast rounds
+// vs d at fixed n (the U-shape of Theorem 5's ln n/ln d + ln d). The
+// degree ladder is in multiples of ln n, capped at n/16 so the densest
+// graph (n²/32 edges) stays within laptop memory.
+func presetE2(scale string, seed uint64, trials int) (*Spec, error) {
+	n, ok := map[string]int{"small": 2000, "medium": 16000, "full": 32000}[scale]
+	if !ok {
+		return nil, fmt.Errorf("campaign: unknown scale %q (small, medium or full)", scale)
+	}
+	mults := []float64{1.5, 2, 4, 8, 16, 32, 64}
+	if scale == "small" {
+		mults = []float64{1.5, 3, 8, 20}
+	}
+	points := make([]PointSpec, len(mults))
+	for i, m := range mults {
+		d := min(m*math.Log(float64(n)), float64(n)/16)
+		points[i] = PointSpec{
+			ID:    fmt.Sprintf("d%.1f", d),
+			X:     d,
+			Trial: TrialSpec{Kind: "centralized", N: n, D: d},
+		}
+	}
+	return &Spec{
+		Name:       "e2-centralized-vs-d-" + scale,
+		Seed:       seed,
+		Trials:     presetTrials(scale, trials, 3, 5, 8),
+		MaxRetries: 1,
+		Points:     points,
+	}, nil
+}
+
 // presetE4 is experiment E4 as a campaign: distributed protocol
-// completion round vs n at d = 2 ln n (Theorem 7 scaling).
+// completion round vs n (Theorem 7 scaling) in two regimes, the
+// d = 2 ln n ladder followed by the d = n^0.4 ladder (IDs suffixed
+// "-pow0.4"). Appending the second regime keeps the first one's point
+// indices, and so its seeds.
 func presetE4(scale string, seed uint64, trials int) (*Spec, error) {
 	ns, err := presetNLadder(scale)
 	if err != nil {
 		return nil, err
+	}
+	points := ladderPoints(ns, "distributed")
+	for _, p := range ladderPoints(ns, "distributed") {
+		p.ID += "-pow0.4"
+		p.Trial.D = math.Pow(float64(p.Trial.N), 0.4)
+		points = append(points, p)
 	}
 	return &Spec{
 		Name:       "e4-distributed-vs-n-" + scale,
 		Seed:       seed,
 		Trials:     presetTrials(scale, trials, 5, 7, 10),
 		MaxRetries: 1,
-		Points:     ladderPoints(ns, "distributed"),
+		Points:     points,
 	}, nil
 }
 

@@ -34,23 +34,16 @@ type Options struct {
 	// samples may land; with lane blocks the overshoot rounds up to the
 	// block boundary. The checkpoint is flushed before Run returns.
 	HaltAfter int
-	// FlushEvery is the checkpoint flush cadence in samples (0 = 64).
-	FlushEvery int
 	// Progress, when non-nil, receives human-readable progress lines
 	// (point completions, stops, the final summary).
 	Progress io.Writer
-	// Interrupt, when non-nil, halts the run gracefully when it becomes
-	// readable (closed): in-flight trials finish, the checkpoint is
-	// flushed, and Run returns the partial report. Wire ^C to it.
-	Interrupt <-chan struct{}
 	// Context, when non-nil, cancels the run cooperatively: dispatching
-	// stops (like Interrupt), and in-flight trial blocks are canceled
-	// mid-run through the context every Runner.RunTrials call receives
-	// instead of being run to completion. Canceled trials are DISCARDED,
-	// not recorded — a cancellation-timing-dependent sample would break
-	// the byte-identical resume guarantee — so a resumed run simply
-	// re-runs them. The checkpoint is still flushed and the partial
-	// report returned.
+	// stops, and in-flight trial blocks are canceled mid-run through the
+	// context every Runner.RunTrials call receives instead of being run
+	// to completion. Canceled trials are DISCARDED, not recorded — a
+	// cancellation-timing-dependent sample would break the byte-identical
+	// resume guarantee — so a resumed run simply re-runs them. The
+	// checkpoint is still flushed and the partial report returned.
 	Context context.Context
 	// PointLo/PointHi restrict this run to grid points [PointLo, PointHi)
 	// for sharding a campaign across machines; (0, 0) means the whole
@@ -82,12 +75,8 @@ func (o *Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o *Options) flushEvery() int {
-	if o.FlushEvery > 0 {
-		return o.FlushEvery
-	}
-	return 64
-}
+// flushEvery is the checkpoint flush cadence in samples.
+const flushEvery = 64
 
 // laneWidth resolves an Options.Lanes setting to the lane block size:
 // exec.Width for auto (0) or anything wider, 1 (scalar) below 1.
@@ -247,19 +236,6 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 	halt := make(chan struct{})
 	var haltOnce sync.Once
 	haltNow := func() { haltOnce.Do(func() { close(halt) }) }
-	if opt.Interrupt != nil || ctx.Done() != nil {
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			select {
-			case <-opt.Interrupt:
-				haltNow()
-			case <-ctx.Done():
-				haltNow()
-			case <-done:
-			}
-		}()
-	}
 
 	build := func(p int) (Runner, error) { return newRunner(spec.Points[p], pointSeeds[p], lanePoint(p)) }
 	workCh := make(chan workItem)
@@ -273,6 +249,8 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 			}
 			select {
 			case <-halt:
+				return
+			case <-ctx.Done():
 				return
 			case workCh <- it:
 			}
@@ -326,7 +304,7 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 			fmt.Fprintf(opt.Progress, "campaign: point %s done: %d/%d trials, mean %.4g (%s)\n",
 				p.ID, agg.consumed, agg.budget, mean, how)
 		}
-		if ck != nil && sinceFlush >= opt.flushEvery() && flushErr == nil {
+		if ck != nil && sinceFlush >= flushEvery && flushErr == nil {
 			if flushErr = ck.Flush(false); flushErr != nil {
 				haltNow() // stop dispatching, drain the pool, then fail
 			}
@@ -361,7 +339,7 @@ func Run(spec *Spec, opt Options) (*Report, error) {
 }
 
 // runWorker executes work items until the channel closes. Each worker
-// caches one Runner per point (the sweep.RunWith engine-reuse pattern)
+// caches one Runner per point, reusing its engines from block to block,
 // and survives panicking trials: a panic is captured, the cached runner —
 // whose state the panic may have corrupted — is discarded, the trial is
 // retried up to spec.MaxRetries times, and a still-failing trial is

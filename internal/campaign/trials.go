@@ -18,11 +18,11 @@ import (
 
 // Runner executes the trials of one grid point. A runner is created once
 // per (worker, point) pair and may cache expensive state — graphs,
-// engines, scratch buffers — between calls, the sweep.RunWith reuse
-// contract: a trial must reset any result-relevant state at its start and
-// draw randomness exclusively from its own seed, so its result is a pure
-// function of the seed, independent of which worker ran it, which block
-// it shared or what ran before.
+// engines, scratch buffers — between calls, under one contract: a trial
+// must reset any result-relevant state at its start and draw randomness
+// exclusively from its own seed, so its result is a pure function of the
+// seed, independent of which worker ran it, which block it shared or
+// what ran before.
 type Runner interface {
 	// RunTrials executes one trial per seed: seeds[i] is trial i's derived
 	// seed, values[i] receives its scalar measurement and oks[i] its

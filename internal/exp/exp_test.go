@@ -1,9 +1,13 @@
 package exp
 
 import (
+	"context"
 	"hash/fnv"
 	"strings"
 	"testing"
+
+	"repro/internal/campaign"
+	"repro/internal/table"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -59,10 +63,10 @@ func TestConfigTrials(t *testing.T) {
 // that moves any fixed-seed number shows up here. Update an entry only
 // for an intentional change to that experiment's randomness or output.
 var smallCSVFingerprints = map[string]uint64{
-	"E1":  0x8d8fa59483bbc216,
-	"E2":  0x08d31887445bb87e,
+	"E1":  0x69bf431a3311fdc0,
+	"E2":  0xdfeeaf450c3100a7,
 	"E3":  0xe2a3d5acfe7131c5,
-	"E4":  0x42c21a632f07e712,
+	"E4":  0xd05b139678ff97df,
 	"E5":  0xec58b0f3e2773a46,
 	"E6":  0xada7fb2e424f38a4,
 	"E7":  0x3a88be4fe7cfd2b3,
@@ -116,6 +120,72 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 			}
 		})
 	}
+}
+
+// E1, E2 and E4 are renderings of their campaign presets: each table's
+// rounds column is the preset report's per-point mean at the same seed
+// and trials, so `campaign spec -preset e1 | campaign run` and
+// `experiments E1` print one number per point.
+func TestScalingTablesAreTheirPresets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipped in -short mode")
+	}
+	cfg := Config{Scale: Small, Seed: 4242, Trials: 2}
+	for _, c := range []struct {
+		id, preset string
+		col        int // the rounds column
+	}{{"E1", "e1", 2}, {"E2", "e2", 1}, {"E4", "e4", 2}} {
+		e, _ := Get(c.id)
+		var rows [][]string
+		for _, tb := range e.Run(cfg) {
+			rows = append(rows, tb.Rows...)
+		}
+		spec, err := campaign.Preset(c.preset, "small", cfg.Seed, cfg.Trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := campaign.Run(spec, campaign.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(r.Points) {
+			t.Fatalf("%s: %d table rows, preset %s has %d points", c.id, len(rows), c.preset, len(r.Points))
+		}
+		for i, p := range r.Points {
+			want := table.New("", "mean")
+			want.AddRow(float64(p.Mean))
+			if got := rows[i][c.col]; got != want.Rows[0][0] {
+				t.Errorf("%s row %d: rounds %s, preset %s point %s mean %s", c.id, i, got, c.preset, p.ID, want.Rows[0][0])
+			}
+		}
+	}
+}
+
+// panicRunner fails every trial, standing in for a misconfigured point.
+type panicRunner struct{}
+
+func (panicRunner) RunTrials(context.Context, []uint64, []float64, []bool) error {
+	panic("exp-test-panic: trial failed")
+}
+
+func init() {
+	campaign.RegisterKind("exp-test-panic", func(campaign.PointSpec, uint64, bool) (campaign.Runner, error) {
+		return panicRunner{}, nil
+	})
+}
+
+// A campaign point with failed trials must stop the experiment loudly,
+// never print a mean over the trials that happened to succeed.
+func TestRunSpecPanicsOnFailedTrials(t *testing.T) {
+	spec := &campaign.Spec{Name: "exp-test-panic", Seed: 1, Trials: 2, Points: []campaign.PointSpec{
+		{ID: "p", X: 1, Trial: campaign.TrialSpec{Kind: "exp-test-panic", N: 10, D: 2}},
+	}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("runSpec returned a report with failed trials instead of panicking")
+		}
+	}()
+	runSpec(spec)
 }
 
 func TestExperimentsDeterministic(t *testing.T) {

@@ -2,8 +2,9 @@ package exp
 
 import (
 	"context"
-	"math"
+	"fmt"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gen"
@@ -73,44 +74,37 @@ func replay(g *graph.Graph, s *radio.Schedule) (radio.Result, error) {
 	return exec.Run(context.Background(), &exec.Request{Graph: g, Sources: []int32{0}, Schedule: s}, nil)
 }
 
+// runPreset runs campaign preset id in memory at cfg's scale, seed and
+// trial override; the preset sets the default trial count.
+func runPreset(id string, cfg Config) *campaign.Report {
+	spec, err := campaign.Preset(id, cfg.Scale.String(), cfg.Seed, cfg.Trials)
+	if err != nil {
+		panic(err)
+	}
+	return runSpec(spec)
+}
+
+// runSpec runs spec in memory and panics if any point failed a trial or
+// did not finish, as sampleConnected does: a short mean printed as if
+// complete would hide a misconfigured experiment.
+func runSpec(spec *campaign.Spec) *campaign.Report {
+	r, err := campaign.Run(spec, campaign.Options{})
+	if err != nil {
+		panic(err)
+	}
+	for _, p := range r.Points {
+		if p.Failures > 0 || !p.Complete {
+			panic(fmt.Sprintf("exp: campaign %s point %s: %d of %d trials failed, complete=%v",
+				spec.Name, p.ID, p.Failures, p.Consumed, p.Complete))
+		}
+	}
+	return r
+}
+
 // summarizeRounds compacts samples into (mean, p10, p90).
 func summarizeRounds(samples []float64) (mean, p10, p90 float64) {
 	s := stats.Summarize(samples)
 	return s.Mean, s.P10, s.P90
-}
-
-// degreeLadder returns the sweep degrees for E2 at the given scale.
-func degreeLadder(n int, scale Scale) []float64 {
-	base := []float64{0, 0, 0} // replaced below
-	lnN := math.Log(float64(n))
-	switch scale {
-	case Small:
-		base = []float64{1.5 * lnN, 3 * lnN, 8 * lnN, 20 * lnN}
-	case Medium:
-		base = []float64{1.5 * lnN, 2 * lnN, 4 * lnN, 8 * lnN, 16 * lnN, 32 * lnN, 64 * lnN}
-	default:
-		base = []float64{1.5 * lnN, 2 * lnN, 4 * lnN, 8 * lnN, 16 * lnN, 32 * lnN, 64 * lnN}
-	}
-	// Cap the density so the sweep stays within laptop memory: at the cap
-	// the graph has n·cap/2 edges.
-	for i := range base {
-		if base[i] >= float64(n)/16 {
-			base[i] = float64(n) / 16
-		}
-	}
-	return base
-}
-
-// nLadder returns the sweep sizes for scaling experiments.
-func nLadder(scale Scale) []int {
-	switch scale {
-	case Small:
-		return []int{500, 1000, 2000}
-	case Medium:
-		return []int{1000, 2000, 4000, 8000, 16000, 32000}
-	default:
-		return []int{1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000}
-	}
 }
 
 // median returns the median of integer samples.

@@ -1,17 +1,16 @@
 package exp
 
 // Experiments E1, E2 and E4: the upper-bound scaling claims of Theorems 5
-// and 7.
+// and 7. Each runs its campaign preset (internal/campaign/presets.go,
+// which owns the n and d ladders) and renders the report's points, so
+// `campaign spec -preset e1` and `experiments E1` measure one thing.
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 	"repro/internal/table"
-	"repro/internal/xrand"
 )
 
 func init() {
@@ -36,45 +35,32 @@ func init() {
 }
 
 func runE1(cfg Config) []*table.Table {
-	trials := cfg.trials(3)
+	r := runPreset("e1", cfg)
 	t := table.New("E1: centralized rounds vs n  (d = 2 ln n, mean over trials)",
 		"n", "d", "rounds", "p10", "p90", "bound", "rounds/bound")
 	var ratios []float64
-	for i, n := range nLadder(cfg.Scale) {
-		d := 2 * math.Log(float64(n))
-		samples := sweep.Run(trials, cfg.Seed+uint64(i)*101, func(rng *xrand.Rand) float64 {
-			g := sampleConnected(n, d, rng)
-			return float64(centralizedRounds(g, d, rng.Uint64()))
-		})
-		mean, p10, p90 := summarizeRounds(samples)
-		bound := core.CentralizedBound(n, d)
-		ratio := mean / bound
-		ratios = append(ratios, ratio)
-		t.AddRow(n, d, mean, p10, p90, bound, ratio)
+	for _, p := range r.Points {
+		mean, bound := float64(p.Mean), core.CentralizedBound(p.N, float64(p.D))
+		ratios = append(ratios, mean/bound)
+		t.AddRow(p.N, float64(p.D), mean, float64(p.P10), float64(p.P90), bound, mean/bound)
 	}
 	spread := stats.RatioSpread(ratios, ones(len(ratios)))
 	t.AddNote("trials=%d seed=%d; ratio spread max/min = %.2f (Θ-claim holds if bounded, ~<3)",
-		trials, cfg.Seed, spread)
+		r.Trials, cfg.Seed, spread)
 	return []*table.Table{t}
 }
 
 func runE2(cfg Config) []*table.Table {
-	trials := cfg.trials(3)
-	n := map[Scale]int{Small: 2000, Medium: 16000, Full: 32000}[cfg.Scale]
+	r := runPreset("e2", cfg)
+	n := r.Points[0].N
 	t := table.New(fmt.Sprintf("E2: centralized rounds vs d  (n = %d)", n),
 		"d", "rounds", "bound", "rounds/bound")
-	ds := degreeLadder(n, cfg.Scale)
 	var meas, bounds []float64
-	for i, d := range ds {
-		samples := sweep.Run(trials, cfg.Seed+uint64(i)*211, func(rng *xrand.Rand) float64 {
-			g := sampleConnected(n, d, rng)
-			return float64(centralizedRounds(g, d, rng.Uint64()))
-		})
-		mean, _, _ := summarizeRounds(samples)
-		bound := core.CentralizedBound(n, d)
+	for _, p := range r.Points {
+		mean, bound := float64(p.Mean), core.CentralizedBound(n, float64(p.D))
 		meas = append(meas, mean)
 		bounds = append(bounds, bound)
-		t.AddRow(d, mean, bound, mean/bound)
+		t.AddRow(float64(p.D), mean, bound, mean/bound)
 	}
 	t.AddNote("optimal degree per theory: d* = exp(sqrt(ln n)) = %.1f", core.OptimalDegree(n))
 	t.AddNote("ratio spread across the sweep: %.2f", stats.RatioSpread(meas, bounds))
@@ -82,29 +68,19 @@ func runE2(cfg Config) []*table.Table {
 }
 
 func runE4(cfg Config) []*table.Table {
-	trials := cfg.trials(5)
+	r := runPreset("e4", cfg)
+	// Preset e4 lists the d = 2 ln n ladder, then the d = n^0.4 ladder.
+	half := len(r.Points) / 2
 	var out []*table.Table
-	for _, regime := range []struct {
-		name string
-		d    func(n int) float64
-	}{
-		{"d = 2 ln n", func(n int) float64 { return 2 * math.Log(float64(n)) }},
-		{"d = n^0.4", func(n int) float64 { return math.Pow(float64(n), 0.4) }},
-	} {
-		rt := table.New(fmt.Sprintf("E4 (%s)", regime.name),
+	for i, regime := range []string{"d = 2 ln n", "d = n^0.4"} {
+		rt := table.New(fmt.Sprintf("E4 (%s)", regime),
 			"n", "d", "rounds", "p10", "p90", "ln n", "rounds/ln n")
 		var ns, rounds []float64
-		for i, n := range nLadder(cfg.Scale) {
-			d := regime.d(n)
-			samples := sweep.Run(trials, cfg.Seed+uint64(i)*307, func(rng *xrand.Rand) float64 {
-				g := sampleConnected(n, d, rng)
-				return float64(distributedRounds(g, d, rng))
-			})
-			mean, p10, p90 := summarizeRounds(samples)
-			lnN := core.DistributedBound(n)
-			ns = append(ns, float64(n))
+		for _, p := range r.Points[i*half : (i+1)*half] {
+			mean, lnN := float64(p.Mean), core.DistributedBound(p.N)
+			ns = append(ns, float64(p.N))
 			rounds = append(rounds, mean)
-			rt.AddRow(n, d, mean, p10, p90, lnN, mean/lnN)
+			rt.AddRow(p.N, float64(p.D), mean, float64(p.P10), float64(p.P90), lnN, mean/lnN)
 		}
 		fit := stats.FitLogarithm(ns, rounds)
 		rt.AddNote("fit rounds = a·ln n + b: a=%.2f b=%.2f R²=%.3f (Θ(ln n) claim: good fit, stable a)",

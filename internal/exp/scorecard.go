@@ -104,21 +104,17 @@ func Scorecard(cfg Config) []Check {
 		d := 2 * math.Log(float64(n))
 		rng := xrand.New(cfg.Seed + 53)
 		g := sampleConnected(n, d, rng)
-		// Both protocol comparisons run many trials on the same graph, so
-		// each worker reuses one engine through an execution session
-		// instead of rebuilding graph-sized state per trial. Results are
-		// identical to the fresh-engine-per-trial formulation.
-		session := func(p radio.Protocol) func() *exec.Session {
-			return func() *exec.Session {
-				return exec.Open(&exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: 8 * n})
-			}
+		// Both protocols run five trials on the same graph through one
+		// scalar session each, which reuses its engine from trial to trial.
+		timed := func(p radio.Protocol, seed uint64) []float64 {
+			out := make([]int, 5)
+			sess := exec.Open(&exec.Request{Graph: g, Sources: []int32{0}, Protocol: p, MaxRounds: 8 * n, ForceScalar: true})
+			// An unobserved batch under a background context cannot fail.
+			_ = sess.RunSeeds(context.Background(), sweep.Seeds(5, seed), out)
+			return stats.Ints(out)
 		}
-		timed := func(r *xrand.Rand, s *exec.Session) float64 {
-			t, _ := s.Time(context.Background(), r)
-			return float64(t)
-		}
-		paper := sweep.RunWith(5, cfg.Seed+54, session(core.NewDistributedProtocol(n, d)), timed)
-		decay := sweep.RunWith(5, cfg.Seed+55, session(protocols.NewDecay(n)), timed)
+		paper := timed(core.NewDistributedProtocol(n, d), cfg.Seed+54)
+		decay := timed(protocols.NewDecay(n), cfg.Seed+55)
 		pass := stats.Median(paper) <= stats.Median(decay)
 		add("E5", "paper protocol ≤ Decay on G(n,p)", pass,
 			"paper median=%.0f decay median=%.0f", stats.Median(paper), stats.Median(decay))

@@ -196,13 +196,13 @@ func (e *P2) linear(i, s int) float64 {
 func (e *P2) Count() int { return e.count }
 
 // Value returns the current quantile estimate: NaN for an empty stream,
-// the exact quantile (linear interpolation, as Quantile) for fewer than
-// five observations, and the P² marker estimate afterwards.
+// the exact quantile (linear interpolation, as Quantile) for up to five
+// observations, and the P² marker estimate afterwards.
 func (e *P2) Value() float64 {
 	if e.count == 0 {
 		return math.NaN()
 	}
-	if e.count < 5 {
+	if e.count <= 5 {
 		s := make([]float64, e.count)
 		copy(s, e.q[:e.count])
 		sort.Float64s(s)

@@ -86,6 +86,18 @@ func TestP2SmallStreamsExact(t *testing.T) {
 	if e.Count() != 3 {
 		t.Errorf("Count = %d, want 3", e.Count())
 	}
+	// Five observations are still exact: the markers are the sorted
+	// sample, but the middle one is the median whatever p is.
+	five := []float64{28, 22, 24, 27, 22}
+	for _, p := range []float64{0.1, 0.9} {
+		e := NewP2(p)
+		for _, x := range five {
+			e.Add(x)
+		}
+		if got, want := e.Value(), Quantile(five, p); got != want {
+			t.Errorf("P2(%v) of %v = %v, want %v", p, five, got, want)
+		}
+	}
 }
 
 func TestP2ApproximatesQuantiles(t *testing.T) {

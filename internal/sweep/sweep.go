@@ -19,12 +19,13 @@ import (
 // returns one scalar measurement.
 type Trial func(rng *xrand.Rand) float64
 
-// Seeds returns the per-trial seeds that Run and RunWith derive from
-// baseSeed: trial i uses xrand.New(baseSeed).DeriveSeed(i+1). The mapping
-// is the repository-wide convention for fanning one base seed out to
-// independent trials — the campaign runner uses it so a campaign point
-// with the same base seed replays exactly the trials a sweep would run,
-// regardless of worker count, interruption or resume order.
+// Seeds returns the per-trial seeds that Run derives from baseSeed:
+// trial i uses xrand.New(baseSeed).DeriveSeed(i+1). The mapping is the
+// repository-wide convention for fanning one base seed out to
+// independent trials — the campaign runner and exec.Session.RunSeeds
+// callers use it so the same base seed replays exactly the trials a
+// sweep would run, regardless of worker count, interruption or resume
+// order.
 func Seeds(trials int, baseSeed uint64) []uint64 {
 	if trials <= 0 {
 		return nil
@@ -39,62 +40,24 @@ func Seeds(trials int, baseSeed uint64) []uint64 {
 
 // Run executes the trial `trials` times with seeds derived from baseSeed
 // and returns the measurements ordered by trial index. Trials run
-// concurrently on up to GOMAXPROCS goroutines.
+// concurrently on up to GOMAXPROCS goroutines; since each draws only
+// from its own derived rng, the results do not depend on scheduling.
 func Run(trials int, baseSeed uint64, trial Trial) []float64 {
-	return RunWith(trials, baseSeed,
-		func() struct{} { return struct{}{} },
-		func(rng *xrand.Rand, _ struct{}) float64 { return trial(rng) })
-}
-
-// RunWith is Run for trials that reuse expensive per-worker state: each
-// worker goroutine calls newCtx exactly once and passes the context to
-// every trial it executes, so a 1000-trial sweep over one graph builds
-// graph-sized simulation state (engine, scratch buffers, ...) once per
-// worker instead of once per trial.
-//
-// Trial randomness still comes exclusively from the per-trial derived rng,
-// and a trial must leave no result-relevant state in the context (reset it
-// at the start of the trial, as radio.BroadcastTimeOnContext does); under that
-// contract the measurements are identical to Run's for the same baseSeed,
-// independent of worker count and scheduling.
-func RunWith[C any](trials int, baseSeed uint64, newCtx func() C, trial func(rng *xrand.Rand, ctx C) float64) []float64 {
-	out := make([]float64, trials)
-	if trials <= 0 {
-		return out[:0]
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Pre-derive seeds sequentially so results are independent of worker
-	// interleaving.
-	rngs := make([]*xrand.Rand, trials)
-	for i, seed := range Seeds(trials, baseSeed) {
-		rngs[i] = xrand.New(seed)
-	}
-	if workers == 1 {
-		ctx := newCtx()
-		for i := 0; i < trials; i++ {
-			out[i] = trial(rngs[i], ctx)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
+	seeds := Seeds(trials, baseSeed)
+	out := make([]float64, len(seeds))
+	workers := min(runtime.GOMAXPROCS(0), trials)
 	next := make(chan int)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := newCtx()
 			for i := range next {
-				out[i] = trial(rngs[i], ctx)
+				out[i] = trial(xrand.New(seeds[i]))
 			}
 		}()
 	}
-	for i := 0; i < trials; i++ {
+	for i := range out {
 		next <- i
 	}
 	close(next)

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/xrand"
@@ -75,52 +74,6 @@ func TestRunParallelPath(t *testing.T) {
 		if par[i] != seq[i] {
 			t.Fatalf("parallel and sequential sweeps diverge at %d", i)
 		}
-	}
-}
-
-func TestRunWithMatchesRun(t *testing.T) {
-	// A context-using trial whose measurements depend only on the derived
-	// rng must agree with the context-free formulation exactly.
-	trial := func(rng *xrand.Rand) float64 { return float64(rng.Intn(1 << 30)) }
-	plain := Run(30, 11, trial)
-	ctxd := RunWith(30, 11,
-		func() *[]int { s := make([]int, 0, 8); return &s },
-		func(rng *xrand.Rand, scratch *[]int) float64 {
-			*scratch = (*scratch)[:0] // trials must reset their context
-			*scratch = append(*scratch, rng.Intn(1<<30))
-			return float64((*scratch)[0])
-		})
-	for i := range plain {
-		if plain[i] != ctxd[i] {
-			t.Fatalf("trial %d: RunWith %v, Run %v", i, ctxd[i], plain[i])
-		}
-	}
-}
-
-func TestRunWithWorkerCountInvariance(t *testing.T) {
-	trial := func(rng *xrand.Rand, _ struct{}) float64 { return float64(rng.Intn(1 << 30)) }
-	newCtx := func() struct{} { return struct{}{} }
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	par := RunWith(40, 3, newCtx, trial)
-	runtime.GOMAXPROCS(1)
-	seq := RunWith(40, 3, newCtx, trial)
-	for i := range par {
-		if par[i] != seq[i] {
-			t.Fatalf("trial %d differs across worker counts", i)
-		}
-	}
-}
-
-func TestRunWithContextPerWorker(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	var created atomic.Int64
-	RunWith(64, 5,
-		func() int { return int(created.Add(1)) },
-		func(rng *xrand.Rand, ctx int) float64 { return float64(ctx) })
-	if n := created.Load(); n < 1 || n > 4 {
-		t.Fatalf("newCtx called %d times, want once per worker (1..4)", n)
 	}
 }
 
