@@ -107,15 +107,23 @@ func freshScratchPool(t *testing.T) *atomic.Int64 {
 // TestResampledTrialAllocs requires a warm resampled trial, which draws
 // its graph into a pooled scratch and runs on the scratch's engine, to
 // allocate on average under a quarter of one fresh CSR of its graph. A
-// new scratch costs about two CSRs; the pool makes one when the collector
-// cleared it, or when the test moves to a processor whose pool shard
-// holds none. Up to four of those among the trials stay inside the bound.
+// centralized trial also builds its schedule in the scratch, on the
+// scratch's engine. A new scratch costs about two CSRs; the pool makes
+// one when the collector cleared it, or when the test moves to a
+// processor whose pool shard holds none. Up to four of those among the
+// trials stay inside the bound.
 func TestResampledTrialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
+	for _, kind := range []string{"distributed", "centralized"} {
+		t.Run(kind, func(t *testing.T) { testResampledTrialAllocs(t, kind) })
+	}
+}
+
+func testResampledTrialAllocs(t *testing.T, kind string) {
 	const n, d, trials = 20000, 25, 40
-	runner, err := newRunner(PointSpec{ID: "p", X: 1, Trial: TrialSpec{Kind: "distributed", N: n, D: d}}, 7, false)
+	runner, err := newRunner(PointSpec{ID: "p", X: 1, Trial: TrialSpec{Kind: kind, N: n, D: d}}, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,17 +146,18 @@ func TestResampledTrialAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perTrial := float64(m1.TotalAlloc-m0.TotalAlloc) / trials
-	t.Logf("%.0f bytes per resampled trial; one fresh CSR is %d bytes", perTrial, csr)
+	t.Logf("%.0f bytes per resampled %s trial; one fresh CSR is %d bytes", perTrial, kind, csr)
 	if perTrial >= float64(csr)/4 {
-		t.Errorf("a warm resampled trial allocates %.0f bytes, want under a quarter of one fresh CSR (%d bytes)", perTrial, csr)
+		t.Errorf("a warm resampled %s trial allocates %.0f bytes, want under a quarter of one fresh CSR (%d bytes)", kind, perTrial, csr)
 	}
 }
 
 // TestFixedGraphCentralizedTrialAllocs requires a warm FixedGraph
-// centralized trial to replay its schedule on the runner's engine: past
-// what building the schedule allocates, the trial may allocate less than
-// one n-entry InformedAt copy, where a fresh engine per replay costs
-// that copy and the engine's own buffers.
+// centralized trial, schedule build and replay together, to allocate
+// less than one n-entry InformedAt copy (4n bytes): the build runs on the
+// runner's engine and scratch and the replay on that engine, where a
+// fresh build costs its own engine, distances and buffers, and a fresh
+// replay engine the copy and the engine's buffers.
 func TestFixedGraphCentralizedTrialAllocs(t *testing.T) {
 	const n, d, trials = 20000, 25, 10
 	p := PointSpec{ID: "p", X: 1, Trial: TrialSpec{Kind: "centralized", N: n, D: d, FixedGraph: true}}
@@ -164,29 +173,18 @@ func TestFixedGraphCentralizedTrialAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run(1) // warm up the engine's result buffer
+	run(1) // warm up the scratch and the engine's result buffer
 	run(2)
-	bytesPer := func(f func(seed uint64)) float64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < trials; i++ {
-			f(uint64(100 + i))
-		}
-		runtime.ReadMemStats(&m1)
-		return float64(m1.TotalAlloc-m0.TotalAlloc) / trials
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < trials; i++ {
+		run(uint64(100 + i))
 	}
-	perTrial := bytesPer(run)
-	fixed := runner.(*centralizedRunner).fixed
-	var rng xrand.Rand
-	build := bytesPer(func(seed uint64) {
-		rng.Reseed(seed)
-		if _, _, err := core.BuildCentralizedSchedule(fixed, 0, d, core.DefaultCentralizedConfig(rng.Uint64())); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("%.0f bytes per trial, %.0f of them building the schedule", perTrial, build)
-	if replay := perTrial - build; replay >= 4*n {
-		t.Errorf("a warm FixedGraph centralized replay allocates %.0f bytes past the schedule build, want under %d", replay, 4*n)
+	runtime.ReadMemStats(&m1)
+	perTrial := float64(m1.TotalAlloc-m0.TotalAlloc) / trials
+	t.Logf("%.0f bytes per warm FixedGraph centralized trial", perTrial)
+	if perTrial >= 4*n {
+		t.Errorf("a warm FixedGraph centralized trial allocates %.0f bytes, want under %d", perTrial, 4*n)
 	}
 }
 

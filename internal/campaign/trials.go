@@ -148,14 +148,16 @@ func sampleConnected(s *gen.Scratch, n int, d float64, rng *xrand.Rand) *graph.G
 	return g
 }
 
-// trialScratch is what a resampled trial draws its graph into and the
-// scalar engine it runs that graph on, both reused from trial to trial.
+// trialScratch is what a resampled trial draws its graph into, the
+// scalar engine it runs that graph on and the working memory of a
+// centralized trial's schedule build, all reused from trial to trial.
 // The engine is caller-owned (exec.Request.Engine), so exec's per-graph
 // pool never sees the graph that the next draw rewrites.
 type trialScratch struct {
 	gen     gen.Scratch
 	engine  *radio.Engine
 	engineN int // the vertex count engine was built for
+	sched   core.Scratch
 }
 
 // scratchPool holds the idle trialScratch values. Campaigns build fresh
@@ -289,12 +291,16 @@ func collisionRate(c *trace.Counters) float64 {
 // schedule seeded from the trial's stream; with FixedGraph the graph is
 // pinned to the point seed and only the schedule seed varies per trial
 // (a fixed-graph fixed-schedule replay would be the same deterministic
-// number every trial). Either way the replay runs on a caller-owned
-// engine: the runner's own for the pinned graph, the scratch's otherwise.
+// number every trial). Either way the schedule is built and replayed on a
+// caller-owned engine, and the build's working memory is reused: the
+// runner's own engine and core.Scratch for the pinned graph, the trial
+// scratch's otherwise. The replay through exec.Run stays the independent
+// check that the schedule works.
 type centralizedRunner struct {
 	spec   TrialSpec
 	fixed  *graph.Graph  // non-nil iff FixedGraph
 	engine *radio.Engine // built once on fixed
+	sched  core.Scratch  // schedule builds on fixed
 	rng    xrand.Rand
 }
 
@@ -314,12 +320,14 @@ func (r *centralizedRunner) RunTrials(ctx context.Context, seeds []uint64, value
 		}
 		r.rng.Reseed(seed)
 		req := exec.Request{Graph: r.fixed, Engine: r.engine, Sources: []int32{0}}
+		builder := &r.sched
 		var scratch *trialScratch
 		if req.Graph == nil {
 			scratch = scratchPool.Get().(*trialScratch)
 			req.Graph, req.Engine = scratch.draw(r.spec, &r.rng)
+			builder = &scratch.sched
 		}
-		sched, _, err := core.BuildCentralizedSchedule(req.Graph, 0, r.spec.D, core.DefaultCentralizedConfig(r.rng.Uint64()))
+		sched, _, err := builder.Build(req.Engine, 0, r.spec.D, core.DefaultCentralizedConfig(r.rng.Uint64()))
 		if err != nil {
 			panic(fmt.Sprintf("campaign: building centralized schedule: %v", err))
 		}

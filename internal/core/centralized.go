@@ -85,7 +85,54 @@ func (t CentralizedTrace) String() string {
 // The builder is adaptive: it simulates the radio model while emitting
 // rounds, so the schedule is valid by construction. It returns an error if
 // the graph is disconnected from src or the round budget is exhausted.
+//
+// It is Scratch.Build on fresh storage and a fresh engine; the schedule
+// it returns belongs to the caller.
 func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg CentralizedConfig) (*radio.Schedule, CentralizedTrace, error) {
+	return new(Scratch).build(g, nil, src, d, cfg)
+}
+
+// Scratch is the schedule builder's working memory, kept from one build
+// to the next: the distance search and its distances, the layer sizes,
+// the phase buffers and the emitted sets. A build on a Scratch returns the
+// same schedule, trace and error as BuildCentralizedSchedule, and once the
+// buffers have grown to the largest graph it allocates only the kick-off
+// sample's index draw and the greedy covers of the small tails.
+//
+// The zero value is ready. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	rng   xrand.Rand
+	t     graph.Traversal
+	dist  []int32
+	sizes []int  // sizes[i] is the number of vertices at distance i
+	used  []bool // members of earlier selective sets
+	pool  []int32
+	buf   []int32
+	kick  []int32 // the kick-off sample
+	cover coverScratch
+	// The emitted sets lie back to back in flat; set i ends at ends[i].
+	flat  []int32
+	ends  []int
+	sched *radio.Schedule
+}
+
+// Build is BuildCentralizedSchedule for source src on e's graph, run on
+// the engine e and on s's storage. It re-aims e at src with SetSources and
+// runs the build's rounds on e with e's observer detached, restoring the
+// observer afterwards; e is left in the built broadcast's final state, so
+// a replay must re-initialise it (exec does, for a caller's engine). The
+// engine's transmitter policy does not matter: the builder only ever lets
+// informed vertices transmit.
+//
+// The schedule Build returns lives in s: the next Build rewrites it in
+// place, under the same pointer. It belongs to s's holder until then.
+func (s *Scratch) Build(e *radio.Engine, src int32, d float64, cfg CentralizedConfig) (*radio.Schedule, CentralizedTrace, error) {
+	return s.build(e.Graph(), e, src, d, cfg)
+}
+
+// build is Build on g; a nil e is the fresh case, where the engine is
+// built once the graph has passed its checks.
+func (s *Scratch) build(g *graph.Graph, e *radio.Engine, src int32, d float64, cfg CentralizedConfig) (*radio.Schedule, CentralizedTrace, error) {
 	n := g.N()
 	var trace CentralizedTrace
 	if n == 0 {
@@ -106,41 +153,63 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 		// multiple plus slack for tiny graphs.
 		maxRounds = 64*int(math.Ceil(CentralizedBound(n, d))) + 256
 	}
-	rng := xrand.New(cfg.Seed)
+	rng := &s.rng
+	rng.Reseed(cfg.Seed)
 
-	dist := graph.Distances(g, src)
+	s.dist = s.t.Distances(g, src, s.dist)
+	dist := s.dist
+	// One counting pass sizes the Lemma 3 layers T_0(src), T_1(src), ….
+	sizes := s.sizes[:0]
 	for v, dv := range dist {
 		if dv == graph.Unreachable {
 			return nil, trace, fmt.Errorf("core: %w: vertex %d unreachable from source %d", radio.ErrScheduleMismatch, v, src)
 		}
+		for int(dv) >= len(sizes) {
+			sizes = append(sizes, 0)
+		}
+		sizes[dv]++
 	}
-	layers := graph.LayersFromDist(dist)
-	trace.Layers = len(layers)
+	s.sizes = sizes
+	trace.Layers = len(sizes)
 
 	// D*: the first layer of size >= n/d (the paper's first layer with
 	// Ω(n/d) nodes); if none, the graph is shallow/sparse and the tree
 	// phase alone spans all layers.
-	dStar := len(layers) - 1
-	for i, layer := range layers {
-		if float64(len(layer)) >= float64(n)/d {
+	dStar := len(sizes) - 1
+	for i, size := range sizes {
+		if float64(size) >= float64(n)/d {
 			dStar = i
 			break
 		}
 	}
 	trace.DStar = dStar
 
-	e := radio.NewEngine(g, src, radio.StrictInformed)
-	sched := &radio.Schedule{}
-	// Builder-owned scratch, allocated O(n) once and reused by every cover
-	// round: mark is epoch-stamped (mark[v] == epoch means "v is in the
-	// current candidate set"), so clearing it between rounds is a counter
-	// increment instead of a map allocation.
-	sc := &coverScratch{mark: make([]int32, n)}
+	if e == nil {
+		e = radio.NewEngine(g, src, radio.StrictInformed)
+	} else {
+		e.SetSources([]int32{src})
+		if obs := e.Observer(); obs != nil {
+			e.Attach(nil)
+			defer e.Attach(obs)
+		}
+	}
+	// Every set is appended to flat; a never-nil flat keeps an empty set
+	// a non-nil empty slice.
+	if s.flat == nil {
+		s.flat = []int32{}
+	}
+	s.flat, s.ends = s.flat[:0], s.ends[:0]
+	// mark is epoch-stamped (mark[v] == epoch means "v is in the current
+	// candidate set"), so clearing it between cover rounds, and between
+	// builds, is a counter increment instead of a map allocation.
+	sc := &s.cover
+	if len(sc.mark) < n {
+		sc.mark = make([]int32, n)
+	}
 	emit := func(set []int32, phase *int) error {
-		owned := make([]int32, len(set))
-		copy(owned, set)
-		sched.Sets = append(sched.Sets, owned)
-		if _, err := e.Round(owned); err != nil {
+		s.flat = append(s.flat, set...)
+		s.ends = append(s.ends, len(s.flat))
+		if _, err := e.Round(set); err != nil {
 			return err
 		}
 		*phase++
@@ -155,7 +224,7 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 	// j ≡ i-1 (mod 2): round 1 transmits the source (j = 0), round 2 the
 	// odd layers, and so on. We run until layer dStar's informed count
 	// stops growing and at least dStar rounds have passed.
-	var buf []int32
+	buf := s.buf
 	for i := 1; i <= dStar || (dStar == 0 && i == 1); i++ {
 		par := int32((i - 1) % 2)
 		buf = buf[:0]
@@ -164,6 +233,7 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 				buf = append(buf, int32(v))
 			}
 		}
+		s.buf = buf
 		if len(buf) == 0 && dStar > 0 {
 			continue
 		}
@@ -171,21 +241,18 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 			return nil, trace, err
 		}
 		if e.Done() {
-			return sched, trace, nil
+			return s.schedule(), trace, nil
 		}
 	}
 	// Special case: dStar == 0 means even layer 0 … impossible except for
 	// n/d <= 1; the single emitted round (source) already handled it.
 
 	// --- Phase 2: kick-off round from layer D* ---------------------------
-	// Θ(n/d) informed vertices of T_{D*} transmit.
+	// Θ(n/d) informed vertices of T_{D*} transmit, drawn from the layer's
+	// informed vertices in ascending order.
 	if dStar > 0 && !e.Done() {
-		informedDStar := buf[:0]
-		for _, v := range layers[dStar] {
-			if e.Informed(v) {
-				informedDStar = append(informedDStar, v)
-			}
-		}
+		informedDStar := informedInLayer(e, dist, int32(dStar), buf[:0])
+		s.buf = informedDStar
 		if len(informedDStar) == 0 {
 			// The parity phase never reached T_{D*} (possible on extreme
 			// inputs). Fall back to transmitting the deepest informed
@@ -199,12 +266,8 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 				if err := emit(frontier, &trace.TreeRounds); err != nil {
 					return nil, trace, err
 				}
-				informedDStar = informedDStar[:0]
-				for _, v := range layers[dStar] {
-					if e.Informed(v) {
-						informedDStar = append(informedDStar, v)
-					}
-				}
+				informedDStar = informedInLayer(e, dist, int32(dStar), informedDStar[:0])
+				s.buf = informedDStar
 				if len(informedDStar) > 0 {
 					break
 				}
@@ -214,11 +277,11 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 			want := int(math.Ceil(float64(n) / d))
 			set := informedDStar
 			if len(set) > want {
-				idx := rng.Sample(len(set), want)
-				sample := make([]int32, want)
-				for i, j := range idx {
-					sample[i] = set[j]
+				sample := s.kick[:0]
+				for _, j := range rng.Sample(len(set), want) {
+					sample = append(sample, set[j])
 				}
+				s.kick = sample
 				set = sample
 			}
 			if err := emit(set, &trace.KickoffRounds); err != nil {
@@ -229,12 +292,19 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 
 	// --- Phase 3: 1/d-selective random rounds ----------------------------
 	budget := int(math.Ceil(cfg.SelectiveC * math.Log(d)))
-	used := make([]bool, n) // members of earlier selective sets
+	if cap(s.used) < n {
+		s.used = make([]bool, n)
+	}
+	used := s.used[:n]
+	clear(used)
 	tailThreshold := int(math.Ceil(float64(n) / (d * d)))
 	if tailThreshold < 8 {
 		tailThreshold = 8
 	}
-	pool := make([]int32, 0, n)
+	if cap(s.pool) < n {
+		s.pool = make([]int32, 0, n)
+	}
+	pool := s.pool
 	for r := 0; r < budget && !e.Done(); r++ {
 		uninformed := n - e.InformedCount()
 		if cfg.CoverFinish && uninformed <= tailThreshold {
@@ -303,14 +373,42 @@ func BuildCentralizedSchedule(g *graph.Graph, src int32, d float64, cfg Centrali
 		return nil, trace, fmt.Errorf("core: %w: schedule incomplete: %d/%d informed (%s)",
 			radio.ErrScheduleMismatch, e.InformedCount(), n, trace)
 	}
-	return sched, trace, nil
+	return s.schedule(), trace, nil
 }
 
-// coverScratch is the schedule builder's reusable working memory: one O(n)
-// allocation up front instead of per-round maps and slices. mark doubles as
-// the candidate-membership set — mark[v] == epoch means v is a candidate of
-// the current cover round — so "clearing" it is epoch++ (O(1)), and
-// coverSampleRate can test membership without building its own set.
+// schedule returns the built schedule: the emitted sets cut out of flat,
+// each capped at its own length, so appending to one cannot overwrite the
+// next.
+func (s *Scratch) schedule() *radio.Schedule {
+	if s.sched == nil {
+		s.sched = new(radio.Schedule)
+	}
+	sets, start := s.sched.Sets[:0], 0
+	for _, end := range s.ends {
+		sets = append(sets, s.flat[start:end:end])
+		start = end
+	}
+	s.sched.Sets = sets
+	return s.sched
+}
+
+// informedInLayer appends the informed vertices at distance layer to buf,
+// in ascending order.
+func informedInLayer(e *radio.Engine, dist []int32, layer int32, buf []int32) []int32 {
+	for v, dv := range dist {
+		if dv == layer && e.Informed(int32(v)) {
+			buf = append(buf, int32(v))
+		}
+	}
+	return buf
+}
+
+// coverScratch is the cover rounds' working memory, part of a Scratch:
+// one O(n) allocation instead of per-round maps and slices. mark doubles
+// as the candidate-membership set — mark[v] == epoch means v is a
+// candidate of the current cover round — so "clearing" it is nextEpoch
+// (O(1)), and coverSampleRate can test membership without building its
+// own set. The epoch runs on across builds.
 type coverScratch struct {
 	mark     []int32
 	epoch    int32
@@ -318,6 +416,17 @@ type coverScratch struct {
 	cands    []int32
 	set      []int32
 	frontier []int32
+}
+
+// nextEpoch starts a new candidate set. When the epoch would wrap, mark
+// is cleared and the epoch restarts, so no stamp left from before the
+// wrap can match a new epoch.
+func (sc *coverScratch) nextEpoch() {
+	if sc.epoch == math.MaxInt32 {
+		clear(sc.mark)
+		sc.epoch = 0
+	}
+	sc.epoch++
 }
 
 // deepestInformedFrontier returns the informed vertices at the maximum
@@ -366,7 +475,7 @@ func coverUntilInformed(e *radio.Engine, emit func([]int32, *int) error, counter
 			return nil
 		}
 		// Candidate transmitters: informed neighbours of the targets.
-		sc.epoch++
+		sc.nextEpoch()
 		cands := sc.cands[:0]
 		reachable := false
 		for _, y := range targets {

@@ -295,16 +295,42 @@ func TestOptimalDegree(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildCentralizedSchedule times fresh builds at n = 10⁴, and
+// fresh and reused builds (one Scratch and one engine) on the fixed
+// workload, a connected G(10⁵, 25/n).
 func BenchmarkBuildCentralizedSchedule(b *testing.B) {
 	const n = 10000
 	d := 2 * math.Log(n)
 	g := mustConnected(b, n, d, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := BuildCentralizedSchedule(g, 0, d, DefaultCentralizedConfig(uint64(i))); err != nil {
-			b.Fatal(err)
+	b.Run("n=1e4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := BuildCentralizedSchedule(g, 0, d, DefaultCentralizedConfig(uint64(i))); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	const fixedN, fixedD = 100000, 25
+	fixed := mustConnected(b, fixedN, fixedD, 1)
+	b.Run("n=1e5/fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := BuildCentralizedSchedule(fixed, 0, fixedD, DefaultCentralizedConfig(uint64(i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("n=1e5/reused", func(b *testing.B) {
+		var s Scratch
+		e := radio.NewEngine(fixed, 0, radio.StrictInformed)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := s.Build(e, 0, fixedD, DefaultCentralizedConfig(uint64(i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestCentralizedTraceString(t *testing.T) {

@@ -16,23 +16,30 @@ const Unreachable int32 = -1
 // cost is far below one pass over every arc, and it stays O(n + m) on any
 // graph.
 func Distances(g *Graph, src int32) []int32 {
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = Unreachable
-	}
 	var t Traversal
-	t.traverse(g, src, dist)
-	return dist
+	return t.Distances(g, src, nil)
 }
 
 // Traversal holds the buffers of the breadth-first search kernel, so that
-// a caller searching graph after graph (gen.Scratch's connectivity test)
-// reuses them: once they have grown to the largest graph, a search
-// allocates nothing. The zero value is ready. A Traversal is not safe for
-// concurrent use.
+// a caller searching graph after graph (gen.Scratch's connectivity test,
+// core.Scratch's distance search) reuses them: once they have grown to
+// the largest graph, a search allocates nothing. The zero value is ready.
+// A Traversal is not safe for concurrent use.
 type Traversal struct {
 	visited, front []uint64
 	order          []int32
+}
+
+// Distances is the package-level Distances on t's reused buffers, written
+// into dst's storage when its capacity holds g.N() entries (a nil dst is
+// the fresh case: a new, exactly sized array).
+func (t *Traversal) Distances(g *Graph, src int32, dst []int32) []int32 {
+	dist := resize(dst, g.N(), 0)
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	t.traverse(g, src, dist)
+	return dist
 }
 
 // bottomUpRatio is the α of the direction switch: a level runs bottom-up
